@@ -22,7 +22,6 @@ from .network import (
     NodeKind,
     StackProfile,
     Topology,
-    TopologyInvalid,
     Unreachable,
     setup_latency_for,
     tx_ticks,
@@ -67,7 +66,6 @@ __all__ = [
     "NodeKind",
     "StackProfile",
     "Topology",
-    "TopologyInvalid",
     "Unreachable",
     "setup_latency_for",
     "tx_ticks",

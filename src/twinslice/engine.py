@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import logging
 from enum import IntEnum
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # One tick is one nanosecond of virtual time.
 US = 1_000

@@ -1,9 +1,10 @@
 """Delay histograms, per-slice accounting, and report emission.
 
-Delay samples are integer nanoseconds. Histogram bins are log-spaced over
-[1 us, 100 s] with 20 bins per decade plus underflow/overflow, so percentile
-queries are O(bins) and reports stay compact at any sample volume. Exact
-running count/sum/min/max are kept alongside the bins.
+Delay samples are integer nanoseconds. Histogram bins are log-spaced from
+1 us up past 2**63 ns with 20 bins per decade, plus one underflow bin below
+1 us, so every delay has a bin of bounded relative width, percentile queries
+are O(bins) and reports stay compact at any sample volume. Exact running
+count/sum/min/max are kept alongside the bins.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 BINS_PER_DECADE = 20
-_LO = 1_000            # 1 us in ns
-_HI = 100_000_000_000  # 100 s in ns
-_DECADES = 8
+_LO = 1_000  # 1 us in ns
+_DECADES = 16
 
-# EDGES[0] = 1 us ... EDGES[160] = 100 s; bin k covers [EDGES[k-1], EDGES[k]).
+# EDGES[0] = 1 us ... EDGES[160] = 100 s ... EDGES[320] = 1e19 ns > 2**63 ns;
+# bin k covers [EDGES[k-1], EDGES[k]) and key 0 is the underflow bin.
 EDGES: list[int] = [
     round(_LO * 10 ** (i / BINS_PER_DECADE)) for i in range(_DECADES * BINS_PER_DECADE + 1)
 ]
-_OVERFLOW = len(EDGES)  # key for samples >= 100 s; key 0 is the underflow bin
 
 
 class NegativeDelay(Exception):
@@ -69,8 +69,7 @@ class DelayHistogram:
         """Nearest-rank percentile, reported as the covering bin's upper edge.
 
         The result is conservative: always >= the exact percentile and within
-        one bin width of it. The overflow bin reports the exact running max,
-        the underflow bin its upper edge (1 us).
+        one bin width of it; the underflow bin reports its upper edge (1 us).
         """
         if self.count == 0:
             raise EmptyHistogram("no samples recorded")
@@ -79,10 +78,6 @@ class DelayHistogram:
         for key in sorted(self._bins):
             cum += self._bins[key]
             if cum >= rank:
-                if key == 0:
-                    return EDGES[0]
-                if key >= _OVERFLOW:
-                    return self.max_value
                 return EDGES[key]
         return self.max_value
 
@@ -90,11 +85,7 @@ class DelayHistogram:
 def bin_width_at(sample: int) -> int:
     """Width of the histogram bin containing sample (underflow width = 1 us)."""
     key = bisect_right(EDGES, sample)
-    if key == 0:
-        return EDGES[0]
-    if key >= _OVERFLOW:
-        return 0
-    return EDGES[key] - EDGES[key - 1]
+    return EDGES[key] - EDGES[key - 1] if key else EDGES[0]
 
 
 DROP_CAUSES = ("loss", "queue", "fault")

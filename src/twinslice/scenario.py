@@ -5,7 +5,9 @@ window, topology, protocol stack, per-slice contracts, twin hierarchy,
 workloads, and fault timeline. Quantities carry unit suffixes and are parsed
 exactly onto integer grids: durations to nanosecond ticks, rates to bits per
 second, energy to nanojoules. Validation never stops at the first problem;
-every error is collected with a path into the document.
+every error is collected with a path into the document. This module holds
+every validity rule: the simulator trusts a loaded Scenario and checks
+nothing again.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import yaml
 
@@ -109,6 +111,70 @@ def parse_length_m(value: Any, path: str, errors: list[str]) -> Optional[int]:
     return _parse_unit(value, _LENGTH, "length", "m", path, errors)
 
 
+# Field readers. Each returns the accepted value, or appends one error with
+# its path and returns None; no reader drops a value without saying why.
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_num(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int(value: Any, path: str, errors: list[str], lo: Optional[int] = None,
+         what: str = "an integer") -> Optional[int]:
+    """An integer no smaller than lo; `what` finishes the 'must be' message."""
+    if _is_int(value) and (lo is None or value >= lo):
+        return value
+    errors.append(f"{path}: must be {what}")
+    return None
+
+
+def _signed(value: Optional[int], path: str, errors: list[str], positive: bool) -> Optional[int]:
+    """The sign rule of a parsed quantity: > 0 if positive, else >= 0."""
+    if value is not None and (value <= 0 if positive else value < 0):
+        errors.append(f"{path}: must be positive" if positive else f"{path}: must be >= 0")
+        return None
+    return value
+
+
+def _quantity(value: Any, parse: Callable[..., Optional[int]], path: str,
+              errors: list[str], positive: bool = True) -> Optional[int]:
+    """Parse a unit quantity and apply its sign rule."""
+    return _signed(parse(value, path, errors), path, errors, positive)
+
+
+def _node_id(value: Any, node_by_id: dict, path: str, errors: list[str]) -> Optional[int]:
+    if _is_int(value) and value in node_by_id:
+        return value
+    errors.append(f"{path}: unknown node {value}")
+    return None
+
+
+def _edge_list(value: Any, node_by_id: dict, path: str, errors: list[str]) -> Optional[list[int]]:
+    if not isinstance(value, list) or not value:
+        errors.append(f"{path}: must be a non-empty list of edge node ids")
+        return None
+    bad = [e for e in value if not (_is_int(e) and e in node_by_id and node_by_id[e].kind == "edge")]
+    for e in bad:
+        errors.append(f"{path}: {e} is not an edge node")
+    return None if bad else list(value)
+
+
+def _mapping(value: Any, path: str, errors: list[str]) -> dict:
+    """An optional mapping section; absent or empty reads as {}."""
+    if not value:
+        return {}
+    if not isinstance(value, dict):
+        errors.append(f"{path}: must be a mapping")
+        return {}
+    return value
+
+
+_BYTE_COUNT = "a positive integer byte count"
+
+
 @dataclass
 class NodeSpec:
     id: int
@@ -129,11 +195,19 @@ class LinkSpec:
 
 @dataclass
 class TwinSpec:
+    """One twin as loaded.
+
+    While parsing, children may be "auto" and an unset period or phase is
+    None; loading resolves both, so the twins of a returned Scenario carry
+    explicit children lists and integer periods and phases (0 where the level
+    does not use them).
+    """
+
     id: str
     level: str  # individual | global_edge | global_core
     host: int
     entity: Optional[int] = None
-    children: Any = "auto"  # "auto" or explicit list of twin ids
+    children: Any = "auto"
     sync_period: Optional[int] = None
     sync_phase: Optional[int] = None
     aggregation_period: Optional[int] = None
@@ -163,7 +237,8 @@ class Scenario:
 
 
 _NODE_KINDS = ("core", "edge", "device")
-_TWIN_LEVELS = ("individual", "global_edge", "global_core")
+_TWIN_LEVELS = ("individual", "global_edge", "global_core")  # children before parents
+_TWIN_TIMING = ("sync_period", "sync_phase", "aggregation_period", "aggregation_phase")
 _WORKLOAD_KINDS = (
     "telemedicine_stream",
     "surgery_loop",
@@ -201,17 +276,9 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
     if not isinstance(run, dict):
         errors.append("run: section is required (with at least t_end)")
     else:
-        t = parse_duration(run.get("t_end"), "run.t_end", errors)
-        if t is not None:
-            if t <= 0:
-                errors.append("run.t_end: must be positive")
-            else:
-                t_end = t
-        seed = run.get("master_seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            errors.append("run.master_seed: must be a non-negative integer")
-        else:
-            master_seed = seed
+        t_end = _quantity(run.get("t_end"), parse_duration, "run.t_end", errors) or 0
+        master_seed = _int(run.get("master_seed", 0), "run.master_seed", errors, 0,
+                           "a non-negative integer") or 0
         fmt = run.get("formats", ["json", "csv"])
         if fmt == "both":
             fmt = ["json", "csv"]
@@ -226,12 +293,11 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
             out = raw_out
 
     # --- stack section ------------------------------------------------------
-    stack_cfg = data.get("stack", {}) or {}
-    stack = _parse_stack(stack_cfg, errors)
+    stack = _parse_stack(_mapping(data.get("stack"), "stack", errors), errors)
 
-    adm = data.get("admission", {}) or {}
+    adm = _mapping(data.get("admission"), "admission", errors)
     cap = adm.get("utilization_cap", DEFAULT_UTILIZATION_CAP)
-    if not isinstance(cap, (int, float)) or isinstance(cap, bool) or not 0 < cap <= 1:
+    if not _is_num(cap) or not 0 < cap <= 1:
         errors.append("admission.utilization_cap: must be in (0, 1]")
         cap = DEFAULT_UTILIZATION_CAP
     utilization_cap = float(cap)
@@ -242,12 +308,13 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
 
     # --- contracts ----------------------------------------------------------
     contracts = default_contracts()
-    for key, cfg in (data.get("contracts", {}) or {}).items():
+    for key, cfg in _mapping(data.get("contracts"), "contracts", errors).items():
         cls = _SLICE_BY_NAME.get(str(key))
         if cls is None:
             errors.append(f"contracts.{key}: unknown slice (expected one of {sorted(_SLICE_BY_NAME)})")
             continue
-        _apply_contract(contracts[cls], cfg or {}, f"contracts.{key}", errors)
+        path = f"contracts.{key}"
+        _apply_contract(contracts[cls], _mapping(cfg, path, errors), path, errors)
 
     # --- twins --------------------------------------------------------------
     twins = _parse_twins(data.get("twins", []), errors)
@@ -259,6 +326,7 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
     faults = _parse_faults(data.get("faults", []), nodes, links, errors)
 
     _validate_cross(nodes, links, twins, workloads, errors)
+    _resolve_twins(twins, errors)
 
     if errors:
         raise ScenarioError(errors)
@@ -281,10 +349,7 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
     )
 
 
-def _parse_stack(cfg: Any, errors: list[str]) -> StackProfile:
-    if not isinstance(cfg, dict):
-        errors.append("stack: must be a mapping")
-        return StackProfile()
+def _parse_stack(cfg: dict, errors: list[str]) -> StackProfile:
     transport = cfg.get("transport", "quic")
     if transport not in TRANSPORT_BYTES:
         errors.append(f"stack.transport: must be one of {sorted(TRANSPORT_BYTES)}")
@@ -292,10 +357,8 @@ def _parse_stack(cfg: Any, errors: list[str]) -> StackProfile:
     fields = {}
     for key in ("alp", "session", "security", "network", "phy", "transport_bytes"):
         if key in cfg:
-            v = cfg[key]
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                errors.append(f"stack.{key}: must be a non-negative integer byte count")
-            else:
+            v = _int(cfg[key], f"stack.{key}", errors, 0, "a non-negative integer byte count")
+            if v is not None:
                 fields[key] = v
     fields.setdefault("transport_bytes", TRANSPORT_BYTES[transport])
     setup = cfg.get("setup_latency", "auto")
@@ -305,10 +368,7 @@ def _parse_stack(cfg: Any, errors: list[str]) -> StackProfile:
     return StackProfile(transport=transport, setup_latency_ns=setup_ns, **fields)
 
 
-def _apply_contract(contract: QosContract, cfg: Any, path: str, errors: list[str]) -> None:
-    if not isinstance(cfg, dict):
-        errors.append(f"{path}: must be a mapping")
-        return
+def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[str]) -> None:
     for key, value in cfg.items():
         if key == "min_rate":
             v = parse_rate(value, f"{path}.min_rate", errors)
@@ -319,17 +379,15 @@ def _apply_contract(contract: QosContract, cfg: Any, path: str, errors: list[str
         elif key == "max_loss":
             if value is None:
                 contract.max_loss = None
-            elif isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1:
+            elif _is_num(value) and 0 <= value <= 1:
                 contract.max_loss = float(value)
             else:
                 errors.append(f"{path}.max_loss: must be a probability in [0, 1] or null")
         elif key == "max_energy_per_msg":
             contract.max_energy_per_msg_nj = None if value is None else parse_energy(value, f"{path}.max_energy_per_msg", errors)
         elif key == "mobility_kmh":
-            if value is None or (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
-                contract.mobility_kmh = value
-            else:
-                errors.append(f"{path}.mobility_kmh: must be a non-negative integer or null")
+            contract.mobility_kmh = None if value is None else _int(
+                value, f"{path}.mobility_kmh", errors, 0, "a non-negative integer or null")
         else:
             errors.append(f"{path}.{key}: unknown contract field")
 
@@ -344,11 +402,10 @@ def _parse_nodes(raw: Any, errors: list[str]) -> list[NodeSpec]:
         if not isinstance(item, dict):
             errors.append(f"{path}: must be a mapping")
             continue
-        nid = item.get("id")
-        kind = item.get("kind")
-        if not isinstance(nid, int) or isinstance(nid, bool):
-            errors.append(f"{path}.id: must be an integer")
+        nid = _int(item.get("id"), f"{path}.id", errors)
+        if nid is None:
             continue
+        kind = item.get("kind")
         if kind not in _NODE_KINDS:
             errors.append(f"{path}.kind: must be one of {_NODE_KINDS}")
             continue
@@ -360,7 +417,7 @@ def _parse_nodes(raw: Any, errors: list[str]) -> list[NodeSpec]:
     if ids != list(range(len(ids))):
         errors.append("nodes: ids must be unique and dense from 0, in order")
     kinds = [n.kind for n in nodes]
-    if nodes and kinds.count("core") != 1:
+    if kinds.count("core") != 1:
         errors.append(f"nodes: exactly one core node required, found {kinds.count('core')}")
     return nodes
 
@@ -376,25 +433,18 @@ def _parse_links(raw: Any, nodes: list[NodeSpec], errors: list[str]) -> list[Lin
         if not isinstance(item, dict):
             errors.append(f"{path}: must be a mapping")
             continue
-        lid = item.get("id")
-        if not isinstance(lid, int) or isinstance(lid, bool):
-            errors.append(f"{path}.id: must be an integer")
+        lid = _int(item.get("id"), f"{path}.id", errors)
+        if lid is None:
             continue
         ends = item.get("ends")
-        if (not isinstance(ends, list) or len(ends) != 2
-                or any(not isinstance(e, int) or isinstance(e, bool) for e in ends)):
+        if not isinstance(ends, list) or len(ends) != 2 or not all(map(_is_int, ends)):
             errors.append(f"{path}.ends: must be a pair of node ids")
             continue
         a, b = ends
-        ok = True
-        for end in (a, b):
-            if end not in node_kind:
-                errors.append(f"{path}.ends: unknown node {end}")
-                ok = False
+        known = [_node_id(end, node_kind, f"{path}.ends", errors) for end in ends]
         if a == b:
             errors.append(f"{path}.ends: a link cannot loop a node to itself")
-            ok = False
-        if not ok:
+        if None in known or a == b:
             continue
         kinds = {node_kind[a], node_kind[b]}
         if "device" in kinds and kinds != {"device", "edge"}:
@@ -402,19 +452,13 @@ def _parse_links(raw: Any, nodes: list[NodeSpec], errors: list[str]) -> list[Lin
         rate = parse_rate(item.get("rate"), f"{path}.rate", errors)
         prop = parse_duration(item.get("prop_delay", 0), f"{path}.prop_delay", errors)
         loss = item.get("loss", 0.0)
-        if not isinstance(loss, (int, float)) or isinstance(loss, bool) or not 0 <= loss <= 1:
+        if not _is_num(loss) or not 0 <= loss <= 1:
             errors.append(f"{path}.loss: must be a probability in [0, 1]")
             loss = 0.0
-        cap = item.get("queue_cap", DEFAULT_QUEUE_CAP)
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-            errors.append(f"{path}.queue_cap: must be an integer >= 1")
-            cap = DEFAULT_QUEUE_CAP
-        if rate is not None and rate <= 0:
-            errors.append(f"{path}.rate: must be positive")
-            rate = None
-        if prop is not None and prop < 0:
-            errors.append(f"{path}.prop_delay: must be >= 0")
-            prop = None
+        cap = _int(item.get("queue_cap", DEFAULT_QUEUE_CAP), f"{path}.queue_cap", errors, 1,
+                   "an integer >= 1") or DEFAULT_QUEUE_CAP
+        rate = _signed(rate, f"{path}.rate", errors, positive=True)
+        prop = _signed(prop, f"{path}.prop_delay", errors, positive=False)
         if rate is None or prop is None:
             continue
         links.append(LinkSpec(lid, a, b, rate, prop, float(loss), cap))
@@ -444,7 +488,7 @@ def _parse_vitals(raw: Any, path: str, errors: list[str]) -> list[VitalSpec]:
         seen.add(nm)
         mean = item.get("mean", 0.0)
         sd = item.get("sd", 0.0)
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (mean, sd)) or sd < 0:
+        if not (_is_num(mean) and _is_num(sd)) or sd < 0:
             errors.append(f"{p}: mean must be numeric and sd >= 0")
             continue
         out.append(VitalSpec(nm, float(mean), float(sd)))
@@ -464,7 +508,7 @@ def _parse_alerts(raw: Any, path: str, errors: list[str]) -> list[tuple[str, flo
             errors.append(f"{p}: must be a mapping with metric and threshold")
             continue
         thr = item["threshold"]
-        if not isinstance(thr, (int, float)) or isinstance(thr, bool):
+        if not _is_num(thr):
             errors.append(f"{p}.threshold: must be numeric")
             continue
         out.append((str(item["metric"]), float(thr)))
@@ -494,24 +538,19 @@ def _parse_twins(raw: Any, errors: list[str]) -> list[TwinSpec]:
         if level not in _TWIN_LEVELS:
             errors.append(f"{path}.level: must be one of {_TWIN_LEVELS}")
             continue
-        host = item.get("host")
-        if not isinstance(host, int) or isinstance(host, bool):
-            errors.append(f"{path}.host: must be a node id")
+        host = _int(item.get("host"), f"{path}.host", errors, what="a node id")
+        if host is None:
             continue
         spec = TwinSpec(id=tid, level=level, host=host)
         if "entity" in item:
-            ent = item["entity"]
-            if not isinstance(ent, int) or isinstance(ent, bool):
-                errors.append(f"{path}.entity: must be a node id")
-            else:
-                spec.entity = ent
+            spec.entity = _int(item["entity"], f"{path}.entity", errors, what="a node id")
         spec.children = item.get("children", "auto")
         if spec.children != "auto" and (
             not isinstance(spec.children, list) or any(not isinstance(c, str) for c in spec.children)
         ):
             errors.append(f"{path}.children: must be 'auto' or a list of twin ids")
             spec.children = []
-        for key in ("sync_period", "sync_phase", "aggregation_period", "aggregation_phase"):
+        for key in _TWIN_TIMING:
             if key in item:
                 setattr(spec, key, parse_duration(item[key], f"{path}.{key}", errors))
         policy = item.get("policy", {}) or {}
@@ -572,91 +611,59 @@ def _parse_workloads(
             errors.append(f"{path}.id: duplicate workload id {wid!r}")
             continue
         seen_ids.add(wid)
-        start = parse_duration(item.get("start", 0), f"{path}.start", errors) or 0
+        start = _quantity(item.get("start", 0), parse_duration, f"{path}.start", errors,
+                          positive=False) or 0
         duration = None
         if "duration" in item:
-            duration = parse_duration(item["duration"], f"{path}.duration", errors)
-            if duration is not None and duration <= 0:
-                errors.append(f"{path}.duration: must be positive")
+            duration = _quantity(item["duration"], parse_duration, f"{path}.duration", errors)
         preadmit = bool(item.get("preadmit", False))
 
+        spec: Any = None
         if kind == "telemedicine_stream":
             bitrate = parse_rate(item.get("bitrate"), f"{path}.bitrate", errors)
-            fsize = item.get("frame_size")
-            src, dst = item.get("src"), item.get("dst")
-            bad = False
-            for label, v in (("src", src), ("dst", dst)):
-                if not isinstance(v, int) or isinstance(v, bool) or v not in node_by_id:
-                    errors.append(f"{path}.{label}: unknown node {v}")
-                    bad = True
-            if not isinstance(fsize, int) or isinstance(fsize, bool) or fsize <= 0:
-                errors.append(f"{path}.frame_size: must be a positive integer byte count")
-                bad = True
-            if bitrate is None or bitrate <= 0:
-                if bitrate is not None:
-                    errors.append(f"{path}.bitrate: must be positive")
-                bad = True
-            if bad:
-                continue
-            spec: Any = TelemedicineStreamSpec(wid, src, dst, bitrate, fsize, start, duration)
-            spec.preadmit = preadmit
-            out.append(spec)
+            src = _node_id(item.get("src"), node_by_id, f"{path}.src", errors)
+            dst = _node_id(item.get("dst"), node_by_id, f"{path}.dst", errors)
+            fsize = _int(item.get("frame_size"), f"{path}.frame_size", errors, 1, _BYTE_COUNT)
+            bitrate = _signed(bitrate, f"{path}.bitrate", errors, positive=True)
+            if None not in (src, dst, fsize, bitrate):
+                spec = TelemedicineStreamSpec(wid, src, dst, bitrate, fsize, start, duration)
 
         elif kind == "surgery_loop":
-            rate = item.get("cmd_rate")
-            size = item.get("cmd_size")
             budget = parse_duration(item.get("rtt_budget", "2ms"), f"{path}.rtt_budget", errors)
-            src, dst = item.get("src"), item.get("dst")
-            bad = False
-            for label, v in (("src", src), ("dst", dst)):
-                if not isinstance(v, int) or isinstance(v, bool) or v not in node_by_id:
-                    errors.append(f"{path}.{label}: unknown node {v}")
-                    bad = True
-            if not isinstance(rate, int) or isinstance(rate, bool) or rate <= 0:
-                errors.append(f"{path}.cmd_rate: must be a positive integer (commands per second)")
-                bad = True
-            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
-                errors.append(f"{path}.cmd_size: must be a positive integer byte count")
-                bad = True
-            if budget is None or bad:
-                continue
-            spec = SurgeryLoopSpec(wid, src, dst, rate, size, budget, start, duration)
-            spec.preadmit = preadmit
-            out.append(spec)
+            src = _node_id(item.get("src"), node_by_id, f"{path}.src", errors)
+            dst = _node_id(item.get("dst"), node_by_id, f"{path}.dst", errors)
+            rate = _int(item.get("cmd_rate"), f"{path}.cmd_rate", errors, 1,
+                        "a positive integer (commands per second)")
+            size = _int(item.get("cmd_size"), f"{path}.cmd_size", errors, 1, _BYTE_COUNT)
+            if None not in (budget, src, dst, rate, size):
+                spec = SurgeryLoopSpec(wid, src, dst, rate, size, budget, start, duration)
 
         elif kind == "ambulance_run":
             spec = _parse_ambulance(item, wid, start, duration, node_by_id, twin_by_id, path, errors)
-            if spec is not None:
-                spec.preadmit = preadmit
-                out.append(spec)
 
         elif kind == "wearable_fleet":
             spec = _parse_fleet(item, wid, start, duration, nodes, links, twins, node_by_id, path, errors)
             if spec is not None:
-                spec.preadmit = preadmit
-                out.append(spec)
                 twin_by_id = {t.id: t for t in twins}
 
         elif kind == "implant_beacon":
             spec = _parse_beacon(item, wid, start, duration, node_by_id, twin_by_id, path, errors)
-            if spec is not None:
-                spec.preadmit = preadmit
-                out.append(spec)
+
+        if spec is not None:
+            spec.preadmit = preadmit
+            out.append(spec)
     return out
 
 
 def _check_device_twin(item: dict, node_by_id: dict, twin_by_id: dict, path: str,
                        errors: list[str], want_mobile: bool) -> Optional[tuple[int, str]]:
-    device = item.get("device")
+    device = _node_id(item.get("device"), node_by_id, f"{path}.device", errors)
     twin_id = item.get("twin")
-    ok = True
-    if not isinstance(device, int) or isinstance(device, bool) or device not in node_by_id:
-        errors.append(f"{path}.device: unknown node {device}")
-        ok = False
-    elif node_by_id[device].kind != "device":
+    ok = device is not None
+    if ok and node_by_id[device].kind != "device":
         errors.append(f"{path}.device: node {device} is not a device")
         ok = False
-    elif want_mobile and not node_by_id[device].mobile:
+    elif ok and want_mobile and not node_by_id[device].mobile:
         errors.append(f"{path}.device: node {device} must be declared mobile")
         ok = False
     if not isinstance(twin_id, str) or twin_id not in twin_by_id:
@@ -679,50 +686,23 @@ def _parse_ambulance(item: dict, wid: str, start: int, duration: Optional[int],
                      node_by_id: dict, twin_by_id: dict, path: str,
                      errors: list[str]) -> Optional[AmbulanceRunSpec]:
     bound = _check_device_twin(item, node_by_id, twin_by_id, path, errors, want_mobile=True)
-    seq = item.get("edge_sequence")
+    seq = _edge_list(item.get("edge_sequence"), node_by_id, f"{path}.edge_sequence", errors)
     speed = item.get("speed_kmh")
-    rate = item.get("telemetry_rate", 10)
-    payload = item.get("payload", 600)
-    ok = bound is not None
-    if not isinstance(seq, list) or not seq:
-        errors.append(f"{path}.edge_sequence: must be a non-empty list of edge node ids")
-        ok = False
-    else:
-        for e in seq:
-            if not isinstance(e, int) or isinstance(e, bool) or e not in node_by_id or node_by_id[e].kind != "edge":
-                errors.append(f"{path}.edge_sequence: {e} is not an edge node")
-                ok = False
-    if not isinstance(speed, (int, float)) or isinstance(speed, bool) or speed <= 0:
+    if not _is_num(speed) or speed <= 0:
         errors.append(f"{path}.speed_kmh: must be positive")
-        ok = False
-    if not isinstance(rate, int) or isinstance(rate, bool) or rate <= 0:
-        errors.append(f"{path}.telemetry_rate: must be a positive integer (frames per second)")
-        ok = False
-    if not isinstance(payload, int) or isinstance(payload, bool) or payload <= 0:
-        errors.append(f"{path}.payload: must be a positive integer byte count")
-        ok = False
-    cell = 1000
-    if "cell_span" in item:
-        got = parse_length_m(item["cell_span"], f"{path}.cell_span", errors)
-        if got is None or got <= 0:
-            if got is not None:
-                errors.append(f"{path}.cell_span: must be positive")
-            ok = False
-        else:
-            cell = got
-    gap = DEFAULT_HANDOVER_GAP
-    if "handover_gap" in item:
-        got = parse_duration(item["handover_gap"], f"{path}.handover_gap", errors)
-        if got is None or got < 0:
-            ok = False
-        else:
-            gap = got
-    if not ok:
+        speed = None
+    rate = _int(item.get("telemetry_rate", 10), f"{path}.telemetry_rate", errors, 1,
+                "a positive integer (frames per second)")
+    payload = _int(item.get("payload", 600), f"{path}.payload", errors, 1, _BYTE_COUNT)
+    cell = _quantity(item.get("cell_span", 1000), parse_length_m, f"{path}.cell_span", errors)
+    gap = _quantity(item.get("handover_gap", DEFAULT_HANDOVER_GAP), parse_duration,
+                    f"{path}.handover_gap", errors, positive=False)
+    if bound is None or None in (seq, speed, rate, payload, cell, gap):
         return None
-    device, twin_id = bound  # type: ignore[misc]
+    device, twin_id = bound
     return AmbulanceRunSpec(
         id=wid, device=device, twin_id=twin_id, speed_kmh=float(speed),
-        edge_sequence=list(seq), telemetry_rate=rate, payload_bytes=payload,
+        edge_sequence=seq, telemetry_rate=rate, payload_bytes=payload,
         cell_span_m=float(cell), handover_gap_ns=gap, start=start, duration=duration,
     )
 
@@ -730,50 +710,34 @@ def _parse_ambulance(item: dict, wid: str, start: int, duration: Optional[int],
 def _parse_fleet(item: dict, wid: str, start: int, duration: Optional[int],
                  nodes: list[NodeSpec], links: list[LinkSpec], twins: list[TwinSpec],
                  node_by_id: dict, path: str, errors: list[str]) -> Optional[WearableFleetSpec]:
-    edges = item.get("edges")
-    n = item.get("n_devices")
     period = parse_duration(item.get("period"), f"{path}.period", errors)
-    payload = item.get("payload")
-    ok = True
-    if not isinstance(edges, list) or not edges:
-        errors.append(f"{path}.edges: must be a non-empty list of edge node ids")
-        ok = False
-    else:
-        for e in edges:
-            if not isinstance(e, int) or isinstance(e, bool) or e not in node_by_id or node_by_id[e].kind != "edge":
-                errors.append(f"{path}.edges: {e} is not an edge node")
-                ok = False
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        errors.append(f"{path}.n_devices: must be an integer >= 1")
-        ok = False
-    if period is None or period <= 0:
-        if period is not None:
-            errors.append(f"{path}.period: must be positive")
-        ok = False
-    if not isinstance(payload, int) or isinstance(payload, bool) or payload <= 0:
-        errors.append(f"{path}.payload: must be a positive integer byte count")
-        ok = False
+    edges = _edge_list(item.get("edges"), node_by_id, f"{path}.edges", errors)
+    n = _int(item.get("n_devices"), f"{path}.n_devices", errors, 1, "an integer >= 1")
+    period = _signed(period, f"{path}.period", errors, positive=True)
+    payload = _int(item.get("payload"), f"{path}.payload", errors, 1, _BYTE_COUNT)
     vitals = _parse_vitals(item.get("metrics"), f"{path}.metrics", errors)
     if not vitals:
         errors.append(f"{path}.metrics: fleet devices need at least one vitals channel")
-        ok = False
     alerts = _parse_alerts(item.get("alerts"), f"{path}.alerts", errors)
-    link_cfg = item.get("link", {}) or {}
-    link_rate = parse_rate(link_cfg.get("rate", "100mbps"), f"{path}.link.rate", errors)
-    link_prop = parse_duration(link_cfg.get("prop_delay", "2us"), f"{path}.link.prop_delay", errors)
-    link_cap = link_cfg.get("queue_cap", DEFAULT_QUEUE_CAP)
-    if not isinstance(link_cap, int) or isinstance(link_cap, bool) or link_cap < 1:
-        errors.append(f"{path}.link.queue_cap: must be an integer >= 1")
-        ok = False
-    if link_rate is None or link_rate <= 0 or link_prop is None or link_prop < 0:
-        ok = False
-    if not ok:
+    link_cfg = _mapping(item.get("link"), f"{path}.link", errors)
+    link_rate = _quantity(link_cfg.get("rate", "100mbps"), parse_rate, f"{path}.link.rate", errors)
+    link_prop = _quantity(link_cfg.get("prop_delay", "2us"), parse_duration,
+                          f"{path}.link.prop_delay", errors, positive=False)
+    link_cap = _int(link_cfg.get("queue_cap", DEFAULT_QUEUE_CAP), f"{path}.link.queue_cap",
+                    errors, 1, "an integer >= 1")
+    prefix = str(item.get("twin_prefix", f"{wid}_dev"))
+    taken = {t.id for t in twins}
+    clash = next((f"{prefix}_{i}" for i in range(n or 0) if f"{prefix}_{i}" in taken), None)
+    if clash is not None:
+        errors.append(f"{path}.twin_prefix: member twin {clash!r} duplicates an existing twin id")
+    if (not vitals or clash is not None
+            or None in (period, edges, n, payload, link_rate, link_prop, link_cap)):
         return None
 
     spec = WearableFleetSpec(
-        id=wid, edges=list(edges), n_devices=n, period_ns=period, payload_bytes=payload,
+        id=wid, edges=edges, n_devices=n, period_ns=period, payload_bytes=payload,
         stagger=bool(item.get("stagger", True)), poisson=bool(item.get("poisson", False)),
-        twin_prefix=str(item.get("twin_prefix", f"{wid}_dev")), vitals=vitals, alerts=alerts,
+        twin_prefix=prefix, vitals=vitals, alerts=alerts,
         link_rate_bps=link_rate, link_prop_ns=link_prop, link_queue_cap=link_cap,
         start=start, duration=duration,
     )
@@ -800,28 +764,15 @@ def _parse_beacon(item: dict, wid: str, start: int, duration: Optional[int],
                   errors: list[str]) -> Optional[ImplantBeaconSpec]:
     bound = _check_device_twin(item, node_by_id, twin_by_id, path, errors, want_mobile=False)
     period = parse_duration(item.get("period"), f"{path}.period", errors)
-    payload = item.get("payload")
     energy = parse_energy(item.get("energy_per_tx"), f"{path}.energy_per_tx", errors)
     battery = parse_energy(item.get("battery"), f"{path}.battery", errors)
-    ok = bound is not None
-    if period is None or period <= 0:
-        if period is not None:
-            errors.append(f"{path}.period: must be positive")
-        ok = False
-    if not isinstance(payload, int) or isinstance(payload, bool) or payload <= 0:
-        errors.append(f"{path}.payload: must be a positive integer byte count")
-        ok = False
-    if energy is None or energy <= 0:
-        if energy is not None:
-            errors.append(f"{path}.energy_per_tx: must be positive")
-        ok = False
-    if battery is None or battery < 0:
-        if battery is not None:
-            errors.append(f"{path}.battery: must be >= 0")
-        ok = False
-    if not ok:
+    period = _signed(period, f"{path}.period", errors, positive=True)
+    payload = _int(item.get("payload"), f"{path}.payload", errors, 1, _BYTE_COUNT)
+    energy = _signed(energy, f"{path}.energy_per_tx", errors, positive=True)
+    battery = _signed(battery, f"{path}.battery", errors, positive=False)
+    if bound is None or None in (period, payload, energy, battery):
         return None
-    device, twin_id = bound  # type: ignore[misc]
+    device, twin_id = bound
     return ImplantBeaconSpec(
         id=wid, device=device, twin_id=twin_id, period_ns=period,
         payload_bytes=payload, energy_per_tx_nj=energy, battery_nj=battery,
@@ -854,12 +805,10 @@ def _parse_faults(raw: Any, nodes: list[NodeSpec], links: list[LinkSpec],
         if tid not in pool:
             errors.append(f"{path}.target: unknown {kind} {tid}")
             continue
-        t_fail = parse_duration(item.get("t_fail"), f"{path}.t_fail", errors)
+        t_fail = _quantity(item.get("t_fail"), parse_duration, f"{path}.t_fail", errors,
+                           positive=False)
         t_recover = parse_duration(item.get("t_recover"), f"{path}.t_recover", errors)
         if t_fail is None or t_recover is None:
-            continue
-        if t_fail < 0:
-            errors.append(f"{path}.t_fail: must be >= 0")
             continue
         if t_fail >= t_recover:
             errors.append(f"{path}: fault window inverted (t_fail {t_fail} >= t_recover {t_recover})")
@@ -901,6 +850,8 @@ def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[Tw
     core_twins = [t for t in twins if t.level == "global_core"]
     if len(core_twins) > 1:
         errors.append("twins: at most one global_core twin is allowed")
+    if edge_twins and not core_twins:
+        errors.append("twins: global_edge twins need a global_core twin to push to")
     for t in twins:
         host = node_by_id.get(t.host)
         if host is None:
@@ -923,6 +874,8 @@ def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[Tw
                     errors.append(f"twins.{t.id}.children: {child_id!r} must be an individual twin on the same edge")
                 elif t.level == "global_core" and child.level != "global_edge":
                     errors.append(f"twins.{t.id}.children: {child_id!r} must be a global_edge twin")
+            if t.level == "individual" and t.children:
+                errors.append(f"twins.{t.id}.children: individual twins have no children")
             if t.level == "global_core" and sorted(t.children) != sorted(e.id for e in edge_twins):
                 errors.append(f"twins.{t.id}.children: must be exactly the global_edge twins")
 
@@ -934,3 +887,63 @@ def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[Tw
                     errors.append(
                         f"workloads.{wl.id}: device {wl.device} has no access link to edge {edge}"
                     )
+
+
+def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
+    """Resolve `children: auto` and fill in every period and phase.
+
+    An edge twin aggregates at the slowest sync period of its children and
+    pushes at its aggregation period; the core aggregates at the slowest
+    edge push. Default phases stagger one cycle: edges aggregate at 1/4 and
+    push at 1/2, the core aggregates at 3/4.
+    """
+    on_edge: dict[int, list[str]] = {}
+    for t in twins:
+        if t.level == "individual":
+            on_edge.setdefault(t.host, []).append(t.id)
+    edge_ids = sorted(t.id for t in twins if t.level == "global_edge")
+    for t in twins:
+        if t.children == "auto":
+            t.children = ([] if t.level == "individual" else list(edge_ids)
+                          if t.level == "global_core" else sorted(on_edge.get(t.host, [])))
+
+    # Deriving from a document with errors would mostly echo them (a fleet
+    # that failed to expand leaves its edge twin without children).
+    consistent = not errors
+    twin_by_id = {t.id: t for t in twins}
+    for level in _TWIN_LEVELS:
+        for t in twins:
+            if t.level != level:
+                continue
+            # A given period must be positive and a given phase non-negative.
+            checked = [_signed(getattr(t, key), f"twins.{t.id}.{key}", errors,
+                               positive=key.endswith("period"))
+                       for key in _TWIN_TIMING if getattr(t, key) is not None]
+            if None in checked or not consistent:
+                continue
+            if level == "individual":
+                t.sync_period = t.sync_period or 0
+                t.sync_phase = t.sync_phase or 0
+                t.aggregation_period = t.aggregation_phase = 0
+                continue
+            if t.aggregation_period is None:
+                periods = [twin_by_id[c].sync_period for c in t.children if c in twin_by_id]
+                if None in periods:
+                    continue  # that child's own timing error is already reported
+                periods = [p for p in periods if p]
+                if not periods:
+                    errors.append(f"twins.{t.id}.aggregation_period: cannot derive from children; "
+                                  "set it explicitly")
+                    continue
+                t.aggregation_period = max(periods)
+            if level == "global_edge":
+                if t.aggregation_phase is None:
+                    t.aggregation_phase = t.aggregation_period // 4
+                if t.sync_period is None:
+                    t.sync_period = t.aggregation_period
+                if t.sync_phase is None:
+                    t.sync_phase = t.sync_period // 2
+            else:
+                if t.aggregation_phase is None:
+                    t.aggregation_phase = (3 * t.aggregation_period) // 4
+                t.sync_period = t.sync_phase = 0

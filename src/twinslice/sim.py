@@ -9,7 +9,6 @@ clock and every float is either an exact ratio or quantized.
 
 from __future__ import annotations
 
-import logging
 from typing import Any, Optional
 
 from .engine import Engine, EventKind, RngStream, SEC, fork_rng
@@ -40,7 +39,7 @@ from .slices import (
     admit,
     check_sla,
 )
-from .twins import AlertRule, SyncMessage, Twin, TwinLevel, parse_reducer, validate_hierarchy
+from .twins import AlertRule, SyncMessage, Twin, TwinLevel, parse_reducer
 from .workloads import (
     AmbulanceGen,
     AmbulanceRunSpec,
@@ -54,8 +53,6 @@ from .workloads import (
     WearableFleetGen,
     WearableFleetSpec,
 )
-
-logger = logging.getLogger(__name__)
 
 ALERT_PAYLOAD_BYTES = 64
 # Nominal size of one twin delta on the wire: metric tag plus value, version,
@@ -130,94 +127,20 @@ class Simulation:
         return got
 
     def _build_twins(self, specs: list[TwinSpec]) -> None:
-        by_id = {s.id: s for s in specs}
-        resolved_children: dict[str, list[str]] = {}
         for spec in specs:
-            if spec.level == "individual":
-                resolved_children[spec.id] = []
-            elif spec.children == "auto":
-                if spec.level == "global_edge":
-                    resolved_children[spec.id] = sorted(
-                        s.id for s in specs if s.level == "individual" and s.host == spec.host
-                    )
-                else:
-                    resolved_children[spec.id] = sorted(s.id for s in specs if s.level == "global_edge")
-            else:
-                resolved_children[spec.id] = list(spec.children)
-
-        def child_sync_periods(twin_spec: TwinSpec) -> list[int]:
-            periods = []
-            for cid in resolved_children[twin_spec.id]:
-                child = by_id[cid]
-                p = child.sync_period
-                if child.level == "global_edge":
-                    p = p if p is not None else _derived_sync(child)
-                if p:
-                    periods.append(p)
-            return periods
-
-        derived_cache: dict[str, int] = {}
-
-        def _derived_agg(spec: TwinSpec) -> int:
-            key = f"agg:{spec.id}"
-            if key in derived_cache:
-                return derived_cache[key]
-            if spec.aggregation_period is not None:
-                derived_cache[key] = spec.aggregation_period
-                return spec.aggregation_period
-            periods = child_sync_periods(spec)
-            if not periods:
-                raise ScenarioError([
-                    f"twins.{spec.id}.aggregation_period: cannot derive from children; set it explicitly"
-                ])
-            derived_cache[key] = max(periods)
-            return derived_cache[key]
-
-        def _derived_sync(spec: TwinSpec) -> int:
-            if spec.sync_period is not None:
-                return spec.sync_period
-            return _derived_agg(spec)
-
-        for spec in specs:
-            level = TwinLevel(spec.level)
-            policy = {m: parse_reducer(r) for m, r in sorted(spec.policy.items())}
-            rules = [AlertRule(metric, threshold) for metric, threshold in spec.alerts]
-            if level is TwinLevel.INDIVIDUAL:
-                sync_period = spec.sync_period or 0
-                sync_phase = spec.sync_phase or 0
-                agg_period = 0
-                agg_phase = 0
-            else:
-                agg_period = _derived_agg(spec)
-                if agg_period <= 0:
-                    raise ScenarioError([f"twins.{spec.id}.aggregation_period: must be positive"])
-                agg_phase = spec.aggregation_phase
-                if agg_phase is None:
-                    agg_phase = agg_period // 4 if level is TwinLevel.GLOBAL_EDGE else (3 * agg_period) // 4
-                if level is TwinLevel.GLOBAL_EDGE:
-                    sync_period = _derived_sync(spec)
-                    if sync_period <= 0:
-                        raise ScenarioError([f"twins.{spec.id}.sync_period: must be positive"])
-                    sync_phase = spec.sync_phase if spec.sync_phase is not None else sync_period // 2
-                else:
-                    sync_period = 0
-                    sync_phase = 0
             twin = Twin(
-                spec.id, level, spec.host, entity=spec.entity,
-                sync_period=sync_period, sync_phase=sync_phase,
-                aggregation_period=agg_period, aggregation_phase=agg_phase,
-                policy=policy, alert_rules=rules,
+                spec.id, TwinLevel(spec.level), spec.host, entity=spec.entity,
+                sync_period=spec.sync_period, sync_phase=spec.sync_phase,
+                aggregation_period=spec.aggregation_period, aggregation_phase=spec.aggregation_phase,
+                policy={m: parse_reducer(r) for m, r in sorted(spec.policy.items())},
+                alert_rules=[AlertRule(metric, threshold) for metric, threshold in spec.alerts],
             )
-            twin.children = resolved_children[spec.id]
+            twin.children = list(spec.children)
             self.twins[spec.id] = twin
             self._vitals[spec.id] = list(spec.vitals)
         for twin in self.twins.values():
             for child_id in twin.children:
                 self.twins[child_id].parent = twin.id
-
-        problems = validate_hierarchy(self.twins, self.topology)
-        if problems:
-            raise ScenarioError([f"twins: {p}" for p in problems])
 
     def _build_generators(self) -> None:
         for spec in self.scenario.workloads:

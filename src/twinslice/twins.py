@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .network import NodeKind, Topology
-
 
 class TwinSyncError(Exception):
     """Malformed sync or aggregation input (unknown metric, bad reducer)."""
@@ -193,40 +191,3 @@ class Twin:
                 fired.append(rule)
         self.alerts_fired += len(fired)
         return fired
-
-
-def validate_hierarchy(twins: dict[str, Twin], topology: Topology) -> list[str]:
-    """Structural rules for twin placement and parent/child wiring."""
-    errors: list[str] = []
-    node_count = len(topology.nodes)
-    globals_edge = [t for t in twins.values() if t.level is TwinLevel.GLOBAL_EDGE]
-    cores = [t for t in twins.values() if t.level is TwinLevel.GLOBAL_CORE]
-    for twin in twins.values():
-        if twin.host < 0 or twin.host >= node_count:
-            errors.append(f"twin {twin.id}: unknown host node {twin.host}")
-            continue
-        host_kind = topology.nodes[twin.host].kind
-        if twin.level in (TwinLevel.INDIVIDUAL, TwinLevel.GLOBAL_EDGE):
-            if host_kind is not NodeKind.EDGE:
-                errors.append(f"twin {twin.id}: {twin.level.value} twins must be hosted on edge nodes")
-        elif host_kind is not NodeKind.CORE:
-            errors.append(f"twin {twin.id}: global core twin must be hosted on the core node")
-        for child_id in twin.children:
-            child = twins.get(child_id)
-            if child is None:
-                errors.append(f"twin {twin.id}: unknown child {child_id}")
-                continue
-            if twin.level is TwinLevel.GLOBAL_EDGE:
-                if child.level is not TwinLevel.INDIVIDUAL:
-                    errors.append(f"twin {twin.id}: children must be individual twins")
-                elif child.host != twin.host:
-                    errors.append(f"twin {twin.id}: child {child_id} lives on another edge")
-            if twin.level is TwinLevel.INDIVIDUAL and twin.children:
-                errors.append(f"twin {twin.id}: individual twins have no children")
-                break
-    if len(cores) > 1:
-        errors.append("at most one global core twin is allowed")
-    for core in cores:
-        if sorted(core.children) != sorted(t.id for t in globals_edge):
-            errors.append(f"twin {core.id}: children must be exactly the global edge twins")
-    return errors

@@ -8,7 +8,6 @@ twin freshness is carried by the same packets the slice contracts meter.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -17,8 +16,6 @@ from .metrics import DelayHistogram
 from .network import Frame
 from .slices import Flow, SliceClass
 from .twins import SyncMessage
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_HANDOVER_GAP = 10_000_000  # 10 ms
 

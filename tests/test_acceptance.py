@@ -11,6 +11,8 @@ whose derivations live next to the assertion.
 import hashlib
 import time
 
+import pytest
+
 from twinslice.engine import Engine, EventKind, fork_rng
 from twinslice.network import (
     Frame,
@@ -52,6 +54,34 @@ def test_ac01_deterministic_replay(timed_run):
     )
     assert a.wall < 10.0
     assert b.wall < 10.0
+
+
+# sha256 of the JSON and CSV reports of every bundled scenario at its own
+# master seed. A change that moves one of these changes report bytes and
+# must say why.
+GOLDEN_DIGESTS = {
+    AMBULANCE: ("4c755ee70487aca2360cea6a9770860b28bdc859d3808aa4cdba245c902988d4",
+                "1ed25c08fb34f6a34aff02b5f7593e94baaf6e42f66ebb7f962cd07d9b62b920"),
+    SINGLE: ("ceebfa60b32c8e80411f64c2b9dac8114a757f57e830e00fe8fff1eae1a94257",
+             "8281b60c563ed4359e513ab783654c882e2cb8784dd88603535b1be631aa9da9"),
+    SURGERY: ("45962507ea847bc41d7feb9c2cf937c9e38900ec85b400fb3633ab503f2e1f57",
+              "80c1caa98bd992c8ff69f6458c49c973d5e041e1d3ff8928a4de8d763e04b389"),
+    DEGRADED: ("11e4fdec62efa89811b82f9cbf26c8dc6c35de15c00d78fb79258dfba75701af",
+               "c6a5689b1e49fd2bacea037e063cbb6a7f7ded127297708d76db1f3c79197f03"),
+    WARD: ("c25056848c1529c731262ac0ba4e6f76a38552964dea37c89a6039b5b3b7f892",
+           "9ab5e072aa85eb75f57d0f589a43ee55ecc8512535a67249c1ead48e6e66b36f"),
+    WEARABLES: ("f53502c4f206f7d4a4136bbbb59bd0a9eef0480e6265093b56e12c7c0eac0b19",
+                "5aac51be36d8390cc5b1c13488bc7806a6e6717a23301476a8a1b7a99165f585"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_report_digests(timed_run, name):
+    """Every bundled report is pinned byte for byte, JSON and CSV."""
+    run = timed_run(name)
+    want_json, want_csv = GOLDEN_DIGESTS[name]
+    assert hashlib.sha256(run.json).hexdigest() == want_json
+    assert hashlib.sha256(run.result.csv_bytes()).hexdigest() == want_csv
 
 
 def test_ac02_unloaded_delay_is_exact(timed_run):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import yaml
 
 from twinslice.cli import main
 from twinslice.scenario import load_scenario
@@ -80,6 +81,50 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/x.scn"]) == 2
         assert "no such file" in capsys.readouterr().err
+
+
+def with_twins(**ward):
+    """CLEAN plus an edge and a core twin; edge fields set to None are left out."""
+    doc = yaml.safe_load(CLEAN)
+    edge = {"id": "ward", "level": "global_edge", "host": 1, "policy": {"hr": "mean"},
+            "aggregation_period": "10ms"}
+    edge.update(ward)
+    edge = {k: v for k, v in edge.items() if v is not None}
+    doc["twins"] += [edge, {"id": "hub", "level": "global_core", "host": 0,
+                            "policy": {"hr": "mean"}, "aggregation_period": "10ms"}]
+    return doc
+
+
+def with_fleet_link(link):
+    doc = yaml.safe_load(CLEAN)
+    doc["workloads"].append({
+        "kind": "wearable_fleet", "id": "fl", "edges": [1], "n_devices": 2, "period": "10ms",
+        "payload": 50, "link": link, "metrics": [{"name": "hr", "mean": 70, "sd": 1}]})
+    return doc
+
+
+# Scenarios that `validate` once passed but `run` failed on, crashed on, or
+# silently emptied; each must now be one load error in both commands.
+UNBUILDABLE = {
+    "underivable_period": (with_twins(children=[], aggregation_period=None),
+                           "twins.ward.aggregation_period: cannot derive from children; set it explicitly"),
+    "zero_period": (with_twins(aggregation_period=0), "twins.ward.aggregation_period: must be positive"),
+    "negative_phase": (with_twins(aggregation_phase=-5), "twins.ward.aggregation_phase: must be >= 0"),
+    "no_nodes": ({"name": "empty", "run": {"t_end": "1s"}},
+                 "nodes: exactly one core node required, found 0"),
+    "zero_fleet_link_rate": (with_fleet_link({"rate": 0}), "workloads[1].link.rate: must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_validate_accepts_only_what_run_builds(case, tmp_path, capsys):
+    doc, error = UNBUILDABLE[case]
+    p = tmp_path / f"{case}.scn"
+    p.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().out.splitlines() == [f"error: {error}", "1 error(s)"]
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}", f"1 error(s) in {p}"]
 
 
 class TestRun:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinslice.metrics import (
@@ -28,10 +28,11 @@ def exact_percentile(samples, p):
 
 class TestEdges:
     def test_edge_table_shape(self):
-        assert len(EDGES) == 161
+        assert len(EDGES) == 321
         assert EDGES[0] == 1_000
-        assert EDGES[-1] == 100_000_000_000
-        assert EDGES == sorted(EDGES)
+        assert EDGES[160] == 100_000_000_000
+        assert EDGES[-1] > 2**63  # every int64 delay has a real bin
+        assert all(a < b for a, b in zip(EDGES, EDGES[1:]))
 
     def test_twenty_bins_per_decade(self):
         assert EDGES[20] == 10_000
@@ -66,11 +67,18 @@ class TestHistogram:
         h.add(999)
         assert h.percentile(0.5) == EDGES[0]
 
-    def test_overflow_bin_reports_exact_max(self):
-        h = DelayHistogram()
-        h.add(150_000_000_000)
-        h.add(200_000_000_000)
-        assert h.percentile(0.99) == 200_000_000_000
+    def test_delays_beyond_100s_have_real_bins(self):
+        # Samples past 100 s once shared an overflow bin that reported the
+        # running max, which overshot the exact percentile by more than the
+        # zero width bin_width_at gave that bin.
+        for samples, p in (([0] * 8 + [10**11, 10**11 + 1], 0.9),
+                           ([150_000_000_000, 200_000_000_000], 0.99),
+                           ([10**11, 2**63 - 1], 0.99)):
+            h = DelayHistogram()
+            for s in samples:
+                h.add(s)
+            want = exact_percentile(samples, p)
+            assert want <= h.percentile(p) <= want + bin_width_at(want)
 
     def test_uniform_10k_within_one_bin_of_sort_oracle(self):
         # Deterministic spread over [1us, 10ms).
@@ -110,6 +118,7 @@ class TestHistogram:
 
     @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=400),
            st.sampled_from([0.25, 0.5, 0.9, 0.99]))
+    @example([0] * 8 + [10**11, 10**11 + 1], 0.9)
     @settings(max_examples=120, deadline=None)
     def test_percentile_faithful_property(self, samples, p):
         h = DelayHistogram()

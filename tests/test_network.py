@@ -13,12 +13,12 @@ from twinslice.network import (
     NodeKind,
     StackProfile,
     Topology,
-    TopologyInvalid,
     Unreachable,
     setup_latency_for,
     tx_ticks,
     unloaded_path_delay,
 )
+from twinslice.scenario import ScenarioError, scenario_from_dict
 from twinslice.slices import SliceClass
 
 
@@ -121,25 +121,35 @@ class TestTxTicks:
         assert setup_latency_for(StackProfile(setup_latency_ns=123), hops) == 123
 
 
+def graph_errors(kinds, ends, ids=None):
+    """Load errors of a scenario that holds only this node/link graph."""
+    doc = {
+        "run": {"t_end": "1s"},
+        "nodes": [{"id": i, "kind": k} for i, k in zip(ids or range(len(kinds)), kinds)],
+        "links": [{"id": i, "ends": list(e), "rate": "1gbps"} for i, e in enumerate(ends)],
+    }
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    return info.value.errors
+
+
 class TestTopologyValidation:
+    """Graph rules are checked once, when the scenario loads; Topology trusts them."""
+
     def test_dense_ids_required(self):
-        with pytest.raises(TopologyInvalid, match="dense"):
-            Topology([Node(0, NodeKind.CORE), Node(2, NodeKind.EDGE)], [])
+        errs = graph_errors(["core", "edge"], [], ids=[0, 2])
+        assert "nodes: ids must be unique and dense from 0, in order" in errs
 
     def test_exactly_one_core(self):
-        with pytest.raises(TopologyInvalid, match="core"):
-            Topology(mknodes("edge", "edge"), [Link(0, 0, 1, 1, 0)])
+        errs = graph_errors(["edge", "edge"], [(0, 1)])
+        assert "nodes: exactly one core node required, found 0" in errs
+        errs = graph_errors(["core", "core"], [(0, 1)])
+        assert "nodes: exactly one core node required, found 2" in errs
+        assert graph_errors([], []) == ["nodes: exactly one core node required, found 0"]
 
     def test_device_to_device_link_rejected(self):
-        nodes = mknodes("core", "edge", "device", "device")
-        links = [Link(0, 1, 0, 1, 0), Link(1, 2, 1, 1, 0), Link(2, 3, 2, 1, 0)]
-        with pytest.raises(TopologyInvalid, match="devices attach only to edge"):
-            Topology(nodes, links)
-
-    def test_disconnected_rejected(self):
-        nodes = mknodes("core", "edge", "edge")
-        with pytest.raises(TopologyInvalid, match="disconnected"):
-            Topology(nodes, [Link(0, 1, 0, 1, 0)])
+        errs = graph_errors(["core", "edge", "device", "device"], [(1, 0), (2, 1), (3, 2)])
+        assert "links[2]: devices attach only to edge nodes" in errs
 
     def test_static_device_auto_attaches(self):
         topo = star()

@@ -228,6 +228,111 @@ class TestFleetExpansion:
         errs = errors_of(doc)
         assert any("at least one vitals channel" in e for e in errs)
 
+    def test_link_rate_must_be_positive(self):
+        doc = self.doc()
+        doc["workloads"][0]["link"] = {"rate": 0}
+        assert errors_of(doc) == ["workloads[0].link.rate: must be positive"]
+
+    def test_link_prop_delay_must_not_be_negative(self):
+        doc = self.doc()
+        doc["workloads"][0]["link"] = {"prop_delay": -1}
+        assert errors_of(doc) == ["workloads[0].link.prop_delay: must be >= 0"]
+
+    def test_member_twin_ids_must_be_new(self):
+        doc = self.doc(n=2)
+        doc["twins"] = [{"id": "w_1", "level": "individual", "host": 1, "entity": 2,
+                         "metrics": [{"name": "hr", "mean": 70, "sd": 1}]}]
+        assert errors_of(doc) == [
+            "workloads[0].twin_prefix: member twin 'w_1' duplicates an existing twin id"]
+
+    def test_link_must_be_a_mapping(self):
+        doc = self.doc()
+        doc["workloads"][0]["link"] = [1]
+        assert errors_of(doc) == ["workloads[0].link: must be a mapping"]
+
+
+class TestAmbulanceRun:
+    def doc(self, **over):
+        wl = {"kind": "ambulance_run", "id": "amb", "device": 2, "twin": "pt",
+              "edge_sequence": [1], "speed_kmh": 36}
+        wl.update(over)
+        doc = base_doc(workloads=[wl], twins=[{
+            "id": "pt", "level": "individual", "host": 1, "entity": 2,
+            "metrics": [{"name": "hr", "mean": 70, "sd": 1}]}])
+        doc["nodes"][2]["mobile"] = True
+        return doc
+
+    def test_defaults(self):
+        spec = scenario_from_dict(self.doc()).workloads[0]
+        assert (spec.cell_span_m, spec.handover_gap_ns) == (1000.0, 10 * MS)
+
+    def test_handover_gap_must_not_be_negative(self):
+        assert errors_of(self.doc(handover_gap=-1)) == ["workloads[0].handover_gap: must be >= 0"]
+
+
+class TestWorkloadTiming:
+    def doc(self, **over):
+        wl = {"kind": "telemedicine_stream", "id": "s", "src": 2, "dst": 1,
+              "bitrate": "1mbps", "frame_size": 100}
+        wl.update(over)
+        return base_doc(workloads=[wl])
+
+    def test_start_must_not_be_negative(self):
+        assert errors_of(self.doc(start=-5)) == ["workloads[0].start: must be >= 0"]
+        assert scenario_from_dict(self.doc(start=0)).workloads[0].start == 0
+
+    def test_duration_must_be_positive(self):
+        assert errors_of(self.doc(duration="0ms")) == ["workloads[0].duration: must be positive"]
+
+
+class TestTwinTiming:
+    """Periods and phases are checked and derived when the scenario loads."""
+
+    def doc(self, **edge):
+        twin = {"id": "ward", "level": "global_edge", "host": 1, "policy": {"hr": "mean"},
+                "aggregation_period": "10ms"}
+        twin.update(edge)
+        twin = {k: v for k, v in twin.items() if v is not None}
+        return base_doc(twins=[twin, {"id": "hub", "level": "global_core", "host": 0,
+                                      "policy": {"hr": "mean"}}])
+
+    def test_given_values_are_kept(self):
+        scn = scenario_from_dict(self.doc(sync_period="20ms", sync_phase=0, aggregation_phase="1ms"))
+        ward, hub = scn.twins
+        assert (ward.aggregation_period, ward.aggregation_phase) == (10 * MS, 1 * MS)
+        assert (ward.sync_period, ward.sync_phase) == (20 * MS, 0)
+        assert (hub.aggregation_period, hub.aggregation_phase) == (20 * MS, 15 * MS)
+
+    def test_periods_must_be_positive(self):
+        assert errors_of(self.doc(aggregation_period=0)) == [
+            "twins.ward.aggregation_period: must be positive"]
+        assert errors_of(self.doc(sync_period=-1)) == ["twins.ward.sync_period: must be positive"]
+
+    def test_phases_must_not_be_negative(self):
+        assert errors_of(self.doc(aggregation_phase=-5)) == [
+            "twins.ward.aggregation_phase: must be >= 0"]
+        assert errors_of(self.doc(sync_phase=-1)) == ["twins.ward.sync_phase: must be >= 0"]
+
+    def test_underivable_period_is_a_load_error(self):
+        assert errors_of(self.doc(aggregation_period=None, children=[])) == [
+            "twins.ward.aggregation_period: cannot derive from children; set it explicitly"]
+
+    def test_auto_children_resolve_at_load(self):
+        doc = TestFleetExpansion().doc(n=3)
+        doc["twins"] = [{"id": "ward", "level": "global_edge", "host": 1, "policy": {"hr": "mean"}},
+                        {"id": "hub", "level": "global_core", "host": 0, "policy": {"hr": "mean"}}]
+        twins = {t.id: t for t in scenario_from_dict(doc).twins}
+        assert twins["ward"].children == ["w_0", "w_1", "w_2"]
+        assert twins["hub"].children == ["ward"]
+        assert twins["w_0"].children == []
+        assert twins["ward"].aggregation_period == twins["hub"].aggregation_period == 100 * MS
+
+
+class TestSections:
+    def test_admission_and_contracts_must_be_mappings(self):
+        assert errors_of(base_doc(admission=[1])) == ["admission: must be a mapping"]
+        assert errors_of(base_doc(contracts=[1])) == ["contracts: must be a mapping"]
+
 
 class TestLoadScenario:
     def test_digest_is_sha256_of_bytes(self, tmp_path):

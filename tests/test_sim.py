@@ -1,6 +1,8 @@
 """Simulation orchestration: wiring, admission outcomes, alert escalation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinslice.scenario import ScenarioError, scenario_from_dict
 from twinslice.sim import Simulation, run_scenario
@@ -193,3 +195,64 @@ class TestReportShape:
         # header + ERLLC (alerts) + umMTC (twin pushes) + ELPC (beacon)
         assert len(lines) == 4
         assert lines[0].startswith("slice,")
+
+
+TIMING = ("sync_period", "sync_phase", "aggregation_period", "aggregation_phase")
+# Repeats bias the draws toward valid placements so that many examples load.
+LEVELS = ("individual", "individual", "global_edge", "global_edge", "global_core")
+HOSTS = {"individual": (1, 2, 2, 0), "global_edge": (1, 1, 2, 0), "global_core": (0, 1)}
+
+
+@st.composite
+def twin_sections(draw):
+    """Up to three generated twins beside a fed individual and a core twin.
+
+    The fixed pair keeps a useful share of examples valid; the generated
+    twins vary level, host, children, and periods and phases that are
+    missing, zero or negative.
+    """
+    ids = [f"t{i}" for i in range(draw(st.integers(0, 3)))]
+    twins = [{"id": "pt", "level": "individual", "host": 1, "entity": 3, "sync_period": "1ms",
+              "metrics": [{"name": "hr", "mean": 70, "sd": 1}]},
+             {"id": "hub", "level": "global_core", "host": 0, "aggregation_period": "2ms",
+              "policy": {"hr": "mean"}}]
+    for tid in ids:
+        level = draw(st.sampled_from(LEVELS))
+        twin = {"id": tid, "level": level, "host": draw(st.sampled_from(HOSTS[level]))}
+        if level == "individual":
+            twin["entity"] = draw(st.sampled_from([3, 4]))
+        else:
+            twin["policy"] = {"hr": "mean"}
+        children = draw(st.sampled_from(["missing", "missing", "auto", "list"]))
+        if children == "list":
+            twin["children"] = draw(st.lists(st.sampled_from(["pt", "ghost"] + ids),
+                                             max_size=3, unique=True))
+        elif children == "auto":
+            twin["children"] = "auto"
+        twin.update(draw(st.dictionaries(st.sampled_from(TIMING),
+                                         st.sampled_from([0, -1, "1ms", "1ms", "3ms"]), max_size=2)))
+        twins.append(twin)
+    return twins
+
+
+class TestValidatedOnce:
+    @given(twin_sections())
+    @settings(max_examples=80, deadline=None)
+    def test_a_loaded_scenario_always_runs(self, twins):
+        doc = {
+            "run": {"t_end": "6ms", "master_seed": 1},
+            "nodes": [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"},
+                      {"id": 2, "kind": "edge"}, {"id": 3, "kind": "device"},
+                      {"id": 4, "kind": "device"}],
+            "links": [{"id": i, "ends": e, "rate": "1gbps", "prop_delay": "10us"}
+                      for i, e in enumerate(([1, 0], [2, 0], [3, 1], [4, 2]))],
+            "twins": twins,
+            "workloads": [{"kind": "implant_beacon", "id": "b", "device": 3, "twin": "pt",
+                           "period": "1ms", "payload": 40, "energy_per_tx": "10nj",
+                           "battery": "1j"}],
+        }
+        try:
+            scn = scenario_from_dict(doc)
+        except ScenarioError:
+            return
+        Simulation(scn).run()

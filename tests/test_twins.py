@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinslice.network import Link, Node, NodeKind, Topology
+from twinslice.engine import MS
+from twinslice.scenario import ScenarioError, scenario_from_dict
 from twinslice.twins import (
     AlertRule,
     MetricSample,
@@ -15,7 +16,6 @@ from twinslice.twins import (
     TwinLevel,
     TwinSyncError,
     parse_reducer,
-    validate_hierarchy,
 )
 
 
@@ -184,66 +184,95 @@ class TestAlerts:
         assert t.alerts_fired == 0
 
 
-def hierarchy_fixture():
-    nodes = [Node(0, NodeKind.CORE), Node(1, NodeKind.EDGE), Node(2, NodeKind.EDGE)]
-    links = [Link(0, 0, 1, 10**9, 0), Link(1, 0, 2, 10**9, 0)]
-    topo = Topology(nodes, links)
-    a = Twin("ind_a", TwinLevel.INDIVIDUAL, host=1)
-    ge = Twin("edge_a", TwinLevel.GLOBAL_EDGE, host=1)
-    gc = Twin("core", TwinLevel.GLOBAL_CORE, host=0)
-    ge.children = ["ind_a"]
-    a.parent = "edge_a"
-    gc.children = ["edge_a"]
-    ge.parent = "core"
-    return topo, {"ind_a": a, "edge_a": ge, "core": gc}
+def hierarchy_doc():
+    """Core 0 and edges 1, 2 (one device each) under a three-level twin tree."""
+    return {
+        "run": {"t_end": "1s"},
+        "nodes": [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}, {"id": 2, "kind": "edge"},
+                  {"id": 3, "kind": "device"}, {"id": 4, "kind": "device"}],
+        "links": [{"id": i, "ends": e, "rate": "1gbps"}
+                  for i, e in enumerate(([1, 0], [2, 0], [3, 1], [4, 2]))],
+        "twins": [
+            {"id": "ind_a", "level": "individual", "host": 1, "entity": 3, "sync_period": "100ms"},
+            {"id": "edge_a", "level": "global_edge", "host": 1, "children": ["ind_a"],
+             "policy": {"hr": "mean"}},
+            {"id": "core", "level": "global_core", "host": 0, "children": ["edge_a"],
+             "policy": {"hr": "mean"}},
+        ],
+    }
+
+
+def hierarchy_errors(doc):
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    return info.value.errors
+
+
+def twin_spec(doc, twin_id):
+    return next(t for t in doc["twins"] if t["id"] == twin_id)
 
 
 class TestHierarchyValidation:
+    """Placement and wiring rules are checked once, when the scenario loads."""
+
     def test_valid_tree_passes(self):
-        topo, twins = hierarchy_fixture()
-        assert validate_hierarchy(twins, topo) == []
+        twins = {t.id: t for t in scenario_from_dict(hierarchy_doc()).twins}
+        ind, edge, core = twins["ind_a"], twins["edge_a"], twins["core"]
+        assert (ind.children, edge.children, core.children) == ([], ["ind_a"], ["edge_a"])
+        # Periods derive from the children; default phases stagger one cycle.
+        assert (ind.sync_period, ind.sync_phase, ind.aggregation_period) == (100 * MS, 0, 0)
+        assert (edge.aggregation_period, edge.aggregation_phase) == (100 * MS, 25 * MS)
+        assert (edge.sync_period, edge.sync_phase) == (100 * MS, 50 * MS)
+        assert (core.aggregation_period, core.aggregation_phase) == (100 * MS, 75 * MS)
+        assert (core.sync_period, core.sync_phase) == (0, 0)
 
     def test_unknown_host(self):
-        topo, twins = hierarchy_fixture()
-        twins["ind_a"].host = 99
-        assert any("unknown host" in e for e in validate_hierarchy(twins, topo))
+        doc = hierarchy_doc()
+        twin_spec(doc, "ind_a")["host"] = 99
+        assert "twins.ind_a.host: unknown node 99" in hierarchy_errors(doc)
 
     def test_individual_must_live_on_edge(self):
-        topo, twins = hierarchy_fixture()
-        twins["ind_a"].host = 0
-        assert any("hosted on edge" in e for e in validate_hierarchy(twins, topo))
+        doc = hierarchy_doc()
+        twin_spec(doc, "ind_a")["host"] = 0
+        assert "twins.ind_a: individual twins must be hosted on an edge node" in hierarchy_errors(doc)
 
     def test_core_twin_must_live_on_core(self):
-        topo, twins = hierarchy_fixture()
-        twins["core"].host = 1
-        assert any("hosted on the core" in e for e in validate_hierarchy(twins, topo))
+        doc = hierarchy_doc()
+        twin_spec(doc, "core")["host"] = 1
+        assert "twins.core: global_core twins must be hosted on the core node" in hierarchy_errors(doc)
 
     def test_unknown_child(self):
-        topo, twins = hierarchy_fixture()
-        twins["edge_a"].children = ["ghost"]
-        assert any("unknown child" in e for e in validate_hierarchy(twins, topo))
+        doc = hierarchy_doc()
+        twin_spec(doc, "edge_a")["children"] = ["ghost"]
+        assert "twins.edge_a.children: unknown twin 'ghost'" in hierarchy_errors(doc)
 
     def test_edge_children_must_be_individual_and_cohosted(self):
-        topo, twins = hierarchy_fixture()
-        twins["edge_a"].children = ["core"]
-        assert any("must be individual" in e for e in validate_hierarchy(twins, topo))
-        topo, twins = hierarchy_fixture()
-        twins["ind_a"].host = 2
-        assert any("another edge" in e for e in validate_hierarchy(twins, topo))
+        doc = hierarchy_doc()
+        twin_spec(doc, "edge_a")["children"] = ["core"]
+        want = "twins.edge_a.children: 'core' must be an individual twin on the same edge"
+        assert want in hierarchy_errors(doc)
+        doc = hierarchy_doc()
+        twin_spec(doc, "ind_a")["host"] = 2
+        want = "twins.edge_a.children: 'ind_a' must be an individual twin on the same edge"
+        assert want in hierarchy_errors(doc)
 
     def test_individuals_have_no_children(self):
-        topo, twins = hierarchy_fixture()
-        twins["ind_a"].children = ["edge_a"]
-        assert any("no children" in e for e in validate_hierarchy(twins, topo))
+        doc = hierarchy_doc()
+        twin_spec(doc, "ind_a")["children"] = ["edge_a"]
+        assert hierarchy_errors(doc) == ["twins.ind_a.children: individual twins have no children"]
 
     def test_single_core_twin(self):
-        topo, twins = hierarchy_fixture()
-        twins["core2"] = Twin("core2", TwinLevel.GLOBAL_CORE, host=0)
-        errors = validate_hierarchy(twins, topo)
-        assert any("at most one global core" in e for e in errors)
+        doc = hierarchy_doc()
+        doc["twins"].append({"id": "core2", "level": "global_core", "host": 0,
+                             "policy": {"hr": "mean"}})
+        assert "twins: at most one global_core twin is allowed" in hierarchy_errors(doc)
 
     def test_core_children_are_exactly_the_edge_twins(self):
-        topo, twins = hierarchy_fixture()
-        twins["core"].children = []
-        errors = validate_hierarchy(twins, topo)
-        assert any("exactly the global edge twins" in e for e in errors)
+        doc = hierarchy_doc()
+        twin_spec(doc, "core")["children"] = []
+        assert "twins.core.children: must be exactly the global_edge twins" in hierarchy_errors(doc)
+
+    def test_edge_twins_need_a_core_twin(self):
+        doc = hierarchy_doc()
+        doc["twins"].remove(twin_spec(doc, "core"))
+        assert hierarchy_errors(doc) == ["twins: global_edge twins need a global_core twin to push to"]
