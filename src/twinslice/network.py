@@ -9,7 +9,7 @@ transmission, drawn from the dedicated "network" stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -118,7 +118,7 @@ class Frame:
     created_at: int
     hops: Optional[list[Channel]] = None
     idx: int = 0
-    content: Any = None
+    content: Any = None  # a (callee, arg) pair the simulator fires on delivery
 
 
 def tx_ticks(total_bytes: int, rate_bps: int) -> int:

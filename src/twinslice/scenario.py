@@ -629,7 +629,7 @@ def _parse_workloads(
                 spec = TelemedicineStreamSpec(wid, src, dst, bitrate, fsize, start, duration)
 
         elif kind == "surgery_loop":
-            budget = parse_duration(item.get("rtt_budget", "2ms"), f"{path}.rtt_budget", errors)
+            budget = _quantity(item.get("rtt_budget", "2ms"), parse_duration, f"{path}.rtt_budget", errors)
             src = _node_id(item.get("src"), node_by_id, f"{path}.src", errors)
             dst = _node_id(item.get("dst"), node_by_id, f"{path}.dst", errors)
             rate = _int(item.get("cmd_rate"), f"{path}.cmd_rate", errors, 1,

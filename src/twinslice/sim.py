@@ -9,7 +9,7 @@ clock and every float is either an exact ratio or quantized.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Callable, Optional
 
 from .engine import Engine, EventKind, RngStream, SEC, fork_rng
 from .metrics import (
@@ -40,25 +40,19 @@ from .slices import (
     check_sla,
 )
 from .twins import AlertRule, SyncMessage, Twin, TwinLevel, parse_reducer
-from .workloads import (
-    AmbulanceGen,
-    AmbulanceRunSpec,
-    BeaconGen,
-    ImplantBeaconSpec,
-    StreamGen,
-    SurgeryGen,
-    SurgeryLoopSpec,
-    TelemedicineStreamSpec,
-    VitalSpec,
-    WearableFleetGen,
-    WearableFleetSpec,
-)
+from .workloads import GENERATORS, Source, VitalSpec
 
 ALERT_PAYLOAD_BYTES = 64
 # Nominal size of one twin delta on the wire: metric tag plus value, version,
 # and timestamp words. Used for push frame payloads and demand estimates.
 DELTA_BYTES = 24
 SYNC_HEADER_BYTES = 16
+
+
+def _call(payload: tuple, now: int) -> None:
+    """Fire an event payload or frame content: a flat (callee, arg) pair."""
+    callee, arg = payload
+    callee(arg, now)
 
 
 class Simulation:
@@ -84,6 +78,11 @@ class Simulation:
             self.engine, self.topology, self.stream("network"),
             self._on_deliver, self._on_drop,
         )
+        # Callees that events and frame contents carry, bound once so that
+        # scheduling one allocates nothing but its (callee, arg) pair.
+        self._net_inject = self.net.inject
+        self.deliver_sync = self._deliver_sync
+        self._push_due = self._twin_push
         self.stack = scenario.stack
         self.contracts = scenario.contracts
 
@@ -104,15 +103,15 @@ class Simulation:
         self._twin_push_flows: dict[str, Flow] = {}
         self._build_twins(scenario.twins)
 
-        self.generators: list[Any] = []
-        self._build_generators()
+        self.generators: list[Source] = [GENERATORS[type(spec)](self, spec)
+                                         for spec in scenario.workloads]
 
-        self.engine.on(EventKind.TRAFFIC_ARRIVAL, self._on_traffic)
-        self.engine.on(EventKind.SYNC_DUE, self._on_sync_due)
+        self.engine.on(EventKind.TRAFFIC_ARRIVAL, _call)
+        self.engine.on(EventKind.SYNC_DUE, _call)
         self.engine.on(EventKind.AGGREGATION_DUE, self._on_aggregation_due)
-        self.engine.on(EventKind.HANDOVER, self._on_handover)
-        self.engine.on(EventKind.FAULT_START, self._on_fault_start)
-        self.engine.on(EventKind.FAULT_END, self._on_fault_end)
+        self.engine.on(EventKind.HANDOVER, _call)
+        self.engine.on(EventKind.FAULT_START, _call)
+        self.engine.on(EventKind.FAULT_END, _call)
         self.engine.on(EventKind.METRICS_FLUSH, self._on_flush)
 
         self._finished = False
@@ -141,22 +140,6 @@ class Simulation:
         for twin in self.twins.values():
             for child_id in twin.children:
                 self.twins[child_id].parent = twin.id
-
-    def _build_generators(self) -> None:
-        for spec in self.scenario.workloads:
-            if isinstance(spec, TelemedicineStreamSpec):
-                gen: Any = StreamGen(self, spec)
-            elif isinstance(spec, SurgeryLoopSpec):
-                gen = SurgeryGen(self, spec)
-            elif isinstance(spec, AmbulanceRunSpec):
-                gen = AmbulanceGen(self, spec)
-            elif isinstance(spec, WearableFleetSpec):
-                gen = WearableFleetGen(self, spec)
-            elif isinstance(spec, ImplantBeaconSpec):
-                gen = BeaconGen(self, spec)
-            else:  # pragma: no cover - scenario validation rejects unknown kinds
-                raise ScenarioError([f"unknown workload spec {type(spec).__name__}"])
-            self.generators.append(gen)
 
     # --- flow and frame services (used by generators) ------------------------
 
@@ -190,12 +173,13 @@ class Simulation:
             created_at=now,
         )
 
-    def send(self, flow: Flow, frame: Frame, now: int, gen: Any = None, energy_nj: int = 0) -> None:
+    def send(self, flow: Flow, frame: Frame, now: int,
+             inject: Optional[Callable[[Frame, int], None]] = None, energy_nj: int = 0) -> None:
         """Account for an emission and inject after the flow's setup latency.
 
         Session establishment is charged to every frame as a fixed delay
-        before injection, so end to end delay always includes it. Frames of
-        mobile generators are parked with the generator while detached.
+        before injection, so end to end delay always includes it. A mobile
+        source passes its own `inject`, which parks frames while detached.
         """
         assert flow.admitted, f"flow {flow.id} emitted without admission"
         fstats = self.flow_stats[flow.id]
@@ -204,18 +188,13 @@ class Simulation:
         sstats.sent += 1
         fstats.energy_nj += energy_nj
         sstats.energy_nj += energy_nj
+        if inject is None:
+            inject = self._net_inject
         if flow.setup_latency_ns > 0:
-            self.engine.schedule(
-                now + flow.setup_latency_ns, EventKind.TRAFFIC_ARRIVAL, ("inject", frame, gen)
-            )
+            self.engine.schedule(now + flow.setup_latency_ns, EventKind.TRAFFIC_ARRIVAL,
+                                 (inject, frame))
         else:
-            self._inject(frame, gen, now)
-
-    def _inject(self, frame: Frame, gen: Any, now: int) -> None:
-        if gen is not None and not gen.attached():
-            gen.hold(frame)
-            return
-        self.net.inject(frame, now)
+            inject(frame, now)
 
     def sample_vitals(self, twin: Twin, versions: dict[str, int], now: int) -> SyncMessage:
         rng = self.stream(f"vitals:{twin.id}")
@@ -224,30 +203,11 @@ class Simulation:
             versions[spec.name] = versions.get(spec.name, 0) + 1
             value = rng.normal(spec.mean, spec.sd)
             deltas.append((spec.name, value, versions[spec.name], now))
-        return SyncMessage(source=twin.id, emitted_at=now, deltas=deltas)
+        return SyncMessage(source=twin.id, to=twin.id, emitted_at=now, deltas=deltas)
 
     # --- event handlers ------------------------------------------------------
 
-    def _on_traffic(self, payload: tuple, now: int) -> None:
-        tag = payload[0]
-        if tag == "emit":
-            payload[1].emit(payload[2], now)
-        elif tag == "inject":
-            self._inject(payload[1], payload[2], now)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown traffic payload {tag!r}")
-
-    def _on_sync_due(self, payload: tuple, now: int) -> None:
-        tag = payload[0]
-        if tag == "twin":
-            self._twin_push(payload[1], now)
-        elif tag == "wearable":
-            payload[1].sync_emit(payload[2], payload[3], now)
-        else:  # ambulance or beacon generators share the (tag, gen, k) shape
-            payload[1].sync_emit(payload[2], now)
-
-    def _on_aggregation_due(self, payload: tuple, now: int) -> None:
-        twin: Twin = payload[1]
+    def _on_aggregation_due(self, twin: Twin, now: int) -> None:
         if self.topology.nodes[twin.host].up:
             child_states = []
             if twin.level is TwinLevel.GLOBAL_EDGE:
@@ -263,7 +223,7 @@ class Simulation:
                         child_states.append(twin.child_cache.get(child_id, {}))
             twin.aggregate(child_states, now)
             self._escalate(twin, twin.check_alerts(), now)
-        self.engine.schedule(now + twin.aggregation_period, EventKind.AGGREGATION_DUE, payload)
+        self.engine.schedule(now + twin.aggregation_period, EventKind.AGGREGATION_DUE, twin)
 
     def _twin_push(self, twin: Twin, now: int) -> None:
         if self.topology.nodes[twin.host].up:
@@ -274,27 +234,12 @@ class Simulation:
                     payload_bytes = SYNC_HEADER_BYTES + DELTA_BYTES * len(deltas)
                     frame = self.make_frame(flow, payload_bytes, now)
                     assert twin.parent is not None
-                    frame.content = ("sync", twin.parent, SyncMessage(twin.id, now, deltas))
+                    msg = SyncMessage(twin.id, twin.parent, now, deltas)
+                    frame.content = (self.deliver_sync, msg)
                     self.send(flow, frame, now)
-        self.engine.schedule(now + twin.sync_period, EventKind.SYNC_DUE, ("twin", twin))
+        self.engine.schedule(now + twin.sync_period, EventKind.SYNC_DUE, (self._push_due, twin))
 
-    def _on_handover(self, payload: tuple, now: int) -> None:
-        phase, gen, k = payload
-        gen.on_handover(phase, k, now)
-
-    def _on_fault_start(self, payload, now: int) -> None:
-        if payload.target_kind == "link":
-            self.net.fail_link(self.topology.links[payload.target_id], now)
-        else:
-            self.net.fail_node(self.topology.nodes[payload.target_id], now)
-
-    def _on_fault_end(self, payload, now: int) -> None:
-        if payload.target_kind == "link":
-            self.net.recover_link(self.topology.links[payload.target_id], now)
-        else:
-            self.net.recover_node(self.topology.nodes[payload.target_id], now)
-
-    def _on_flush(self, payload, now: int) -> None:
+    def _on_flush(self, _payload, now: int) -> None:
         # End-of-run staleness sample: ages of everything still stored.
         for twin in self.twins.values():
             for metric, sample in twin.state.items():
@@ -313,20 +258,14 @@ class Simulation:
         bits = frame.payload_bytes * 8
         fstats.payload_bits += bits
         sstats.payload_bits += bits
-        content = frame.content
-        if content is None:
-            return
-        tag = content[0]
-        if tag == "sync":
-            twin = self.twins[content[1]]
-            aged = twin.apply_sync(content[2], now)
-            for metric, age in aged:
-                self.staleness.note(twin.id, metric, age)
-            self._escalate(twin, twin.check_alerts(), now)
-        elif tag == "cmd":
-            content[1].on_cmd_delivered(content[2], now)
-        elif tag == "ack":
-            content[1].on_ack_delivered(content[2], now)
+        if frame.content is not None:
+            _call(frame.content, now)
+
+    def _deliver_sync(self, msg: SyncMessage, now: int) -> None:
+        twin = self.twins[msg.to]
+        for metric, age in twin.apply_sync(msg, now):
+            self.staleness.note(twin.id, metric, age)
+        self._escalate(twin, twin.check_alerts(), now)
 
     def _on_drop(self, frame: Frame, cause: str, now: int) -> None:
         self.flow_stats[frame.flow_id].record_drop(cause)
@@ -351,11 +290,11 @@ class Simulation:
             key = (twin.id, rule.metric)
             self._alert_versions[key] = self._alert_versions.get(key, 0) + 1
             deltas.append((f"alert:{twin.id}:{rule.metric}", value, self._alert_versions[key], observed))
-        msg = SyncMessage(source=f"alertfeed:{twin.id}", emitted_at=now, deltas=deltas)
+        msg = SyncMessage(source=f"alertfeed:{twin.id}", to=parent.id, emitted_at=now, deltas=deltas)
         flow = self._alert_flow(twin, parent)
         if flow.admitted:
             frame = self.make_frame(flow, ALERT_PAYLOAD_BYTES, now)
-            frame.content = ("sync", parent.id, msg)
+            frame.content = (self.deliver_sync, msg)
             self.send(flow, frame, now)
 
     def _alert_flow(self, twin: Twin, parent: Twin) -> Flow:
@@ -391,14 +330,20 @@ class Simulation:
             twin = self.twins[twin_id]
             if twin.level is TwinLevel.INDIVIDUAL:
                 continue
-            self.engine.schedule(twin.aggregation_phase, EventKind.AGGREGATION_DUE, ("agg", twin))
+            self.engine.schedule(twin.aggregation_phase, EventKind.AGGREGATION_DUE, twin)
             if twin.level is TwinLevel.GLOBAL_EDGE:
-                self.engine.schedule(twin.sync_phase, EventKind.SYNC_DUE, ("twin", twin))
+                self.engine.schedule(twin.sync_phase, EventKind.SYNC_DUE, (self._push_due, twin))
         for fault in self.scenario.faults:
-            self.engine.schedule(fault.t_fail, EventKind.FAULT_START, fault)
+            if fault.target_kind == "link":
+                target = self.topology.links[fault.target_id]
+                fail, recover = self.net.fail_link, self.net.recover_link
+            else:
+                target = self.topology.nodes[fault.target_id]
+                fail, recover = self.net.fail_node, self.net.recover_node
+            self.engine.schedule(fault.t_fail, EventKind.FAULT_START, (fail, target))
             if fault.t_recover <= self.t_end:
-                self.engine.schedule(fault.t_recover, EventKind.FAULT_END, fault)
-        self.engine.schedule(self.t_end, EventKind.METRICS_FLUSH, ("flush",))
+                self.engine.schedule(fault.t_recover, EventKind.FAULT_END, (recover, target))
+        self.engine.schedule(self.t_end, EventKind.METRICS_FLUSH)
 
         self.engine.run_until(self.t_end)
         return RunResult(self)

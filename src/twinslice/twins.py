@@ -10,7 +10,7 @@ parent's view is only as fresh as the last sync that reached it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -39,6 +39,7 @@ Delta = tuple[str, float, int, int]
 @dataclass
 class SyncMessage:
     source: str
+    to: str  # the twin that applies it
     emitted_at: int
     deltas: list[Delta]
 

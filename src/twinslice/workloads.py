@@ -1,21 +1,21 @@
 """Workload generators: the traffic sources that drive a run.
 
-Each generator owns its flows, schedules its own emission events, and keeps
-per-workload statistics (RTTs, handovers, energy). Telemetry-style workloads
-(wearables, implants, ambulance) emit twin sync messages as their frames, so
-twin freshness is carried by the same packets the slice contracts meter.
+Each generator is a Source: it owns its flows, schedules its own emission
+events, and keeps per-workload statistics (RTTs, handovers, energy).
+Telemetry-style workloads (wearables, implants, ambulance) emit twin sync
+messages as their frames, so twin freshness is carried by the same packets
+the slice contracts meter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .engine import EventKind, SEC
 from .metrics import DelayHistogram
 from .network import Frame
 from .slices import Flow, SliceClass
-from .twins import SyncMessage
 
 DEFAULT_HANDOVER_GAP = 10_000_000  # 10 ms
 
@@ -132,92 +132,110 @@ def _period_from_rate(per_second: float) -> int:
     return round(SEC / per_second)
 
 
-class StreamGen:
-    """Constant-bitrate frame source (FeMBB)."""
+class Source:
+    """One healthcare service's traffic source: its flows and emission events.
 
-    def __init__(self, sim: Any, spec: TelemedicineStreamSpec) -> None:
+    An emission event carries the flat pair (fire, arg) and fires as
+    fire(arg, now): arg is the emission index of a single-flow source and
+    the member index of a fleet. `fire` and every other callee a source
+    schedules are bound once in `__init__`, so an event costs one tuple.
+    """
+
+    kind: EventKind  # the event kind of its emissions
+
+    def __init__(self, sim: Any, spec: Any, fire: Callable[[int, int], None]) -> None:
         self.sim = sim
         self.spec = spec
-        self.period = round(spec.frame_bytes * 8 * SEC / spec.bitrate_bps)
-        self.flow = Flow(
-            id=spec.id,
-            slice_cls=SliceClass.FEMBB,
-            src=spec.src,
-            dst=spec.dst,
-            demand_bps=spec.bitrate_bps,
-            start=spec.start,
-            preadmitted=spec.preadmit,
-            frame_payload=spec.frame_bytes,
+        self.flows: list[Flow] = []
+        self._fire = fire
+
+    def _flow(self, flow_id: str, slice_cls: SliceClass, src: int, dst: int, demand_bps: int,
+              payload: int) -> Flow:
+        flow = Flow(
+            id=flow_id, slice_cls=slice_cls, src=src, dst=dst, demand_bps=demand_bps,
+            start=self.spec.start, preadmitted=self.spec.preadmit, frame_payload=payload,
         )
-        self.emitted = 0
+        self.flows.append(flow)
+        return flow
 
     def build(self) -> None:
-        self.sim.admit_flow(self.flow)
+        for flow in self.flows:
+            self.sim.admit_flow(flow)
 
     def schedule_start(self) -> None:
-        if self.flow.admitted:
-            self.sim.engine.schedule(self.spec.start, EventKind.TRAFFIC_ARRIVAL, ("emit", self, 0))
+        # The first emission skips the duration check: one at start == t_end still fires.
+        if self.flows[0].admitted:
+            self.sim.engine.schedule(self.spec.start, self.kind, (self._fire, 0))
+
+    def _duration(self) -> int:
+        return self.spec.duration if self.spec.duration is not None else self.sim.t_end - self.spec.start
+
+    def _again(self, arg: int, offset: int) -> None:
+        """Schedule an emission `offset` after the start if that is inside the duration."""
+        if offset < self._duration():
+            self.sim.engine.schedule(self.spec.start + offset, self.kind, (self._fire, arg))
+
+    def _sync_frame(self, flow: Flow, twin: Any, versions: dict[str, int], now: int) -> Frame:
+        """A frame carrying fresh vitals to `twin`."""
+        msg = self.sim.sample_vitals(twin, versions, now)
+        frame = self.sim.make_frame(flow, self.spec.payload_bytes, now)
+        frame.content = (self.sim.deliver_sync, msg)
+        return frame
+
+
+class StreamGen(Source):
+    """Constant-bitrate frame source (FeMBB)."""
+
+    kind = EventKind.TRAFFIC_ARRIVAL
+
+    def __init__(self, sim: Any, spec: TelemedicineStreamSpec) -> None:
+        super().__init__(sim, spec, self.emit)
+        self.period = round(spec.frame_bytes * 8 * SEC / spec.bitrate_bps)
+        self.flow = self._flow(spec.id, SliceClass.FEMBB, spec.src, spec.dst, spec.bitrate_bps,
+                               spec.frame_bytes)
+        self.emitted = 0
 
     def emit(self, k: int, now: int) -> None:
         frame = self.sim.make_frame(self.flow, self.spec.frame_bytes, now)
         self.sim.send(self.flow, frame, now)
         self.emitted += 1
-        nxt = (k + 1) * self.period
-        if nxt < self._duration():
-            self.sim.engine.schedule(self.spec.start + nxt, EventKind.TRAFFIC_ARRIVAL, ("emit", self, k + 1))
-
-    def _duration(self) -> int:
-        return self.spec.duration if self.spec.duration is not None else self.sim.t_end - self.spec.start
+        self._again(k + 1, (k + 1) * self.period)
 
     def report(self) -> dict:
         return {"kind": "telemedicine_stream", "frames_emitted": self.emitted}
 
 
-class SurgeryGen:
+class SurgeryGen(Source):
     """Command/acknowledgement loop (ERLLC) with round-trip accounting."""
 
+    kind = EventKind.TRAFFIC_ARRIVAL
+
     def __init__(self, sim: Any, spec: SurgeryLoopSpec) -> None:
-        self.sim = sim
-        self.spec = spec
+        super().__init__(sim, spec, self.emit)
         self.period = _period_from_rate(spec.cmd_rate)
         demand = spec.cmd_rate * spec.cmd_bytes * 8
-        self.flow = Flow(
-            id=spec.id, slice_cls=SliceClass.ERLLC, src=spec.src, dst=spec.dst,
-            demand_bps=demand, start=spec.start, preadmitted=spec.preadmit,
-            frame_payload=spec.cmd_bytes,
-        )
-        # Acks ride the reverse path on the already-established session.
-        self.ack_flow = Flow(
-            id=f"{spec.id}.ack", slice_cls=SliceClass.ERLLC, src=spec.dst, dst=spec.src,
-            demand_bps=demand, start=spec.start, preadmitted=True, frame_payload=spec.cmd_bytes,
-        )
+        self.flow = self._flow(spec.id, SliceClass.ERLLC, spec.src, spec.dst, demand, spec.cmd_bytes)
+        self.ack_flow = self._flow(f"{spec.id}.ack", SliceClass.ERLLC, spec.dst, spec.src, demand,
+                                   spec.cmd_bytes)
+        self.ack_flow.preadmitted = True  # acks ride the reverse path of the established session
+        self._cmd_delivered = self.on_cmd_delivered
+        self._ack_delivered = self.on_ack_delivered
         self.rtt_hist = DelayHistogram()
         self.cmd_delays = DelayHistogram()
         self.budget_violations = 0
         self.emitted = 0
 
-    def build(self) -> None:
-        self.sim.admit_flow(self.flow)
-        self.sim.admit_flow(self.ack_flow)
-
-    def schedule_start(self) -> None:
-        if self.flow.admitted:
-            self.sim.engine.schedule(self.spec.start, EventKind.TRAFFIC_ARRIVAL, ("emit", self, 0))
-
     def emit(self, k: int, now: int) -> None:
         frame = self.sim.make_frame(self.flow, self.spec.cmd_bytes, now)
-        frame.content = ("cmd", self, now)
+        frame.content = (self._cmd_delivered, now)
         self.sim.send(self.flow, frame, now)
         self.emitted += 1
-        nxt = (k + 1) * self.period
-        duration = self.spec.duration if self.spec.duration is not None else self.sim.t_end - self.spec.start
-        if nxt < duration:
-            self.sim.engine.schedule(self.spec.start + nxt, EventKind.TRAFFIC_ARRIVAL, ("emit", self, k + 1))
+        self._again(k + 1, (k + 1) * self.period)
 
     def on_cmd_delivered(self, cmd_created: int, now: int) -> None:
         self.cmd_delays.add(now - cmd_created)
         ack = self.sim.make_frame(self.ack_flow, self.spec.cmd_bytes, now)
-        ack.content = ("ack", self, cmd_created)
+        ack.content = (self._ack_delivered, cmd_created)
         self.sim.send(self.ack_flow, ack, now)
 
     def on_ack_delivered(self, cmd_created: int, now: int) -> None:
@@ -240,26 +258,27 @@ class SurgeryGen:
         return out
 
 
-class AmbulanceGen:
+class AmbulanceGen(Source):
     """Mobile telemetry source (LDHMC) hopping along an edge corridor.
 
     Frames created during a handover gap are buffered at the device and
     released on reattachment, so mobility costs latency rather than loss.
     If the target edge is down when the gap ends, attachment defers to the
-    next edge in the sequence and the gap extends by one more interval.
+    next edge in the sequence and the gap extends by one more interval, or
+    by one telemetry period when the gap is zero.
     """
 
+    kind = EventKind.SYNC_DUE
+
     def __init__(self, sim: Any, spec: AmbulanceRunSpec) -> None:
-        self.sim = sim
-        self.spec = spec
+        super().__init__(sim, spec, self.sync_emit)
         self.twin = sim.twins[spec.twin_id]
         self.tele_period = _period_from_rate(spec.telemetry_rate)
         demand = spec.telemetry_rate * spec.payload_bytes * 8
-        self.flow = Flow(
-            id=spec.id, slice_cls=SliceClass.LDHMC, src=spec.device, dst=self.twin.host,
-            demand_bps=demand, start=spec.start, preadmitted=spec.preadmit,
-            frame_payload=spec.payload_bytes,
-        )
+        self.flow = self._flow(spec.id, SliceClass.LDHMC, spec.device, self.twin.host, demand,
+                               spec.payload_bytes)
+        self._handover = self.on_handover
+        self._inject = self.inject
         self.buffer: list[Frame] = []
         self.versions: dict[str, int] = {}
         self.handovers = 0
@@ -269,15 +288,15 @@ class AmbulanceGen:
 
     def build(self) -> None:
         self.sim.topology.set_attachment(self.spec.device, self.spec.edge_sequence[0])
-        self.sim.admit_flow(self.flow)
+        super().build()
 
     def schedule_start(self) -> None:
-        if not self.flow.admitted:
-            return
-        self.sim.engine.schedule(self.spec.start, EventKind.SYNC_DUE, ("ambulance", self, 0))
-        cell = self.spec.cell_time_ns
-        for k in range(1, len(self.spec.edge_sequence)):
-            self.sim.engine.schedule(self.spec.start + k * cell, EventKind.HANDOVER, ("detach", self, k))
+        super().schedule_start()
+        if self.flow.admitted:
+            cell = self.spec.cell_time_ns
+            for k in range(1, len(self.spec.edge_sequence)):
+                self.sim.engine.schedule(self.spec.start + k * cell, EventKind.HANDOVER,
+                                         (self._handover, (k, False)))
 
     def _duration(self) -> int:
         if self.spec.duration is not None:
@@ -285,36 +304,37 @@ class AmbulanceGen:
         return self.spec.cell_time_ns * len(self.spec.edge_sequence)
 
     def sync_emit(self, k: int, now: int) -> None:
-        msg = self.sim.sample_vitals(self.twin, self.versions, now)
-        frame = self.sim.make_frame(self.flow, self.spec.payload_bytes, now)
-        frame.content = ("sync", self.twin.id, msg)
+        frame = self._sync_frame(self.flow, self.twin, self.versions, now)
         self.emitted += 1
-        self.sim.send(self.flow, frame, now, gen=self)
-        nxt = (k + 1) * self.tele_period
-        if nxt < self._duration():
-            self.sim.engine.schedule(self.spec.start + nxt, EventKind.SYNC_DUE, ("ambulance", self, k + 1))
+        self.sim.send(self.flow, frame, now, inject=self._inject)
+        self._again(k + 1, (k + 1) * self.tele_period)
 
-    def attached(self) -> bool:
-        return self.sim.topology.nodes[self.spec.device].attached_edge is not None
+    def inject(self, frame: Frame, now: int) -> None:
+        """Hand a frame to the network, or park it on the vehicle while detached."""
+        if self.sim.topology.nodes[self.spec.device].attached_edge is None:
+            self.buffer.append(frame)
+            self.buffered_total += 1
+        else:
+            self.sim.net.inject(frame, now)
 
-    def hold(self, frame: Frame) -> None:
-        self.buffer.append(frame)
-        self.buffered_total += 1
-
-    def on_handover(self, phase: str, k: int, now: int) -> None:
-        if phase == "detach":
-            target = self.spec.edge_sequence[k]
-            if self.sim.topology.nodes[self.spec.device].attached_edge == target:
-                return  # already there (an earlier deferral skipped ahead)
-            self.sim.topology.set_attachment(self.spec.device, None)
-            self.sim.engine.schedule(now + self.spec.handover_gap_ns, EventKind.HANDOVER, ("attach", self, k))
-            return
+    def on_handover(self, step: tuple[int, bool], now: int) -> None:
+        """Leave cell k-1 for edge k, or, with `attaching` set, end the gap there."""
+        k, attaching = step
         target = self.spec.edge_sequence[k]
+        if not attaching:
+            # No-op when already there: an earlier deferral skipped ahead.
+            if self.sim.topology.nodes[self.spec.device].attached_edge != target:
+                self.sim.topology.set_attachment(self.spec.device, None)
+                self.sim.engine.schedule(now + self.spec.handover_gap_ns, EventKind.HANDOVER,
+                                         (self._handover, (k, True)))
+            return
         if not self.sim.topology.nodes[target].up:
-            # Target edge is dark: defer to the next edge, extend the gap.
+            # Target edge is dark: defer to the next edge, extend the gap. A
+            # retry at the same instant would never let the clock reach a recovery.
             self.deferred += 1
             nxt = min(k + 1, len(self.spec.edge_sequence) - 1)
-            self.sim.engine.schedule(now + self.spec.handover_gap_ns, EventKind.HANDOVER, ("attach", self, nxt))
+            retry = self.spec.handover_gap_ns or self.tele_period
+            self.sim.engine.schedule(now + retry, EventKind.HANDOVER, (self._handover, (nxt, True)))
             return
         self.sim.topology.set_attachment(self.spec.device, target)
         self.handovers += 1
@@ -333,27 +353,23 @@ class AmbulanceGen:
         }
 
 
-class WearableFleetGen:
-    """Many periodic telemetry devices (umMTC), one flow and twin apiece."""
+class WearableFleetGen(Source):
+    """Many periodic telemetry devices (umMTC), one flow and twin apiece.
+
+    Member i's emissions carry arg i; its schedule offset is recovered from
+    the clock as now - start, so an event needs no per-member state.
+    """
+
+    kind = EventKind.SYNC_DUE
 
     def __init__(self, sim: Any, spec: WearableFleetSpec) -> None:
-        self.sim = sim
-        self.spec = spec
-        self.flows: list[Flow] = []
+        super().__init__(sim, spec, self.sync_emit)
         self.versions: list[dict[str, int]] = [{} for _ in spec.members]
         self.emitted = 0
         demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
         for i, (device, twin_id) in enumerate(spec.members):
-            twin = sim.twins[twin_id]
-            self.flows.append(Flow(
-                id=f"{spec.id}.{i}", slice_cls=SliceClass.UMMTC, src=device, dst=twin.host,
-                demand_bps=demand, start=spec.start, preadmitted=spec.preadmit,
-                frame_payload=spec.payload_bytes,
-            ))
-
-    def build(self) -> None:
-        for flow in self.flows:
-            self.sim.admit_flow(flow)
+            self._flow(f"{spec.id}.{i}", SliceClass.UMMTC, device, sim.twins[twin_id].host, demand,
+                       spec.payload_bytes)
 
     def schedule_start(self) -> None:
         n = len(self.flows)
@@ -362,29 +378,19 @@ class WearableFleetGen:
                 continue
             phase = (i * self.spec.period_ns) // n if self.spec.stagger else 0
             if self.spec.poisson:
-                rng = self.sim.stream(f"arrivals:{flow.id}")
-                phase = rng.exponential_ticks(self.spec.period_ns)
-            if phase < self._duration():
-                self.sim.engine.schedule(self.spec.start + phase, EventKind.SYNC_DUE, ("wearable", self, i, phase))
+                phase = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
+            self._again(i, phase)
 
-    def _duration(self) -> int:
-        return self.spec.duration if self.spec.duration is not None else self.sim.t_end - self.spec.start
-
-    def sync_emit(self, i: int, offset: int, now: int) -> None:
-        device, twin_id = self.spec.members[i]
-        twin = self.sim.twins[twin_id]
-        msg = self.sim.sample_vitals(twin, self.versions[i], now)
+    def sync_emit(self, i: int, now: int) -> None:
         flow = self.flows[i]
-        frame = self.sim.make_frame(flow, self.spec.payload_bytes, now)
-        frame.content = ("sync", twin_id, msg)
+        frame = self._sync_frame(flow, self.sim.twins[self.spec.members[i][1]], self.versions[i], now)
         self.emitted += 1
         self.sim.send(flow, frame, now)
         if self.spec.poisson:
-            nxt = offset + self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
+            gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
         else:
-            nxt = offset + self.spec.period_ns
-        if nxt < self._duration():
-            self.sim.engine.schedule(self.spec.start + nxt, EventKind.SYNC_DUE, ("wearable", self, i, nxt))
+            gap = self.spec.period_ns
+        self._again(i, now - self.spec.start + gap)
 
     def report(self) -> dict:
         admitted = sum(1 for f in self.flows if f.admitted)
@@ -396,32 +402,20 @@ class WearableFleetGen:
         }
 
 
-class BeaconGen:
+class BeaconGen(Source):
     """Low-power periodic beacon (ELPC) with an exact transmission energy ledger."""
 
+    kind = EventKind.SYNC_DUE
+
     def __init__(self, sim: Any, spec: ImplantBeaconSpec) -> None:
-        self.sim = sim
-        self.spec = spec
+        super().__init__(sim, spec, self.sync_emit)
         self.twin = sim.twins[spec.twin_id]
         demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
-        self.flow = Flow(
-            id=spec.id, slice_cls=SliceClass.ELPC, src=spec.device, dst=self.twin.host,
-            demand_bps=demand, start=spec.start, preadmitted=spec.preadmit,
-            frame_payload=spec.payload_bytes,
-        )
+        self.flow = self._flow(spec.id, SliceClass.ELPC, spec.device, self.twin.host, demand,
+                               spec.payload_bytes)
         self.versions: dict[str, int] = {}
         self.transmissions = 0
         self.halted = False
-
-    def build(self) -> None:
-        self.sim.admit_flow(self.flow)
-
-    def schedule_start(self) -> None:
-        if self.flow.admitted:
-            self.sim.engine.schedule(self.spec.start, EventKind.SYNC_DUE, ("beacon", self, 0))
-
-    def _duration(self) -> int:
-        return self.spec.duration if self.spec.duration is not None else self.sim.t_end - self.spec.start
 
     def sync_emit(self, k: int, now: int) -> None:
         # No idle drain: the battery pays exactly per transmission.
@@ -429,13 +423,9 @@ class BeaconGen:
             self.halted = True
             return
         self.transmissions += 1
-        msg = self.sim.sample_vitals(self.twin, self.versions, now)
-        frame = self.sim.make_frame(self.flow, self.spec.payload_bytes, now)
-        frame.content = ("sync", self.twin.id, msg)
+        frame = self._sync_frame(self.flow, self.twin, self.versions, now)
         self.sim.send(self.flow, frame, now, energy_nj=self.spec.energy_per_tx_nj)
-        nxt = (k + 1) * self.spec.period_ns
-        if nxt < self._duration():
-            self.sim.engine.schedule(self.spec.start + nxt, EventKind.SYNC_DUE, ("beacon", self, k + 1))
+        self._again(k + 1, (k + 1) * self.spec.period_ns)
 
     @property
     def energy_consumed_nj(self) -> int:
@@ -449,3 +439,12 @@ class BeaconGen:
             "battery_nj": self.spec.battery_nj,
             "halted": self.halted,
         }
+
+
+GENERATORS: dict[type, type[Source]] = {
+    TelemedicineStreamSpec: StreamGen,
+    SurgeryLoopSpec: SurgeryGen,
+    AmbulanceRunSpec: AmbulanceGen,
+    WearableFleetSpec: WearableFleetGen,
+    ImplantBeaconSpec: BeaconGen,
+}

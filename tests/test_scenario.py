@@ -285,6 +285,22 @@ class TestWorkloadTiming:
         assert errors_of(self.doc(duration="0ms")) == ["workloads[0].duration: must be positive"]
 
 
+class TestSurgeryLoop:
+    def doc(self, **over):
+        wl = {"kind": "surgery_loop", "id": "op", "src": 2, "dst": 1, "cmd_rate": 100,
+              "cmd_size": 64}
+        wl.update(over)
+        return base_doc(workloads=[wl])
+
+    def test_rtt_budget_defaults_to_2ms(self):
+        assert scenario_from_dict(self.doc()).workloads[0].rtt_budget_ns == 2 * MS
+
+    @pytest.mark.parametrize("budget", [-5, 0, "0ms"])
+    def test_rtt_budget_must_be_positive(self, budget):
+        # A budget at or below zero would count every command as a violation.
+        assert errors_of(self.doc(rtt_budget=budget)) == ["workloads[0].rtt_budget: must be positive"]
+
+
 class TestTwinTiming:
     """Periods and phases are checked and derived when the scenario loads."""
 

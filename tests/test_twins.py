@@ -25,7 +25,7 @@ def twin(level=TwinLevel.GLOBAL_EDGE, policy_spec=None, **kw):
 
 
 def msg(source, *deltas, at=0):
-    return SyncMessage(source=source, emitted_at=at, deltas=list(deltas))
+    return SyncMessage(source=source, to="t", emitted_at=at, deltas=list(deltas))
 
 
 class TestApplySync:

@@ -166,6 +166,19 @@ class TestAmbulance:
         sl = res.report["slices"]["LDHMC"]
         assert sl["sent"] == 30 and sl["delivered"] == 30
 
+    def test_zero_gap_into_a_dark_last_edge_retries_per_telemetry_period(self):
+        # Edge 3 is dark from 0.5 s to 1.45 s. With no handover gap, the attach
+        # at 1 s retries every 100 ms (1.1 ... 1.4 s also find it dark) and
+        # lands at 1.5 s; a retry at the same instant would never end.
+        item = dict(AMB_BASE, edge_sequence=[1, 3], handover_gap=0)
+        res = small_run([item], t_end="3500ms",
+                        faults=[{"target": "node:3", "t_fail": "500ms", "t_recover": "1450ms"}],
+                        **CORRIDOR)
+        wl = res.report["workloads"]["amb_run"]
+        assert (wl["handovers"], wl["handovers_deferred"], wl["frames_buffered"]) == (1, 5, 5)
+        sl = res.report["slices"]["LDHMC"]
+        assert sl["sent"] == 20 and sl["delivered"] == 20
+
 
 def fleet_item(stagger, n=4, period="400ms"):
     return {
