@@ -6,14 +6,7 @@ twin hierarchy, workload generators, scenario files, and the orchestrator.
 """
 
 from .engine import MS, SEC, US, Engine, EventKind, RngStream, SchedulePast, fork_rng
-from .metrics import (
-    DelayHistogram,
-    EmptyHistogram,
-    NegativeDelay,
-    StalenessTracker,
-    TrafficStats,
-    fmt6,
-)
+from .metrics import DelayHistogram, EmptyHistogram, NegativeDelay, TrafficStats, fmt6
 from .network import (
     Frame,
     Link,
@@ -56,7 +49,6 @@ __all__ = [
     "DelayHistogram",
     "EmptyHistogram",
     "NegativeDelay",
-    "StalenessTracker",
     "TrafficStats",
     "fmt6",
     "Frame",

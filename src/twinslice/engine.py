@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from enum import IntEnum
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,38 +38,34 @@ class EventKind(IntEnum):
     METRICS_FLUSH = 9
 
 
-class Event(NamedTuple):
-    # NamedTuple so heap ordering is plain tuple comparison; seq is unique,
-    # therefore payload is never compared.
-    fire_at: int
-    seq: int
-    kind: int
-    payload: Any
+Handler = Callable[[Any, int], None]
 
 
 class Engine:
     """Single-threaded event loop over a binary heap.
 
-    Handlers are registered per EventKind and receive (payload, now).
+    Handlers are registered per EventKind and receive (payload, now). A kind's
+    handler must be registered before the first event of that kind is
+    scheduled: scheduling resolves it once, so the heap holds plain
+    (fire_at, seq, handler, payload) tuples. seq is unique, so tuple
+    comparison never reaches the handler or the payload.
     """
 
     def __init__(self) -> None:
         self.now: SimTime = 0
         self.processed: int = 0
         self._seq = 0
-        self._heap: list[Event] = []
-        self._handlers: dict[int, Callable[[Any, int], None]] = {}
+        self._heap: list[tuple[SimTime, int, Handler, Any]] = []
+        self._handlers: dict[EventKind, Handler] = {}
 
-    def on(self, kind: EventKind, handler: Callable[[Any, int], None]) -> None:
-        self._handlers[int(kind)] = handler
+    def on(self, kind: EventKind, handler: Handler) -> None:
+        self._handlers[kind] = handler
 
-    def schedule(self, fire_at: SimTime, kind: EventKind, payload: Any = None) -> Event:
+    def schedule(self, fire_at: SimTime, kind: EventKind, payload: Any = None) -> None:
         if fire_at < self.now:
             raise SchedulePast(f"cannot schedule {kind.name} at {fire_at} < now {self.now}")
-        ev = Event(fire_at, self._seq, int(kind), payload)
+        heapq.heappush(self._heap, (fire_at, self._seq, self._handlers[kind], payload))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
 
     def pending(self) -> int:
         return len(self._heap)
@@ -81,13 +77,12 @@ class Engine:
         Returns the number of events processed by this call.
         """
         heap = self._heap
-        handlers = self._handlers
         pop = heapq.heappop
         n = 0
         while heap and heap[0][0] <= t_end:
-            fire_at, _seq, kind, payload = pop(heap)
+            fire_at, _seq, handler, payload = pop(heap)
             self.now = fire_at
-            handlers[kind](payload, fire_at)
+            handler(payload, fire_at)
             n += 1
         self.processed += n
         return n

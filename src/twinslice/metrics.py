@@ -124,33 +124,6 @@ class TrafficStats:
         return self.delivered / self.sent if self.sent else 1.0
 
 
-class StalenessTracker:
-    """Running max age of stored twin metrics.
-
-    Age is sampled just before each overwrite and once at run end, which
-    captures the supremum of the piecewise-linear age curve exactly.
-    """
-
-    def __init__(self) -> None:
-        self._max: dict[str, dict[str, int]] = {}
-
-    def note(self, twin_id: str, metric: str, age: int) -> None:
-        per_twin = self._max.setdefault(twin_id, {})
-        if age > per_twin.get(metric, -1):
-            per_twin[metric] = age
-
-    def max_for(self, twin_id: str) -> dict[str, int]:
-        return dict(sorted(self._max.get(twin_id, {}).items()))
-
-    def global_max(self) -> int:
-        worst = 0
-        for per_twin in self._max.values():
-            for age in per_twin.values():
-                if age > worst:
-                    worst = age
-        return worst
-
-
 def fmt6(x: float) -> float:
     """Quantize a float to 6 significant digits for stable report bytes."""
     return float(f"{x:.6g}")

@@ -157,9 +157,6 @@ class Topology:
                 if len(set(edges)) == 1:
                     node.attached_edge = edges[0]
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
     def channel(self, link_id: int, src: int) -> Channel:
         return self._channels[(link_id, src)]
 
@@ -309,7 +306,8 @@ class NetworkService:
         chan.busy = None
         link = chan.link
         if frame is not None:
-            if not link.up:
+            if not (link.up and self.topology.nodes[chan.src].up):
+                # The link or the transmitting node failed mid-serialization.
                 self.on_drop(frame, "fault", now)
             elif link.loss_prob > 0.0 and self.loss_rng.bernoulli(link.loss_prob):
                 self.on_drop(frame, "loss", now)
@@ -377,8 +375,13 @@ class NetworkService:
                     self._begin(chan, nxt, now)
 
     def fail_node(self, node: Node, now: int) -> None:
+        """Take a node down; frames queued on its outgoing channels drop, and
+        the frame it is serializing drops at its departure instant."""
         node.up = False
         self.topology.bump_epoch()
+        for _peer, link in self.topology._adj[node.id]:
+            for frame in self.topology.channel(link.id, node.id).queue.drain():
+                self.on_drop(frame, "fault", now)
 
     def recover_node(self, node: Node, now: int) -> None:
         node.up = True

@@ -247,6 +247,9 @@ _WORKLOAD_KINDS = (
     "implant_beacon",
 )
 _SLICE_BY_NAME = {cls.value: cls for cls in SliceClass}
+# The field that sets a workload's emission period when it is derived by rounding.
+_PERIOD_SOURCE = {"telemedicine_stream": "bitrate", "surgery_loop": "cmd_rate",
+                  "ambulance_run": "telemetry_rate"}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -327,6 +330,7 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
 
     _validate_cross(nodes, links, twins, workloads, errors)
     _resolve_twins(twins, errors)
+    _check_flow_ids(twins, workloads, errors)
 
     if errors:
         raise ScenarioError(errors)
@@ -360,12 +364,11 @@ def _parse_stack(cfg: dict, errors: list[str]) -> StackProfile:
             v = _int(cfg[key], f"stack.{key}", errors, 0, "a non-negative integer byte count")
             if v is not None:
                 fields[key] = v
-    fields.setdefault("transport_bytes", TRANSPORT_BYTES[transport])
     setup = cfg.get("setup_latency", "auto")
     setup_ns: Optional[int] = None
     if setup != "auto":
         setup_ns = parse_duration(setup, "stack.setup_latency", errors)
-    return StackProfile(transport=transport, setup_latency_ns=setup_ns, **fields)
+    return StackProfile.with_transport(transport, setup_latency_ns=setup_ns, **fields)
 
 
 def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[str]) -> None:
@@ -649,6 +652,10 @@ def _parse_workloads(
         elif kind == "implant_beacon":
             spec = _parse_beacon(item, wid, start, duration, node_by_id, twin_by_id, path, errors)
 
+        if spec is not None and spec.period_ns < 1:
+            # A zero-tick period would reschedule at one instant forever.
+            errors.append(f"{path}.{_PERIOD_SOURCE[kind]}: the emission period it gives rounds to 0 ns")
+            spec = None
         if spec is not None:
             spec.preadmit = preadmit
             out.append(spec)
@@ -887,6 +894,37 @@ def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[Tw
                     errors.append(
                         f"workloads.{wl.id}: device {wl.device} has no access link to edge {edge}"
                     )
+
+
+def _check_flow_ids(twins: list[TwinSpec], workloads: list[WorkloadSpec], errors: list[str]) -> None:
+    """Every flow a run can open needs its own id.
+
+    Workloads open flows under their own id, surgery loops also `<id>.ack`
+    and fleets `<id>.<member>`; a global edge twin pushes on
+    `twinsync.<twin>`, and a twin with alert rules and a parent escalates
+    on `alerts.<twin>`.
+    """
+    opened: list[tuple[str, str]] = []  # (flow id, path of what opens it)
+    for wl in workloads:
+        path = f"workloads.{wl.id}"
+        if isinstance(wl, WearableFleetSpec):
+            opened += [(f"{wl.id}.{i}", path) for i in range(len(wl.members))]
+        else:
+            opened.append((wl.id, path))
+        if isinstance(wl, SurgeryLoopSpec):
+            opened.append((f"{wl.id}.ack", path))
+    has_parent = {child for t in twins for child in t.children}
+    for t in twins:
+        if t.level == "global_edge":
+            opened.append((f"twinsync.{t.id}", f"twins.{t.id}"))
+        if t.alerts and t.id in has_parent:
+            opened.append((f"alerts.{t.id}", f"twins.{t.id}"))
+    first: dict[str, str] = {}
+    for flow_id, path in opened:
+        if flow_id in first:
+            errors.append(f"{path}: flow id {flow_id!r} clashes with a flow of {first[flow_id]}")
+        else:
+            first[flow_id] = path
 
 
 def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:

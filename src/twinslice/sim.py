@@ -12,13 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .engine import Engine, EventKind, RngStream, SEC, fork_rng
-from .metrics import (
-    StalenessTracker,
-    TrafficStats,
-    fmt6,
-    to_csv_bytes,
-    to_json_bytes,
-)
+from .metrics import TrafficStats, fmt6, to_csv_bytes, to_json_bytes
 from .network import (
     Frame,
     NetworkService,
@@ -39,8 +33,8 @@ from .slices import (
     admit,
     check_sla,
 )
-from .twins import AlertRule, SyncMessage, Twin, TwinLevel, parse_reducer
-from .workloads import GENERATORS, Source, VitalSpec
+from .twins import AlertRule, SyncMessage, Twin, TwinLevel
+from .workloads import GENERATORS, Source
 
 ALERT_PAYLOAD_BYTES = 64
 # Nominal size of one twin delta on the wire: metric tag plus value, version,
@@ -94,14 +88,8 @@ class Simulation:
         self.slice_stats: dict[SliceClass, TrafficStats] = {cls: TrafficStats() for cls in SLICE_ORDER}
         self.admitted_demand: dict[int, int] = {}
         self.admission_decisions: list[AdmissionDecision] = []
-        self.staleness = StalenessTracker()
-        self._alert_versions: dict[tuple[str, str], int] = {}
-        self._alert_flows: dict[str, Flow] = {}
-        self._vitals: dict[str, list[VitalSpec]] = {}
 
-        self.twins: dict[str, Twin] = {}
-        self._twin_push_flows: dict[str, Flow] = {}
-        self._build_twins(scenario.twins)
+        self.twins = self._build_twins(scenario.twins)
 
         self.generators: list[Source] = [GENERATORS[type(spec)](self, spec)
                                          for spec in scenario.workloads]
@@ -125,27 +113,18 @@ class Simulation:
             self._streams[label] = got
         return got
 
-    def _build_twins(self, specs: list[TwinSpec]) -> None:
-        for spec in specs:
-            twin = Twin(
-                spec.id, TwinLevel(spec.level), spec.host, entity=spec.entity,
-                sync_period=spec.sync_period, sync_phase=spec.sync_phase,
-                aggregation_period=spec.aggregation_period, aggregation_phase=spec.aggregation_phase,
-                policy={m: parse_reducer(r) for m, r in sorted(spec.policy.items())},
-                alert_rules=[AlertRule(metric, threshold) for metric, threshold in spec.alerts],
-            )
-            twin.children = list(spec.children)
-            self.twins[spec.id] = twin
-            self._vitals[spec.id] = list(spec.vitals)
-        for twin in self.twins.values():
+    def _build_twins(self, specs: list[TwinSpec]) -> dict[str, Twin]:
+        twins = {spec.id: Twin(spec) for spec in specs}
+        for twin in twins.values():
             for child_id in twin.children:
-                self.twins[child_id].parent = twin.id
+                twins[child_id].parent = twin.id
+        return twins
 
     # --- flow and frame services (used by generators) ------------------------
 
     def admit_flow(self, flow: Flow) -> AdmissionDecision:
-        if flow.id in self.flows:
-            raise ScenarioError([f"duplicate flow id {flow.id!r}"])
+        # Loading rejects every clash among workload and derived flow ids.
+        assert flow.id not in self.flows, f"duplicate flow id {flow.id!r}"
         self.flows[flow.id] = flow
         self.flow_stats[flow.id] = TrafficStats()
         try:
@@ -199,11 +178,11 @@ class Simulation:
     def sample_vitals(self, twin: Twin, versions: dict[str, int], now: int) -> SyncMessage:
         rng = self.stream(f"vitals:{twin.id}")
         deltas = []
-        for spec in self._vitals[twin.id]:
+        for spec in twin.vitals:
             versions[spec.name] = versions.get(spec.name, 0) + 1
             value = rng.normal(spec.mean, spec.sd)
             deltas.append((spec.name, value, versions[spec.name], now))
-        return SyncMessage(source=twin.id, to=twin.id, emitted_at=now, deltas=deltas)
+        return SyncMessage(source=twin.id, to=twin.id, deltas=deltas)
 
     # --- event handlers ------------------------------------------------------
 
@@ -229,21 +208,19 @@ class Simulation:
         if self.topology.nodes[twin.host].up:
             deltas = twin.pending_deltas(now)
             if deltas:
-                flow = self._twin_push_flows[twin.id]
+                flow = twin.push_flow
+                assert flow is not None and twin.parent is not None
                 if flow.admitted:
                     payload_bytes = SYNC_HEADER_BYTES + DELTA_BYTES * len(deltas)
                     frame = self.make_frame(flow, payload_bytes, now)
-                    assert twin.parent is not None
-                    msg = SyncMessage(twin.id, twin.parent, now, deltas)
+                    msg = SyncMessage(twin.id, twin.parent, deltas)
                     frame.content = (self.deliver_sync, msg)
                     self.send(flow, frame, now)
         self.engine.schedule(now + twin.sync_period, EventKind.SYNC_DUE, (self._push_due, twin))
 
     def _on_flush(self, _payload, now: int) -> None:
-        # End-of-run staleness sample: ages of everything still stored.
         for twin in self.twins.values():
-            for metric, sample in twin.state.items():
-                self.staleness.note(twin.id, metric, now - sample.observed_at)
+            twin.sample_ages(now)
 
     # --- delivery and drops ---------------------------------------------------
 
@@ -263,8 +240,7 @@ class Simulation:
 
     def _deliver_sync(self, msg: SyncMessage, now: int) -> None:
         twin = self.twins[msg.to]
-        for metric, age in twin.apply_sync(msg, now):
-            self.staleness.note(twin.id, metric, age)
+        twin.apply_sync(msg, now)
         self._escalate(twin, twin.check_alerts(), now)
 
     def _on_drop(self, frame: Frame, cause: str, now: int) -> None:
@@ -287,28 +263,24 @@ class Simulation:
             sample = twin.state.get(rule.metric)
             value = sample.value if sample is not None else rule.threshold
             observed = sample.observed_at if sample is not None else now
-            key = (twin.id, rule.metric)
-            self._alert_versions[key] = self._alert_versions.get(key, 0) + 1
-            deltas.append((f"alert:{twin.id}:{rule.metric}", value, self._alert_versions[key], observed))
-        msg = SyncMessage(source=f"alertfeed:{twin.id}", to=parent.id, emitted_at=now, deltas=deltas)
-        flow = self._alert_flow(twin, parent)
+            version = twin.alert_versions[rule.metric] = twin.alert_versions.get(rule.metric, 0) + 1
+            deltas.append((f"alert:{twin.id}:{rule.metric}", value, version, observed))
+        msg = SyncMessage(source=f"alertfeed:{twin.id}", to=parent.id, deltas=deltas)
+        flow = twin.alert_flow or self._open_alert_flow(twin, parent)
         if flow.admitted:
             frame = self.make_frame(flow, ALERT_PAYLOAD_BYTES, now)
             frame.content = (self.deliver_sync, msg)
             self.send(flow, frame, now)
 
-    def _alert_flow(self, twin: Twin, parent: Twin) -> Flow:
-        flow = self._alert_flows.get(twin.id)
-        if flow is None:
-            flow = Flow(
-                id=f"alerts.{twin.id}", slice_cls=SliceClass.ERLLC,
-                src=twin.host, dst=parent.host, demand_bps=1_000, preadmitted=True,
-                frame_payload=ALERT_PAYLOAD_BYTES,
-            )
-            self.admit_flow(flow)
-            # Alert sessions are held open; no per-frame establishment cost.
-            flow.setup_latency_ns = 0
-            self._alert_flows[twin.id] = flow
+    def _open_alert_flow(self, twin: Twin, parent: Twin) -> Flow:
+        flow = twin.alert_flow = Flow(
+            id=f"alerts.{twin.id}", slice_cls=SliceClass.ERLLC,
+            src=twin.host, dst=parent.host, demand_bps=1_000, preadmitted=True,
+            frame_payload=ALERT_PAYLOAD_BYTES,
+        )
+        self.admit_flow(flow)
+        # Alert sessions are held open; no per-frame establishment cost.
+        flow.setup_latency_ns = 0
         return flow
 
     # --- run ------------------------------------------------------------------
@@ -320,10 +292,9 @@ class Simulation:
 
         for gen in self.generators:
             gen.build()
-        for spec in self.scenario.twins:
-            twin = self.twins[spec.id]
+        for twin in self.twins.values():
             if twin.level is TwinLevel.GLOBAL_EDGE:
-                self._twin_push_flows[twin.id] = self._make_push_flow(twin)
+                twin.push_flow = self._make_push_flow(twin)
         for gen in self.generators:
             gen.schedule_start()
         for twin_id in sorted(self.twins):
@@ -421,7 +392,7 @@ class RunResult:
                 "level": twin.level.value,
                 "host": twin.host,
                 "state": state,
-                "staleness_max_ns": sim.staleness.max_for(twin_id),
+                "staleness_max_ns": dict(sorted(twin.staleness_max.items())),
                 "alerts_fired": twin.alerts_fired,
                 "last_aggregation_children": twin.last_aggregation_children,
             }
@@ -449,7 +420,9 @@ class RunResult:
                 "rejected": rejected,
             },
             "twins": twins,
-            "staleness": {"global_max_ns": sim.staleness.global_max()},
+            "staleness": {"global_max_ns": max(
+                (age for twin in sim.twins.values() for age in twin.staleness_max.values()),
+                default=0)},
             "workloads": workloads,
             "faults": faults,
         }

@@ -69,8 +69,6 @@ class Flow:
     src: int
     dst: int
     demand_bps: int
-    start: int = 0
-    end: Optional[int] = None
     admitted: bool = False
     preadmitted: bool = False  # operator-pinned: bypasses admission checks
     setup_latency_ns: int = 0
@@ -102,17 +100,13 @@ def admit(
     Accepted flows add their demand to admitted_demand; rejected flows are
     left out entirely and must not generate frames.
     """
-    if flow.preadmitted:
-        flow.admitted = True
+    if not flow.preadmitted:
+        budget = contract.max_e2e_delay_ns
+        if budget is not None and unloaded_delay_ns + flow.setup_latency_ns > budget:
+            return AdmissionDecision(flow.id, False, "delay")
         for link in path_links:
-            admitted_demand[link.id] = admitted_demand.get(link.id, 0) + flow.demand_bps
-        return AdmissionDecision(flow.id, True, "ok")
-    budget = contract.max_e2e_delay_ns
-    if budget is not None and unloaded_delay_ns + flow.setup_latency_ns > budget:
-        return AdmissionDecision(flow.id, False, "delay")
-    for link in path_links:
-        if admitted_demand.get(link.id, 0) + flow.demand_bps > utilization_cap * link.rate_bps:
-            return AdmissionDecision(flow.id, False, "capacity")
+            if admitted_demand.get(link.id, 0) + flow.demand_bps > utilization_cap * link.rate_bps:
+                return AdmissionDecision(flow.id, False, "capacity")
     flow.admitted = True
     for link in path_links:
         admitted_demand[link.id] = admitted_demand.get(link.id, 0) + flow.demand_bps

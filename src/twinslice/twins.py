@@ -4,7 +4,8 @@ Three levels mirror the deployment: individual twins live on edge nodes next
 to their physical entities, a global twin per edge summarizes that edge's
 individuals, and a single core twin summarizes the edges. State moves up the
 hierarchy by periodic push; aggregation reads arrive-side replicas, so a
-parent's view is only as fresh as the last sync that reached it.
+parent's view is only as fresh as the last sync that reached it. Each twin
+also keeps its own staleness record and the flows it sends on.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+if TYPE_CHECKING:
+    from .scenario import TwinSpec
+    from .slices import Flow
 
 
 class TwinSyncError(Exception):
@@ -40,7 +45,6 @@ Delta = tuple[str, float, int, int]
 class SyncMessage:
     source: str
     to: str  # the twin that applies it
-    emitted_at: int
     deltas: list[Delta]
 
 
@@ -85,59 +89,67 @@ class AlertRule:
 
 
 class Twin:
-    """One twin instance: its own state plus cached child summaries."""
+    """One twin instance: its own state, cached child summaries, freshness and flows.
 
-    def __init__(
-        self,
-        twin_id: str,
-        level: TwinLevel,
-        host: int,
-        entity: Optional[int] = None,
-        sync_period: int = 0,
-        sync_phase: int = 0,
-        aggregation_period: int = 0,
-        aggregation_phase: int = 0,
-        policy: Optional[dict[str, tuple[str, Reducer]]] = None,
-        alert_rules: Optional[list[AlertRule]] = None,
-    ) -> None:
-        self.id = twin_id
-        self.level = level
-        self.host = host
-        self.entity = entity
-        self.sync_period = sync_period
-        self.sync_phase = sync_phase
-        self.aggregation_period = aggregation_period
-        self.aggregation_phase = aggregation_phase
-        self.policy = policy or {}
-        self.alert_rules = alert_rules or []
+    Built from a loaded TwinSpec, whose children, periods and phases are
+    already resolved; the parent link is wired by whoever holds every twin.
+    """
+
+    def __init__(self, spec: TwinSpec) -> None:
+        self.id = spec.id
+        self.level = TwinLevel(spec.level)
+        self.host = spec.host
+        self.entity = spec.entity
+        self.sync_period = spec.sync_period
+        self.sync_phase = spec.sync_phase
+        self.aggregation_period = spec.aggregation_period
+        self.aggregation_phase = spec.aggregation_phase
+        self.children: list[str] = list(spec.children)
+        self.vitals = spec.vitals
+        self.policy: dict[str, tuple[str, Reducer]] = {
+            m: parse_reducer(r) for m, r in sorted(spec.policy.items())}
+        self.alert_rules = [AlertRule(metric, threshold) for metric, threshold in spec.alerts]
         self.parent: Optional[str] = None
-        self.children: list[str] = []
         self.state: dict[str, MetricSample] = {}
         self.child_cache: dict[str, dict[str, MetricSample]] = {}
         self.last_pushed: dict[str, int] = {}
         self.alerts_fired = 0
         self.last_aggregation_children = -1  # -1 = never aggregated
+        # Running max age per own-state metric. Age is sampled just before each
+        # overwrite and once at run end, which captures the supremum of the
+        # piecewise-linear age curve exactly.
+        self.staleness_max: dict[str, int] = {}
+        self.alert_versions: dict[str, int] = {}  # per alerting metric
+        self.push_flow: Optional[Flow] = None  # global edge twins: deltas to the core
+        self.alert_flow: Optional[Flow] = None  # opened by the first escalation
 
-    def apply_sync(self, msg: SyncMessage, now: int) -> list[tuple[str, int]]:
+    def apply_sync(self, msg: SyncMessage, now: int) -> None:
         """Apply newer-versioned deltas; stale ones are ignored.
 
         A message from a registered child lands in that child's cached
         summary; anything else (the bound physical entity, alert feeds)
-        lands in the twin's own state. Returns (metric, pre-update age)
-        pairs for own-state overwrites so staleness can be tracked.
+        lands in the twin's own state, and the age of each own-state value
+        it overwrites is noted in staleness_max.
         """
-        target = self.child_cache.setdefault(msg.source, {}) if msg.source in self.children else self.state
-        own = target is self.state
-        aged: list[tuple[str, int]] = []
+        own = msg.source not in self.children
+        target = self.state if own else self.child_cache.setdefault(msg.source, {})
         for metric, value, version, observed_at in msg.deltas:
             cur = target.get(metric)
             if cur is not None:
                 if version <= cur.version:
                     continue
                 if own:
-                    aged.append((metric, now - cur.observed_at))
+                    self._note_age(metric, now - cur.observed_at)
             target[metric] = MetricSample(value, version, observed_at)
-        return aged
+
+    def _note_age(self, metric: str, age: int) -> None:
+        if age > self.staleness_max.get(metric, -1):
+            self.staleness_max[metric] = age
+
+    def sample_ages(self, now: int) -> None:
+        """End-of-run staleness sample: the age of everything still stored."""
+        for metric, sample in self.state.items():
+            self._note_age(metric, now - sample.observed_at)
 
     def staleness(self, metric: str, now: int) -> int:
         sample = self.state.get(metric)

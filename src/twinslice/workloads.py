@@ -48,6 +48,11 @@ class TelemedicineStreamSpec:
     duration: Optional[int] = None
     preadmit: bool = False
 
+    @property
+    def period_ns(self) -> int:
+        # one frame per frame-time at the stream's bitrate
+        return round(self.frame_bytes * 8 * SEC / self.bitrate_bps)
+
 
 @dataclass
 class SurgeryLoopSpec:
@@ -60,6 +65,10 @@ class SurgeryLoopSpec:
     start: int = 0
     duration: Optional[int] = None
     preadmit: bool = False
+
+    @property
+    def period_ns(self) -> int:
+        return round(SEC / self.cmd_rate)
 
 
 @dataclass
@@ -76,6 +85,10 @@ class AmbulanceRunSpec:
     start: int = 0
     duration: Optional[int] = None
     preadmit: bool = False
+
+    @property
+    def period_ns(self) -> int:
+        return round(SEC / self.telemetry_rate)
 
     @property
     def cell_time_ns(self) -> int:
@@ -128,10 +141,6 @@ WorkloadSpec = (
 )
 
 
-def _period_from_rate(per_second: float) -> int:
-    return round(SEC / per_second)
-
-
 class Source:
     """One healthcare service's traffic source: its flows and emission events.
 
@@ -153,7 +162,7 @@ class Source:
               payload: int) -> Flow:
         flow = Flow(
             id=flow_id, slice_cls=slice_cls, src=src, dst=dst, demand_bps=demand_bps,
-            start=self.spec.start, preadmitted=self.spec.preadmit, frame_payload=payload,
+            preadmitted=self.spec.preadmit, frame_payload=payload,
         )
         self.flows.append(flow)
         return flow
@@ -190,7 +199,7 @@ class StreamGen(Source):
 
     def __init__(self, sim: Any, spec: TelemedicineStreamSpec) -> None:
         super().__init__(sim, spec, self.emit)
-        self.period = round(spec.frame_bytes * 8 * SEC / spec.bitrate_bps)
+        self.period = spec.period_ns
         self.flow = self._flow(spec.id, SliceClass.FEMBB, spec.src, spec.dst, spec.bitrate_bps,
                                spec.frame_bytes)
         self.emitted = 0
@@ -212,7 +221,7 @@ class SurgeryGen(Source):
 
     def __init__(self, sim: Any, spec: SurgeryLoopSpec) -> None:
         super().__init__(sim, spec, self.emit)
-        self.period = _period_from_rate(spec.cmd_rate)
+        self.period = spec.period_ns
         demand = spec.cmd_rate * spec.cmd_bytes * 8
         self.flow = self._flow(spec.id, SliceClass.ERLLC, spec.src, spec.dst, demand, spec.cmd_bytes)
         self.ack_flow = self._flow(f"{spec.id}.ack", SliceClass.ERLLC, spec.dst, spec.src, demand,
@@ -221,7 +230,6 @@ class SurgeryGen(Source):
         self._cmd_delivered = self.on_cmd_delivered
         self._ack_delivered = self.on_ack_delivered
         self.rtt_hist = DelayHistogram()
-        self.cmd_delays = DelayHistogram()
         self.budget_violations = 0
         self.emitted = 0
 
@@ -233,7 +241,6 @@ class SurgeryGen(Source):
         self._again(k + 1, (k + 1) * self.period)
 
     def on_cmd_delivered(self, cmd_created: int, now: int) -> None:
-        self.cmd_delays.add(now - cmd_created)
         ack = self.sim.make_frame(self.ack_flow, self.spec.cmd_bytes, now)
         ack.content = (self._ack_delivered, cmd_created)
         self.sim.send(self.ack_flow, ack, now)
@@ -273,7 +280,7 @@ class AmbulanceGen(Source):
     def __init__(self, sim: Any, spec: AmbulanceRunSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
         self.twin = sim.twins[spec.twin_id]
-        self.tele_period = _period_from_rate(spec.telemetry_rate)
+        self.tele_period = spec.period_ns
         demand = spec.telemetry_rate * spec.payload_bytes * 8
         self.flow = self._flow(spec.id, SliceClass.LDHMC, spec.device, self.twin.host, demand,
                                spec.payload_bytes)

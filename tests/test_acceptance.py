@@ -227,7 +227,7 @@ def test_ac06_staleness_bound_is_tight(timed_run):
         hops = sim.topology.route(flow.src, flow.dst)
         wire_bytes = sim.stack.serialize_overhead(flow.frame_payload)
         one_way = flow.setup_latency_ns + unloaded_path_delay(hops, wire_bytes)
-        ages = sim.staleness.max_for(twin.id)
+        ages = twin.staleness_max
         assert ages, twin.id
         worst = max(ages.values())
         assert worst <= twin.sync_period + one_way

@@ -95,6 +95,17 @@ def with_twins(**ward):
     return doc
 
 
+def with_workload(doc=None, **wl):
+    doc = doc or yaml.safe_load(CLEAN)
+    doc["workloads"].append(wl)
+    return doc
+
+
+def with_surgery(wid, doc=None, cmd_rate=100):
+    return with_workload(doc, kind="surgery_loop", id=wid, src=2, dst=0, cmd_rate=cmd_rate,
+                         cmd_size=64)
+
+
 def with_fleet_link(link):
     doc = yaml.safe_load(CLEAN)
     doc["workloads"].append({
@@ -113,6 +124,19 @@ UNBUILDABLE = {
     "no_nodes": ({"name": "empty", "run": {"t_end": "1s"}},
                  "nodes: exactly one core node required, found 0"),
     "zero_fleet_link_rate": (with_fleet_link({"rate": 0}), "workloads[1].link.rate: must be positive"),
+    # A period that rounds to 0 ns once made `run` reschedule at one instant forever.
+    "zero_tick_stream": (with_workload(kind="telemedicine_stream", id="v", src=2, dst=0,
+                                       bitrate="20gbps", frame_size=1),
+                         "workloads[1].bitrate: the emission period it gives rounds to 0 ns"),
+    "zero_tick_surgery": (with_surgery("op", cmd_rate=3_000_000_000),
+                          "workloads[1].cmd_rate: the emission period it gives rounds to 0 ns"),
+    # Flow-id clashes once passed `validate` and failed `run` at admission.
+    "workload_id_is_an_ack_id": (
+        with_workload(with_surgery("x"), kind="telemedicine_stream", id="x.ack", src=2, dst=0,
+                      bitrate="1mbps", frame_size=100),
+        "workloads.x.ack: flow id 'x.ack' clashes with a flow of workloads.x"),
+    "derived_ids_clash": (with_surgery("twinsync", with_twins(id="ack")),
+                          "twins.ack: flow id 'twinsync.ack' clashes with a flow of workloads.twinsync"),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinslice.engine import Engine, Event, EventKind, SchedulePast, fork_rng
+from twinslice.engine import Engine, EventKind, SchedulePast, fork_rng
 
 
 def collect(engine, kind=EventKind.TRAFFIC_ARRIVAL):
@@ -41,9 +41,17 @@ class TestOrdering:
         eng.run_until(10)
         assert log == [("sync", 1), ("handover", 5), ("sync", 5)]
 
-    def test_event_is_a_plain_tuple(self):
-        # Heap ordering relies on tuple comparison of (fire_at, seq, ...).
-        assert Event(1, 0, 1, None) < Event(1, 1, 1, None) < Event(2, 0, 1, None)
+    def test_handler_is_bound_when_scheduled(self):
+        # An event keeps the handler its kind had when it was scheduled.
+        eng = Engine()
+        first = collect(eng)
+        eng.schedule(1, EventKind.TRAFFIC_ARRIVAL, "early")
+        second = collect(eng)
+        eng.schedule(2, EventKind.TRAFFIC_ARRIVAL, "late")
+        eng.run_until(10)
+        assert (first, second) == ([(1, "early")], [(2, "late")])
+        with pytest.raises(KeyError):
+            eng.schedule(3, EventKind.HANDOVER)  # no handler registered for it
 
 
 class TestClock:

@@ -11,7 +11,6 @@ from twinslice.metrics import (
     DelayHistogram,
     EmptyHistogram,
     NegativeDelay,
-    StalenessTracker,
     TrafficStats,
     bin_width_at,
     fmt6,
@@ -147,24 +146,6 @@ class TestTrafficStats:
         assert t.reliability == 1.0  # vacuous
         t.sent, t.delivered = 8, 6
         assert t.reliability == 0.75
-
-
-class TestStaleness:
-    def test_tracks_max_per_metric(self):
-        s = StalenessTracker()
-        s.note("t1", "hr", 100)
-        s.note("t1", "hr", 40)
-        s.note("t1", "spo2", 7)
-        s.note("t2", "hr", 900)
-        assert s.max_for("t1") == {"hr": 100, "spo2": 7}
-        assert s.global_max() == 900
-        assert s.max_for("missing") == {}
-
-    def test_zero_age_recorded(self):
-        s = StalenessTracker()
-        s.note("t", "m", 0)
-        assert s.max_for("t") == {"m": 0}
-        assert s.global_max() == 0
 
 
 class TestFmt6:

@@ -313,6 +313,20 @@ class TestTransport:
         assert not h.delivered
         assert h.dropped[0][1] == "fault"
 
+    def test_failed_node_stops_transmitting(self):
+        # An edge fails while it serializes one frame toward the core and
+        # queues 19 more: the queue drains as fault drops at the failure, the
+        # frame in service drops when it would have left, and none arrives.
+        topo = star()
+        h = Harness(topo)
+        for _ in range(20):
+            h.net.inject(frame(1, 0, total=1000), 0)  # 8 us each on the 1 Gb/s uplink
+        h.net.fail_node(topo.nodes[1], 161)
+        h.engine.run_until(10**9)
+        assert not h.delivered
+        assert [(c, t) for _f, c, t in h.dropped] == [("fault", 161)] * 19 + [("fault", 8000)]
+        assert h.net.topology.channel(0, 1).busy is None
+
     def diamond(self):
         # core 0 reachable from edge 3 via relay edges 1 or 2
         return Topology(mknodes("core", "edge", "edge", "edge"), [

@@ -269,6 +269,11 @@ class TestAmbulanceRun:
     def test_handover_gap_must_not_be_negative(self):
         assert errors_of(self.doc(handover_gap=-1)) == ["workloads[0].handover_gap: must be >= 0"]
 
+    def test_telemetry_period_must_not_round_to_zero(self):
+        assert scenario_from_dict(self.doc(telemetry_rate=1_500_000_000)).workloads[0].period_ns == 1
+        assert errors_of(self.doc(telemetry_rate=2_000_000_000)) == [
+            "workloads[0].telemetry_rate: the emission period it gives rounds to 0 ns"]
+
 
 class TestWorkloadTiming:
     def doc(self, **over):
@@ -283,6 +288,12 @@ class TestWorkloadTiming:
 
     def test_duration_must_be_positive(self):
         assert errors_of(self.doc(duration="0ms")) == ["workloads[0].duration: must be positive"]
+
+    def test_frame_period_must_not_round_to_zero(self):
+        # One byte lasts 0.5 ns at 16 Gb/s, which rounds to 0 (half to even).
+        assert scenario_from_dict(self.doc(frame_size=1, bitrate="8gbps")).workloads[0].period_ns == 1
+        assert errors_of(self.doc(frame_size=1, bitrate="16gbps")) == [
+            "workloads[0].bitrate: the emission period it gives rounds to 0 ns"]
 
 
 class TestSurgeryLoop:
@@ -299,6 +310,37 @@ class TestSurgeryLoop:
     def test_rtt_budget_must_be_positive(self, budget):
         # A budget at or below zero would count every command as a violation.
         assert errors_of(self.doc(rtt_budget=budget)) == ["workloads[0].rtt_budget: must be positive"]
+
+
+class TestFlowIds:
+    """Every flow a run opens, workload or derived, has an id of its own."""
+
+    def doc(self, *workloads, twins=()):
+        return base_doc(workloads=list(workloads), twins=list(twins))
+
+    def stream(self, wid):
+        return {"kind": "telemedicine_stream", "id": wid, "src": 2, "dst": 0,
+                "bitrate": "1mbps", "frame_size": 100}
+
+    def fleet(self, wid, alerts=()):
+        return {"kind": "wearable_fleet", "id": wid, "edges": [1], "n_devices": 2,
+                "period": "100ms", "payload": 50, "alerts": list(alerts),
+                "metrics": [{"name": "hr", "mean": 70, "sd": 1}]}
+
+    def test_workload_id_equal_to_a_fleet_member_flow(self):
+        errs = errors_of(self.doc(self.fleet("f"), self.stream("f.1")))
+        assert errs == ["workloads.f.1: flow id 'f.1' clashes with a flow of workloads.f"]
+
+    def test_alert_flow_clash_needs_alerts_and_a_parent(self):
+        edge = {"id": "ward", "level": "global_edge", "host": 1, "policy": {"hr": "mean"}}
+        core = {"id": "hub", "level": "global_core", "host": 0, "policy": {"hr": "mean"}}
+        alerting = self.fleet("f", alerts=[{"metric": "hr", "threshold": 100}])
+        scenario_from_dict(self.doc(alerting, self.stream("alerts.f_dev_0")))  # no parent
+        errs = errors_of(self.doc(alerting, self.stream("alerts.f_dev_0"), twins=[edge, core]))
+        assert errs == ["twins.f_dev_0: flow id 'alerts.f_dev_0' clashes with a flow of "
+                        "workloads.alerts.f_dev_0"]
+        scenario_from_dict(self.doc(self.fleet("f"), self.stream("alerts.f_dev_0"),
+                                    twins=[edge, core]))  # no alert rules
 
 
 class TestTwinTiming:

@@ -146,10 +146,11 @@ class TestRunDiscipline:
             Simulation(build(hierarchy_doc()), t_end=0)
 
     def test_duplicate_flow_id_rejected(self):
+        # Loading rejects every flow-id clash, so a duplicate here is a bug.
         sim = Simulation(build(hierarchy_doc()))
         flow = Flow(id="dup", slice_cls=SliceClass.UMMTC, src=2, dst=1, demand_bps=1)
         sim.admit_flow(flow)
-        with pytest.raises(ScenarioError):
+        with pytest.raises(AssertionError, match="duplicate flow id 'dup'"):
             sim.admit_flow(Flow(id="dup", slice_cls=SliceClass.UMMTC, src=2, dst=1, demand_bps=1))
 
     def test_seed_override_changes_report_not_structure(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinslice.engine import MS
-from twinslice.scenario import ScenarioError, scenario_from_dict
+from twinslice.scenario import ScenarioError, TwinSpec, scenario_from_dict
 from twinslice.twins import (
     AlertRule,
     MetricSample,
@@ -19,13 +19,12 @@ from twinslice.twins import (
 )
 
 
-def twin(level=TwinLevel.GLOBAL_EDGE, policy_spec=None, **kw):
-    policy = {m: parse_reducer(r) for m, r in (policy_spec or {}).items()}
-    return Twin("t", level, host=1, policy=policy, **kw)
+def twin(level=TwinLevel.GLOBAL_EDGE, policy_spec=None, children=(), **kw):
+    return Twin(TwinSpec("t", level.value, host=1, children=children, policy=policy_spec or {}, **kw))
 
 
-def msg(source, *deltas, at=0):
-    return SyncMessage(source=source, to="t", emitted_at=at, deltas=list(deltas))
+def msg(source, *deltas):
+    return SyncMessage(source=source, to="t", deltas=list(deltas))
 
 
 class TestApplySync:
@@ -55,14 +54,14 @@ class TestApplySync:
         assert t.child_cache["kid"]["hr"] == MetricSample(64.0, 1, 10)
 
     def test_ages_reported_only_for_own_state_overwrites(self):
-        t = twin()
-        t.children = ["kid"]
-        assert t.apply_sync(msg("dev", ("hr", 70.0, 1, 0)), now=0) == []  # first write
-        aged = t.apply_sync(msg("dev", ("hr", 71.0, 2, 950)), now=1000)
-        assert aged == [("hr", 1000)]  # age of the overwritten sample
-        assert t.apply_sync(msg("kid", ("hr", 60.0, 9, 0)), now=2000) == []
-        aged = t.apply_sync(msg("kid", ("hr", 61.0, 10, 0)), now=3000)
-        assert aged == []  # cache overwrites never age-report
+        t = twin(children=["kid"])
+        t.apply_sync(msg("dev", ("hr", 70.0, 1, 0)), now=0)
+        assert t.staleness_max == {}  # a first write overwrites nothing
+        t.apply_sync(msg("dev", ("hr", 71.0, 2, 950)), now=1000)
+        assert t.staleness_max == {"hr": 1000}  # age of the overwritten sample
+        t.apply_sync(msg("kid", ("hr", 60.0, 9, 0)), now=2000)
+        t.apply_sync(msg("kid", ("hr", 61.0, 10, 0)), now=3000)
+        assert t.staleness_max == {"hr": 1000}  # cache overwrites never age-report
 
     def test_staleness_arithmetic(self):
         t = twin()
@@ -72,6 +71,34 @@ class TestApplySync:
     def test_staleness_unknown_metric_raises(self):
         with pytest.raises(TwinSyncError):
             twin().staleness("nope", 0)
+
+
+class TestStaleness:
+    def test_tracks_max_per_metric(self):
+        t = twin()
+        t.apply_sync(msg("dev", ("hr", 70.0, 1, 0), ("spo2", 97.0, 1, 0)), now=0)
+        t.apply_sync(msg("dev", ("hr", 71.0, 2, 100)), now=100)
+        t.apply_sync(msg("dev", ("hr", 72.0, 3, 120)), now=140)  # a younger overwrite
+        t.apply_sync(msg("dev", ("spo2", 96.0, 2, 7)), now=7)
+        assert t.staleness_max == {"hr": 100, "spo2": 7}
+        assert twin().staleness_max == {}
+
+    def test_zero_age_recorded(self):
+        t = twin()
+        t.apply_sync(msg("dev", ("m", 1.0, 1, 50)), now=50)
+        t.sample_ages(50)
+        assert t.staleness_max == {"m": 0}
+        t.sample_ages(80)  # the end-of-run sample ages what is still stored
+        assert t.staleness_max == {"m": 30}
+
+
+class TestBuild:
+    def test_parses_reducers_and_alert_rules_from_the_spec(self):
+        t = twin(TwinLevel.INDIVIDUAL, {"hr": "max"}, entity=3, alerts=[("hr", 120.0)])
+        assert (t.level, t.host, t.entity, t.parent) == (TwinLevel.INDIVIDUAL, 1, 3, None)
+        assert t.policy["hr"][0] == "max"
+        assert t.alert_rules == [AlertRule("hr", 120.0)]
+        assert (t.push_flow, t.alert_flow) == (None, None)
 
 
 class TestReducers:
@@ -170,16 +197,14 @@ class TestAlerts:
         assert rule.evaluate(125.0)
 
     def test_hysteresis_sequence(self):
-        t = twin()
-        t.alert_rules = [AlertRule("hr", 120.0)]
+        t = twin(alerts=[("hr", 120.0)])
         for value, want in ((130.0, 1), (131.0, 0), (110.0, 0), (125.0, 1)):
             t.state["hr"] = MetricSample(value, 1, 0)
             assert len(t.check_alerts()) == want
         assert t.alerts_fired == 2
 
     def test_rule_without_data_never_fires(self):
-        t = twin()
-        t.alert_rules = [AlertRule("hr", 120.0)]
+        t = twin(alerts=[("hr", 120.0)])
         assert t.check_alerts() == []
         assert t.alerts_fired == 0
 

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from twinslice.scenario import scenario_from_dict
+from twinslice.scenario import TwinSpec, scenario_from_dict
 from twinslice.sim import run_scenario
-from twinslice.twins import Twin, TwinLevel
+from twinslice.twins import Twin
 from twinslice.workloads import (
     DEFAULT_HANDOVER_GAP,
     AmbulanceRunSpec,
@@ -33,6 +33,12 @@ def small_run(workloads, *, t_end="2s", seed=1, nodes=(), links=(), twins=(), fa
         "faults": list(faults),
     }
     return run_scenario(scenario_from_dict(data))
+
+
+def on_edge_1(*twin_ids):
+    """A stand-in simulation holding individual twins hosted on edge 1."""
+    return SimpleNamespace(twins={t: Twin(TwinSpec(t, "individual", host=1, children=[]))
+                                  for t in twin_ids})
 
 
 TWO_DEVICES = dict(
@@ -63,7 +69,7 @@ class TestSpecArithmetic:
         assert spec.handover_gap_ns == DEFAULT_HANDOVER_GAP == 10_000_000
 
     def test_fleet_demand_rounds_with_floor_of_one(self):
-        sim = SimpleNamespace(twins={"t0": Twin("t0", TwinLevel.INDIVIDUAL, host=1)})
+        sim = on_edge_1("t0")
         spec = WearableFleetSpec("f", [1], 1, period_ns=10**9, payload_bytes=120,
                                  members=[(9, "t0")])
         assert WearableFleetGen(sim, spec).flows[0].demand_bps == 960
@@ -72,15 +78,14 @@ class TestSpecArithmetic:
         assert WearableFleetGen(sim, tiny).flows[0].demand_bps == 1
 
     def test_fleet_flow_ids_are_indexed(self):
-        sim = SimpleNamespace(twins={f"t{i}": Twin(f"t{i}", TwinLevel.INDIVIDUAL, host=1)
-                                     for i in range(3)})
+        sim = on_edge_1("t0", "t1", "t2")
         spec = WearableFleetSpec("fleet", [1], 3, period_ns=10**9, payload_bytes=10,
                                  members=[(7, "t0"), (8, "t1"), (9, "t2")])
         assert [f.id for f in WearableFleetGen(sim, spec).flows] == [
             "fleet.0", "fleet.1", "fleet.2"]
 
     def test_beacon_energy_ledger(self):
-        sim = SimpleNamespace(twins={"t": Twin("t", TwinLevel.INDIVIDUAL, host=1)})
+        sim = on_edge_1("t")
         spec = ImplantBeaconSpec("b", 5, "t", period_ns=10**9, payload_bytes=40,
                                  energy_per_tx_nj=100, battery_nj=1000)
         gen = BeaconGen(sim, spec)
