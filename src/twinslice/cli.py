@@ -14,10 +14,10 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 from .metrics import fmt6, to_json_bytes
-from .scenario import ScenarioError, load_scenario, parse_duration
+from .scenario import Scenario, ScenarioError, load_scenario, parse_duration
 from .sim import RunResult, run_scenario
 
 
@@ -53,17 +53,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> "tuple[Optional[object], int]":
+def _fail(errors: list[str], tail: Optional[str] = None, out: Optional[TextIO] = None) -> int:
+    """Print each error, then an optional summary line, to out (stderr by default).
+
+    Returns exit code 2.
+    """
+    stream = sys.stderr if out is None else out
+    for err in errors:
+        print(f"error: {err}", file=stream)
+    if tail is not None:
+        print(tail, file=stream)
+    return 2
+
+
+def _load(path: str) -> Optional[Scenario]:
+    """Load a scenario, or print why it cannot be loaded and return None."""
     try:
-        return load_scenario(path), 0
+        return load_scenario(path)
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None, 2
+        _fail([f"no such file: {path}"])
     except ScenarioError as exc:
-        for err in exc.errors:
-            print(f"error: {err}", file=sys.stderr)
-        print(f"{len(exc.errors)} error(s) in {path}", file=sys.stderr)
-        return None, 2
+        _fail(exc.errors, f"{len(exc.errors)} error(s) in {path}")
+    return None
+
+
+def _run(scn: Scenario, seed: Optional[int], until: Optional[str]) -> Optional[RunResult]:
+    """One run with an optional --until horizon, or None after printing why not."""
+    try:
+        t_end = None if until is None else parse_duration(until, "--until")
+        return run_scenario(scn, seed=seed, t_end=t_end)
+    except ScenarioError as exc:
+        _fail(exc.errors)
+        return None
 
 
 def _emit(result: RunResult, formats: list[str], out: Optional[str], stem: str,
@@ -125,35 +146,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         scn = load_scenario(args.scenario)
     except FileNotFoundError:
-        print(f"error: no such file: {args.scenario}", file=sys.stderr)
-        return 2
+        return _fail([f"no such file: {args.scenario}"])
     except ScenarioError as exc:
-        for err in exc.errors:
-            print(f"error: {err}")
-        print(f"{len(exc.errors)} error(s)")
-        return 2
+        return _fail(exc.errors, f"{len(exc.errors)} error(s)", sys.stdout)
     print(f"ok: {scn.name} (digest {scn.digest[:12]})")
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scn, code = _load(args.scenario)
+    scn = _load(args.scenario)
     if scn is None:
-        return code
-    t_end = None
-    if args.until is not None:
-        try:
-            t_end = parse_duration(args.until, "--until")
-        except ScenarioError as exc:
-            for err in exc.errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 2
+        return 2
     started = time.perf_counter()
-    try:
-        result = run_scenario(scn, seed=args.seed, t_end=t_end)
-    except ScenarioError as exc:
-        for err in exc.errors:
-            print(f"error: {err}", file=sys.stderr)
+    result = _run(scn, args.seed, args.until)
+    if result is None:
         return 2
     elapsed = time.perf_counter() - started
     formats = scn.formats if args.format is None else (
@@ -167,36 +173,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scn, code = _load(args.scenario)
+    scn = _load(args.scenario)
     if scn is None:
-        return code
+        return 2
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
-        print("error: --seeds must be a comma separated list of integers", file=sys.stderr)
-        return 2
+        return _fail(["--seeds must be a comma separated list of integers"])
     if not seeds:
-        print("error: --seeds must name at least one seed", file=sys.stderr)
-        return 2
-    t_end = None
-    if args.until is not None:
-        try:
-            t_end = parse_duration(args.until, "--until")
-        except ScenarioError as exc:
-            for err in exc.errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 2
+        return _fail(["--seeds must name at least one seed"])
     stem = Path(args.scenario).stem
     out = args.out if args.out is not None else scn.out
     worst = 0
     reports = []
     for seed in seeds:
         started = time.perf_counter()
-        try:
-            result = run_scenario(scn, seed=seed, t_end=t_end)
-        except ScenarioError as exc:
-            for err in exc.errors:
-                print(f"error: {err}", file=sys.stderr)
+        result = _run(scn, seed, args.until)
+        if result is None:
             return 2
         elapsed = time.perf_counter() - started
         if out is not None:

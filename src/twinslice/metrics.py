@@ -23,6 +23,9 @@ _DECADES = 16
 EDGES: list[int] = [
     round(_LO * 10 ** (i / BINS_PER_DECADE)) for i in range(_DECADES * BINS_PER_DECADE + 1)
 ]
+# Every delay, RTT and age is at most the run horizon, so a horizon below
+# this bound (< EDGES[-1]) gives every sample a bin.
+HORIZON_LIMIT = 2**63
 
 
 class NegativeDelay(Exception):
@@ -86,9 +89,6 @@ def bin_width_at(sample: int) -> int:
     """Width of the histogram bin containing sample (underflow width = 1 us)."""
     key = bisect_right(EDGES, sample)
     return EDGES[key] - EDGES[key - 1] if key else EDGES[0]
-
-
-DROP_CAUSES = ("loss", "queue", "fault")
 
 
 @dataclass

@@ -17,11 +17,12 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import yaml
 
 from .engine import SEC
+from .metrics import HORIZON_LIMIT
 from .network import DEFAULT_QUEUE_CAP, TRANSPORT_BYTES, StackProfile
 from .slices import DEFAULT_UTILIZATION_CAP, QosContract, SliceClass, default_contracts
 from .twins import parse_reducer
@@ -36,6 +37,11 @@ from .workloads import (
     WearableFleetSpec,
     WorkloadSpec,
 )
+
+
+# Given for a horizon at or past metrics.HORIZON_LIMIT, at load and by the
+# Simulation's override check.
+HORIZON_ERROR = "run.t_end: must be below 2**63 ns"
 
 
 class ScenarioError(Exception):
@@ -54,61 +60,43 @@ _ENERGY = {"nj": 1, "uj": 1_000, "mj": 1_000_000, "j": 1_000_000_000}
 _LENGTH = {"m": 1, "km": 1_000}
 
 
-def _parse_unit(value: Any, table: dict[str, int], what: str, bare_unit: str,
-                path: str, errors: list[str]) -> Optional[int]:
-    """Parse '10ms' style quantities exactly; bare ints mean the base unit."""
-    if isinstance(value, bool):
-        errors.append(f"{path}: expected a {what}, got a boolean")
+def _unit_parser(table: dict[str, int], what: str, bare_unit: str) -> Callable[..., Optional[int]]:
+    """A parser for '10ms' style quantities, exact on one integer grid.
+
+    Bare ints mean the base unit. The parser appends its one error with its
+    path to `errors` and returns None; with no list given it raises
+    ScenarioError instead.
+    """
+    def parse(value: Any, path: str = what, errors: Optional[list[str]] = None) -> Optional[int]:
+        if isinstance(value, bool):
+            problem = f"expected a {what}, got a boolean"
+        elif isinstance(value, int):
+            return value
+        elif isinstance(value, float):
+            problem = f"bare floats are ambiguous; write a suffixed string (e.g. '1.5{bare_unit}')"
+        elif not isinstance(value, str):
+            problem = f"expected a {what}, got {type(value).__name__}"
+        elif not (m := _UNIT_RE.match(value)):
+            problem = f"cannot parse {what} {value!r}"
+        elif m.group(2).lower() not in table:
+            problem = f"unknown {what} unit {m.group(2)!r} in {value!r}"
+        else:
+            exact = Decimal(m.group(1)) * table[m.group(2).lower()]
+            if exact == exact.to_integral_value():
+                return int(exact)
+            problem = f"{value!r} does not land on an integer number of base units"
+        if errors is None:
+            raise ScenarioError([f"{path}: {problem}"])
+        errors.append(f"{path}: {problem}")
         return None
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        errors.append(f"{path}: bare floats are ambiguous; write a suffixed string (e.g. '1.5{bare_unit}')")
-        return None
-    if not isinstance(value, str):
-        errors.append(f"{path}: expected a {what}, got {type(value).__name__}")
-        return None
-    m = _UNIT_RE.match(value)
-    if not m:
-        errors.append(f"{path}: cannot parse {what} {value!r}")
-        return None
-    unit = m.group(2).lower()
-    if unit not in table:
-        errors.append(f"{path}: unknown {what} unit {m.group(2)!r} in {value!r}")
-        return None
-    exact = Decimal(m.group(1)) * table[unit]
-    if exact != exact.to_integral_value():
-        errors.append(f"{path}: {value!r} does not land on an integer number of base units")
-        return None
-    return int(exact)
+
+    return parse
 
 
-def parse_duration(value: Any, path: str = "duration", errors: Optional[list[str]] = None) -> Optional[int]:
-    errs: list[str] = [] if errors is None else errors
-    out = _parse_unit(value, _DURATION, "duration", "ms", path, errs)
-    if errors is None and errs:
-        raise ScenarioError(errs)
-    return out
-
-
-def parse_rate(value: Any, path: str = "rate", errors: Optional[list[str]] = None) -> Optional[int]:
-    errs: list[str] = [] if errors is None else errors
-    out = _parse_unit(value, _RATE, "rate", "mbps", path, errs)
-    if errors is None and errs:
-        raise ScenarioError(errs)
-    return out
-
-
-def parse_energy(value: Any, path: str = "energy", errors: Optional[list[str]] = None) -> Optional[int]:
-    errs: list[str] = [] if errors is None else errors
-    out = _parse_unit(value, _ENERGY, "energy", "uJ", path, errs)
-    if errors is None and errs:
-        raise ScenarioError(errs)
-    return out
-
-
-def parse_length_m(value: Any, path: str, errors: list[str]) -> Optional[int]:
-    return _parse_unit(value, _LENGTH, "length", "m", path, errors)
+parse_duration = _unit_parser(_DURATION, "duration", "ms")
+parse_rate = _unit_parser(_RATE, "rate", "mbps")
+parse_energy = _unit_parser(_ENERGY, "energy", "uJ")
+parse_length_m = _unit_parser(_LENGTH, "length", "m")
 
 
 # Field readers. Each returns the accepted value, or appends one error with
@@ -170,6 +158,25 @@ def _mapping(value: Any, path: str, errors: list[str]) -> dict:
         errors.append(f"{path}: must be a mapping")
         return {}
     return value
+
+
+def _items(raw: Any, path: str, errors: list[str], null_ok: bool = False, keys: tuple = (),
+           item_error: str = "must be a mapping") -> Iterator[tuple[int, str, dict]]:
+    """Each mapping of a list section as (index, path, item).
+
+    A section that is not a list (or null, unless `null_ok`) and an item that
+    is not a mapping holding `keys` each get one error with their path.
+    """
+    if raw is None and null_ok:
+        return
+    if not isinstance(raw, list):
+        errors.append(f"{path}: must be a list")
+        return
+    for i, item in enumerate(raw):
+        if isinstance(item, dict) and all(k in item for k in keys):
+            yield i, f"{path}[{i}]", item
+        else:
+            errors.append(f"{path}[{i}]: {item_error}")
 
 
 _BYTE_COUNT = "a positive integer byte count"
@@ -280,6 +287,8 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
         errors.append("run: section is required (with at least t_end)")
     else:
         t_end = _quantity(run.get("t_end"), parse_duration, "run.t_end", errors) or 0
+        if t_end >= HORIZON_LIMIT:
+            errors.append(HORIZON_ERROR)
         master_seed = _int(run.get("master_seed", 0), "run.master_seed", errors, 0,
                            "a non-negative integer") or 0
         fmt = run.get("formats", ["json", "csv"])
@@ -323,7 +332,7 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
     twins = _parse_twins(data.get("twins", []), errors)
 
     # --- workloads (fleet expansion appends nodes/links/twins) --------------
-    workloads = _parse_workloads(data.get("workloads", []), nodes, links, twins, t_end, errors)
+    workloads = _parse_workloads(data.get("workloads", []), nodes, links, twins, errors)
 
     # --- faults -------------------------------------------------------------
     faults = _parse_faults(data.get("faults", []), nodes, links, errors)
@@ -397,14 +406,7 @@ def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[st
 
 def _parse_nodes(raw: Any, errors: list[str]) -> list[NodeSpec]:
     nodes: list[NodeSpec] = []
-    if not isinstance(raw, list):
-        errors.append("nodes: must be a list")
-        return nodes
-    for i, item in enumerate(raw):
-        path = f"nodes[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: must be a mapping")
-            continue
+    for _, path, item in _items(raw, "nodes", errors):
         nid = _int(item.get("id"), f"{path}.id", errors)
         if nid is None:
             continue
@@ -416,6 +418,8 @@ def _parse_nodes(raw: Any, errors: list[str]) -> list[NodeSpec]:
         if mobile and kind != "device":
             errors.append(f"{path}: only devices can be mobile")
         nodes.append(NodeSpec(nid, kind, mobile))
+    if not isinstance(raw, list):
+        return nodes  # the section error says it all
     ids = [n.id for n in nodes]
     if ids != list(range(len(ids))):
         errors.append("nodes: ids must be unique and dense from 0, in order")
@@ -427,15 +431,8 @@ def _parse_nodes(raw: Any, errors: list[str]) -> list[NodeSpec]:
 
 def _parse_links(raw: Any, nodes: list[NodeSpec], errors: list[str]) -> list[LinkSpec]:
     links: list[LinkSpec] = []
-    if not isinstance(raw, list):
-        errors.append("links: must be a list")
-        return links
     node_kind = {n.id: n.kind for n in nodes}
-    for i, item in enumerate(raw):
-        path = f"links[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: must be a mapping")
-            continue
+    for _, path, item in _items(raw, "links", errors):
         lid = _int(item.get("id"), f"{path}.id", errors)
         if lid is None:
             continue
@@ -473,17 +470,9 @@ def _parse_links(raw: Any, nodes: list[NodeSpec], errors: list[str]) -> list[Lin
 
 def _parse_vitals(raw: Any, path: str, errors: list[str]) -> list[VitalSpec]:
     out: list[VitalSpec] = []
-    if raw is None:
-        return out
-    if not isinstance(raw, list):
-        errors.append(f"{path}: must be a list")
-        return out
     seen: set[str] = set()
-    for i, item in enumerate(raw):
-        p = f"{path}[{i}]"
-        if not isinstance(item, dict) or "name" not in item:
-            errors.append(f"{p}: must be a mapping with name/mean/sd")
-            continue
+    for _, p, item in _items(raw, path, errors, null_ok=True, keys=("name",),
+                             item_error="must be a mapping with name/mean/sd"):
         nm = str(item["name"])
         if nm in seen:
             errors.append(f"{p}: duplicate vitals channel {nm!r}")
@@ -500,16 +489,8 @@ def _parse_vitals(raw: Any, path: str, errors: list[str]) -> list[VitalSpec]:
 
 def _parse_alerts(raw: Any, path: str, errors: list[str]) -> list[tuple[str, float]]:
     out: list[tuple[str, float]] = []
-    if raw is None:
-        return out
-    if not isinstance(raw, list):
-        errors.append(f"{path}: must be a list")
-        return out
-    for i, item in enumerate(raw):
-        p = f"{path}[{i}]"
-        if not isinstance(item, dict) or "metric" not in item or "threshold" not in item:
-            errors.append(f"{p}: must be a mapping with metric and threshold")
-            continue
+    for _, p, item in _items(raw, path, errors, null_ok=True, keys=("metric", "threshold"),
+                             item_error="must be a mapping with metric and threshold"):
         thr = item["threshold"]
         if not _is_num(thr):
             errors.append(f"{p}.threshold: must be numeric")
@@ -520,15 +501,8 @@ def _parse_alerts(raw: Any, path: str, errors: list[str]) -> list[tuple[str, flo
 
 def _parse_twins(raw: Any, errors: list[str]) -> list[TwinSpec]:
     twins: list[TwinSpec] = []
-    if not isinstance(raw, list):
-        errors.append("twins: must be a list")
-        return twins
     seen: set[str] = set()
-    for i, item in enumerate(raw):
-        path = f"twins[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: must be a mapping")
-            continue
+    for _, path, item in _items(raw, "twins", errors):
         tid = item.get("id")
         if not isinstance(tid, str) or not tid:
             errors.append(f"{path}.id: must be a non-empty string")
@@ -588,23 +562,13 @@ def _parse_workloads(
     nodes: list[NodeSpec],
     links: list[LinkSpec],
     twins: list[TwinSpec],
-    t_end: int,
     errors: list[str],
 ) -> list[WorkloadSpec]:
     out: list[WorkloadSpec] = []
-    if raw is None:
-        return out
-    if not isinstance(raw, list):
-        errors.append("workloads: must be a list")
-        return out
     twin_by_id = {t.id: t for t in twins}
     node_by_id = {n.id: n for n in nodes}
     seen_ids: set[str] = set()
-    for i, item in enumerate(raw):
-        path = f"workloads[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: must be a mapping")
-            continue
+    for i, path, item in _items(raw, "workloads", errors, null_ok=True):
         kind = item.get("kind")
         if kind not in _WORKLOAD_KINDS:
             errors.append(f"{path}.kind: must be one of {_WORKLOAD_KINDS}")
@@ -745,7 +709,6 @@ def _parse_fleet(item: dict, wid: str, start: int, duration: Optional[int],
         id=wid, edges=edges, n_devices=n, period_ns=period, payload_bytes=payload,
         stagger=bool(item.get("stagger", True)), poisson=bool(item.get("poisson", False)),
         twin_prefix=prefix, vitals=vitals, alerts=alerts,
-        link_rate_bps=link_rate, link_prop_ns=link_prop, link_queue_cap=link_cap,
         start=start, duration=duration,
     )
     # Expansion: one device node, one access link, and one individual twin per
@@ -790,18 +753,9 @@ def _parse_beacon(item: dict, wid: str, start: int, duration: Optional[int],
 def _parse_faults(raw: Any, nodes: list[NodeSpec], links: list[LinkSpec],
                   errors: list[str]) -> list[FaultSpec]:
     out: list[FaultSpec] = []
-    if raw is None:
-        return out
-    if not isinstance(raw, list):
-        errors.append("faults: must be a list")
-        return out
     node_ids = {n.id for n in nodes}
     link_ids = {l.id for l in links}
-    for i, item in enumerate(raw):
-        path = f"faults[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: must be a mapping")
-            continue
+    for _, path, item in _items(raw, "faults", errors, null_ok=True):
         target = item.get("target", "")
         m = re.match(r"^(link|node):(\d+)$", str(target))
         if not m:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .engine import Engine, EventKind, RngStream, SEC, fork_rng
-from .metrics import TrafficStats, fmt6, to_csv_bytes, to_json_bytes
+from .metrics import HORIZON_LIMIT, TrafficStats, fmt6, to_csv_bytes, to_json_bytes
 from .network import (
     Frame,
     NetworkService,
@@ -24,7 +24,7 @@ from .network import (
     setup_latency_for,
     unloaded_path_delay,
 )
-from .scenario import Scenario, ScenarioError, TwinSpec
+from .scenario import HORIZON_ERROR, Scenario, ScenarioError, TwinSpec
 from .slices import (
     SLICE_ORDER,
     AdmissionDecision,
@@ -59,6 +59,8 @@ class Simulation:
         self.t_end = scenario.t_end if t_end is None else t_end
         if self.t_end <= 0:
             raise ScenarioError(["run.t_end: must be positive"])
+        if self.t_end >= HORIZON_LIMIT:
+            raise ScenarioError([HORIZON_ERROR])
 
         self.engine = Engine()
         self._streams: dict[str, RngStream] = {}
@@ -321,7 +323,7 @@ class Simulation:
 
     def _make_push_flow(self, twin: Twin) -> Flow:
         est_payload = SYNC_HEADER_BYTES + DELTA_BYTES * max(1, len(twin.policy))
-        demand = max(1, round(est_payload * 8 * SEC / twin.sync_period)) if twin.sync_period else 1
+        demand = max(1, round(est_payload * 8 * SEC / twin.sync_period))
         flow = Flow(
             id=f"twinsync.{twin.id}", slice_cls=SliceClass.UMMTC,
             src=twin.host, dst=self.core_host, demand_bps=demand,

@@ -202,7 +202,10 @@ def check_sla(stats: "TrafficStats", contract: QosContract, slice_cls: SliceClas
     """Compare measured slice stats against the contract.
 
     Returns "met", "no-data" (nothing sent), or "violated(dim,...)" with the
-    failing dimensions in a fixed order: delay, loss, rate, energy.
+    failing dimensions in a fixed order: delay, loss, rate, energy. Loss is
+    measured over settled frames (delivered or dropped): a frame still in
+    flight at the horizon is neither, and with nothing settled the loss
+    dimension is not judged.
     """
     if stats.sent == 0:
         return "no-data"
@@ -210,9 +213,9 @@ def check_sla(stats: "TrafficStats", contract: QosContract, slice_cls: SliceClas
     if contract.max_e2e_delay_ns is not None and stats.delivered > 0:
         if stats.hist.percentile(0.99) > contract.max_e2e_delay_ns:
             failed.append("delay")
-    if contract.max_loss is not None:
-        loss = 1.0 - stats.delivered / stats.sent
-        if loss > contract.max_loss:
+    settled = stats.sent - stats.in_flight
+    if contract.max_loss is not None and settled > 0:
+        if 1.0 - stats.delivered / settled > contract.max_loss:
             failed.append("loss")
     if slice_cls in STREAMING_SLICES and contract.min_rate_bps > 0:
         if throughput_bps < contract.min_rate_bps:

@@ -108,9 +108,6 @@ class WearableFleetSpec:
     twin_prefix: str = "wearable"
     vitals: list[VitalSpec] = field(default_factory=list)
     alerts: list[tuple[str, float]] = field(default_factory=list)
-    link_rate_bps: int = 100_000_000
-    link_prop_ns: int = 2_000
-    link_queue_cap: int = 1024
     start: int = 0
     duration: Optional[int] = None
     preadmit: bool = False

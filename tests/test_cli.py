@@ -137,6 +137,12 @@ UNBUILDABLE = {
         "workloads.x.ack: flow id 'x.ack' clashes with a flow of workloads.x"),
     "derived_ids_clash": (with_surgery("twinsync", with_twins(id="ack")),
                           "twins.ack: flow id 'twinsync.ack' clashes with a flow of workloads.twinsync"),
+    # A delay past the histogram's last edge (1e19 ns) once crashed `run`.
+    "horizon_past_the_histogram": (
+        dict(with_workload(kind="telemedicine_stream", id="v", src=2, dst=0, bitrate="1mbps",
+                           frame_size=1000, duration="10ms", preadmit=True),
+             run={"t_end": "20000000000s"}, stack={"setup_latency": "10000000000s"}),
+        "run.t_end: must be below 2**63 ns"),
 }
 
 

@@ -386,10 +386,55 @@ class TestTwinTiming:
         assert twins["ward"].aggregation_period == twins["hub"].aggregation_period == 100 * MS
 
 
+def twin_doc(**twin):
+    """base_doc plus one individual twin on the device; `twin` edits its fields."""
+    spec = {"id": "pt", "level": "individual", "host": 1, "entity": 2}
+    spec.update(twin)
+    return base_doc(twins=[spec])
+
+
+CORE_ONLY = [{"id": 0, "kind": "core"}]
+# Each list section given a value that is not a list, and a list holding an
+# item that is not a well-formed mapping. nodes, links and twins reject null;
+# the others read it as empty.
+LIST_SECTIONS = {
+    "nodes-null": (base_doc(nodes=None, links=[]), ["nodes: must be a list"]),
+    "nodes-item": (base_doc(nodes=CORE_ONLY + [7], links=[]), ["nodes[1]: must be a mapping"]),
+    "links-null": (base_doc(nodes=CORE_ONLY, links=None), ["links: must be a list"]),
+    "links-item": (base_doc(links=base_doc()["links"] + ["x"]), ["links[2]: must be a mapping"]),
+    "twins-null": (base_doc(twins=None), ["twins: must be a list"]),
+    "twins-item": (base_doc(twins=twin_doc()["twins"] + [3]), ["twins[1]: must be a mapping"]),
+    "workloads-str": (base_doc(workloads="x"), ["workloads: must be a list"]),
+    "workloads-null": (base_doc(workloads=None), []),
+    "workloads-item": (base_doc(workloads=[5]), ["workloads[0]: must be a mapping"]),
+    "faults-str": (base_doc(faults="x"), ["faults: must be a list"]),
+    "faults-null": (base_doc(faults=None), []),
+    "faults-item": (base_doc(faults=[[]]), ["faults[0]: must be a mapping"]),
+    "metrics-str": (twin_doc(metrics="x"), ["twins[0].metrics: must be a list"]),
+    "metrics-null": (twin_doc(metrics=None), []),
+    "metrics-item": (twin_doc(metrics=[{"mean": 1}]),
+                     ["twins[0].metrics[0]: must be a mapping with name/mean/sd"]),
+    "alerts-str": (twin_doc(alerts="x"), ["twins[0].alerts: must be a list"]),
+    "alerts-null": (twin_doc(alerts=None), []),
+    "alerts-item": (twin_doc(alerts=[{"metric": "hr"}]),
+                    ["twins[0].alerts[0]: must be a mapping with metric and threshold"]),
+}
+
+
 class TestSections:
     def test_admission_and_contracts_must_be_mappings(self):
         assert errors_of(base_doc(admission=[1])) == ["admission: must be a mapping"]
         assert errors_of(base_doc(contracts=[1])) == ["contracts: must be a mapping"]
+
+    @pytest.mark.parametrize("case", sorted(LIST_SECTIONS))
+    def test_list_sections_report_exactly_their_own_errors(self, case):
+        doc, expected = LIST_SECTIONS[case]
+        try:
+            scenario_from_dict(doc)
+            errors = []
+        except ScenarioError as exc:
+            errors = exc.errors
+        assert errors == expected
 
 
 class TestLoadScenario:

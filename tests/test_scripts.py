@@ -1,0 +1,37 @@
+"""The scripts under scripts/ still run against the package, at small sizes."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import twinslice
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(twinslice.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("name, args, header", [
+    ("queueing_validation.py", ["--frames", 2000, "--rho", 0.5],
+     "mu = 100000 frames/s, 2000 frames per point, seed 2026"),
+    ("fairness_demo.py", ["--pops", 900], " class weight        bytes    share   target"),
+], ids=["queueing_validation", "fairness_demo"])
+def test_script_runs(name, args, header):
+    done = run_script(name, *args)
+    assert done.returncode == 0, done.stderr
+    assert header in done.stdout.splitlines()
+
+
+def test_run_all_summarizes_each_scenario(scenario_dir, tmp_path):
+    shutil.copy(scenario_dir / "surgery.scn", tmp_path)
+    done = run_script("run_all.py", "--expect-violations", "--dir", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("surgery.scn: ok exit=0 events=38001 ")

@@ -1,9 +1,11 @@
 """Simulation orchestration: wiring, admission outcomes, alert escalation."""
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinslice.engine import SEC
 from twinslice.scenario import ScenarioError, scenario_from_dict
 from twinslice.sim import Simulation, run_scenario
 from twinslice.slices import Flow, SliceClass
@@ -144,6 +146,22 @@ class TestRunDiscipline:
     def test_horizon_override_must_be_positive(self):
         with pytest.raises(ScenarioError):
             Simulation(build(hierarchy_doc()), t_end=0)
+
+    def test_horizon_override_must_be_below_2_pow_63(self):
+        # Past 2**63 ns a delay could overrun the histogram's last edge.
+        with pytest.raises(ScenarioError) as info:
+            Simulation(build(hierarchy_doc()), t_end=2**63)
+        assert info.value.errors == ["run.t_end: must be below 2**63 ns"]
+        assert Simulation(build(hierarchy_doc()), t_end=2**63 - 1).t_end == 2**63 - 1
+
+    def test_frames_in_flight_at_the_horizon_are_not_lost(self, scenario_dir):
+        # Cut at 5 s, one command of 1,001 is still on the wire; under the
+        # default ERLLC loss bound (1e-5) it must not read as a loss.
+        doc = yaml.safe_load((scenario_dir / "surgery.scn").read_text())
+        del doc["contracts"]
+        row = run_scenario(build(doc), t_end=5 * SEC).report["slices"]["ERLLC"]
+        assert (row["sent"], row["delivered"], row["in_flight"]) == (1001, 1000, 1)
+        assert row["verdict"] == "met"
 
     def test_duplicate_flow_id_rejected(self):
         # Loading rejects every flow-id clash, so a duplicate here is a bug.

@@ -102,9 +102,11 @@ class TestAdmission:
         assert d.reason == "capacity"
 
 
-def stats(sent, delivered, delays=(), energy=0):
+def stats(sent, delivered, delays=(), energy=0, in_flight=0):
+    """Slice stats in which every frame neither delivered nor in flight was lost."""
     t = TrafficStats()
     t.sent, t.delivered, t.energy_nj = sent, delivered, energy
+    t.dropped_loss = sent - delivered - in_flight
     for d in delays:
         t.hist.add(d)
     return t
@@ -129,6 +131,18 @@ class TestSlaVerdicts:
         c = default_contracts()[SliceClass.ERLLC]
         s = stats(1000, 999, [100_000] * 999)
         assert check_sla(s, c, SliceClass.ERLLC, 0.0) == "violated(loss)"
+
+    def test_frames_in_flight_are_not_lost(self):
+        # 3 of 4 settled frames delivered is loss 0.25; the fifth frame is
+        # still on the wire at the horizon and counts for neither side.
+        c = QosContract(max_loss=0.25)
+        assert check_sla(stats(5, 3, [1000] * 3, in_flight=1), c, SliceClass.UMMTC, 0.0) == "met"
+        assert check_sla(stats(5, 4, [1000] * 4, in_flight=1), QosContract(max_loss=0),
+                         SliceClass.UMMTC, 0.0) == "met"
+
+    def test_loss_is_not_judged_with_nothing_settled(self):
+        c = QosContract(max_loss=0)
+        assert check_sla(stats(3, 0, in_flight=3), c, SliceClass.UMMTC, 0.0) == "met"
 
     def test_loss_bound_is_strict(self):
         c = QosContract(max_loss=0.25)
