@@ -10,11 +10,11 @@ and the demo reports how quickly it left the queue (it must be next).
 import argparse
 
 from twinslice.network import Frame
-from twinslice.slices import WDRR_ORDER, WDRR_WEIGHTS, LinkQueue, SliceClass
+from twinslice.slices import WDRR_ORDER, WDRR_WEIGHTS, Flow, LinkQueue, SliceClass
 
 
 def mkframe(cls: SliceClass, tag: str, size: int) -> Frame:
-    return Frame(tag, cls, 0, 1, size, size, 0)
+    return Frame(Flow(tag, cls, 0, 1, 0), size, size, 0)
 
 
 def main() -> int:
@@ -34,11 +34,12 @@ def main() -> int:
         if i == urgent_at:
             q.push(mkframe(SliceClass.ERLLC, "urgent", args.frame_bytes))
         frame = q.pop()
-        if frame.slice_cls is SliceClass.ERLLC:
+        cls = frame.flow.slice_cls
+        if cls is SliceClass.ERLLC:
             print(f"urgent frame pushed before pop {urgent_at}, dequeued at pop {i}")
             continue
-        shares[frame.slice_cls] += frame.total_bytes
-        q.push(mkframe(frame.slice_cls, f"refill{i}", args.frame_bytes))
+        shares[cls] += frame.total_bytes
+        q.push(mkframe(cls, f"refill{i}", args.frame_bytes))
 
     total = sum(shares.values())
     weight_total = sum(WDRR_WEIGHTS.values())

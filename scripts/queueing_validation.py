@@ -12,7 +12,7 @@ import time
 
 from twinslice.engine import Engine, EventKind, fork_rng
 from twinslice.network import Frame, Link, NetworkService, Node, NodeKind, Topology
-from twinslice.slices import SliceClass
+from twinslice.slices import Flow, SliceClass
 
 RATE_BPS = 10**9
 MEAN_FRAME_BYTES = 1250  # 10us mean service at 1 Gb/s, so mu = 100k frames/s
@@ -40,10 +40,11 @@ def simulate(rho: float, frames: int, seed: int) -> dict:
     net = NetworkService(eng, topo, fork_rng(seed, "loss"), deliver, drop)
     sizes = fork_rng(seed, "service")
     gaps = fork_rng(seed, "arrivals")
+    probe = Flow("probe", SliceClass.UMMTC, 2, 1, 0)
 
     def arrival(payload, now):
         b = sizes.exponential_ticks(MEAN_FRAME_BYTES)
-        net.inject(Frame("probe", SliceClass.UMMTC, 2, 1, b, b, now), now)
+        net.inject(Frame(probe, b, b, now), now)
         tally["emitted"] += 1
         if tally["emitted"] < frames:
             eng.schedule(now + gaps.exponential_ticks(gap_ns), EventKind.TRAFFIC_ARRIVAL, None)

@@ -66,14 +66,20 @@ def _fail(errors: list[str], tail: Optional[str] = None, out: Optional[TextIO] =
     return 2
 
 
-def _load(path: str) -> Optional[Scenario]:
-    """Load a scenario, or print why it cannot be loaded and return None."""
+def _load(path: str, listing: bool = False) -> Optional[Scenario]:
+    """Load a scenario, or print why it cannot be loaded and return None.
+
+    With `listing` (validate), scenario errors are the command's output, on stdout.
+    """
     try:
         return load_scenario(path)
     except FileNotFoundError:
         _fail([f"no such file: {path}"])
+    except OSError as exc:
+        _fail([f"cannot read {path}: {exc.strerror or exc}"])
     except ScenarioError as exc:
-        _fail(exc.errors, f"{len(exc.errors)} error(s) in {path}")
+        where = "" if listing else f" in {path}"
+        _fail(exc.errors, f"{len(exc.errors)} error(s){where}", sys.stdout if listing else None)
     return None
 
 
@@ -143,12 +149,9 @@ def _sweep_summary(scn, seeds: list[int], reports: list[dict]) -> dict:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-    except FileNotFoundError:
-        return _fail([f"no such file: {args.scenario}"])
-    except ScenarioError as exc:
-        return _fail(exc.errors, f"{len(exc.errors)} error(s)", sys.stdout)
+    scn = _load(args.scenario, listing=True)
+    if scn is None:
+        return 2
     print(f"ok: {scn.name} (digest {scn.digest[:12]})")
     return 0
 

@@ -88,7 +88,8 @@ class Engine:
         return n
 
 
-_U64 = (1 << 64) - 1
+# fork_rng takes master seeds in [0, SEED_LIMIT): one 64-bit seed word.
+SEED_LIMIT = 2**64
 
 
 class RngStream:
@@ -134,5 +135,5 @@ def fork_rng(master_seed: int, label: str) -> RngStream:
     """
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    ss = np.random.SeedSequence([master_seed & _U64, *words])
+    ss = np.random.SeedSequence([master_seed, *words])
     return RngStream(label, np.random.Generator(np.random.Philox(ss)))

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from .engine import Engine, EventKind, RngStream, SEC
-from .slices import LinkQueue, SliceClass
+from .slices import Flow, LinkQueue
 
 
 class Unreachable(Exception):
@@ -107,12 +107,9 @@ class StackProfile:
 
 @dataclass(slots=True)
 class Frame:
-    """One on-wire frame plus its remaining route."""
+    """One on-wire frame of a flow, plus its remaining route."""
 
-    flow_id: str
-    slice_cls: SliceClass
-    src: int
-    dst: int
+    flow: Flow
     payload_bytes: int
     total_bytes: int
     created_at: int
@@ -274,7 +271,7 @@ class NetworkService:
     def inject(self, frame: Frame, now: int) -> None:
         """Route a frame from its source and start it across the first hop."""
         try:
-            hops = self.topology.route(frame.src, frame.dst)
+            hops = self.topology.route(frame.flow.src, frame.flow.dst)
         except Unreachable:
             self.on_drop(frame, "fault", now)
             return
@@ -338,7 +335,7 @@ class NetworkService:
         if not self.topology._usable(nxt.link, nxt.src, nxt.dst):
             # Planned hop became unusable: reroute from the current node.
             try:
-                rest = self.topology.route(here, frame.dst)
+                rest = self.topology.route(here, frame.flow.dst)
             except Unreachable:
                 self.on_drop(frame, "fault", now)
                 return

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Optional
 
 import yaml
 
-from .engine import SEC
+from .engine import SEC, SEED_LIMIT
 from .metrics import HORIZON_LIMIT
 from .network import DEFAULT_QUEUE_CAP, TRANSPORT_BYTES, StackProfile
 from .slices import DEFAULT_UTILIZATION_CAP, QosContract, SliceClass, default_contracts
@@ -39,9 +39,10 @@ from .workloads import (
 )
 
 
-# Given for a horizon at or past metrics.HORIZON_LIMIT, at load and by the
-# Simulation's override check.
+# Given at load and by the Simulation's override check, for a horizon at or past
+# metrics.HORIZON_LIMIT and for a master seed outside [0, engine.SEED_LIMIT).
 HORIZON_ERROR = "run.t_end: must be below 2**63 ns"
+SEED_ERROR = "run.master_seed: must be an integer in [0, 2**64)"
 
 
 class ScenarioError(Exception):
@@ -289,8 +290,9 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
         t_end = _quantity(run.get("t_end"), parse_duration, "run.t_end", errors) or 0
         if t_end >= HORIZON_LIMIT:
             errors.append(HORIZON_ERROR)
-        master_seed = _int(run.get("master_seed", 0), "run.master_seed", errors, 0,
-                           "a non-negative integer") or 0
+        master_seed = run.get("master_seed", 0)
+        if not (_is_int(master_seed) and 0 <= master_seed < SEED_LIMIT):
+            errors.append(SEED_ERROR)
         fmt = run.get("formats", ["json", "csv"])
         if fmt == "both":
             fmt = ["json", "csv"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .engine import Engine, EventKind, RngStream, SEC, fork_rng
+from .engine import SEED_LIMIT, Engine, EventKind, RngStream, SEC, fork_rng
 from .metrics import HORIZON_LIMIT, TrafficStats, fmt6, to_csv_bytes, to_json_bytes
 from .network import (
     Frame,
@@ -24,7 +24,7 @@ from .network import (
     setup_latency_for,
     unloaded_path_delay,
 )
-from .scenario import HORIZON_ERROR, Scenario, ScenarioError, TwinSpec
+from .scenario import HORIZON_ERROR, SEED_ERROR, Scenario, ScenarioError, TwinSpec
 from .slices import (
     SLICE_ORDER,
     AdmissionDecision,
@@ -56,6 +56,8 @@ class Simulation:
                  t_end: Optional[int] = None) -> None:
         self.scenario = scenario
         self.master_seed = scenario.master_seed if seed is None else seed
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ScenarioError([SEED_ERROR])
         self.t_end = scenario.t_end if t_end is None else t_end
         if self.t_end <= 0:
             raise ScenarioError(["run.t_end: must be positive"])
@@ -86,7 +88,6 @@ class Simulation:
         self.core_host = core.id
 
         self.flows: dict[str, Flow] = {}
-        self.flow_stats: dict[str, TrafficStats] = {}
         self.slice_stats: dict[SliceClass, TrafficStats] = {cls: TrafficStats() for cls in SLICE_ORDER}
         self.admitted_demand: dict[int, int] = {}
         self.admission_decisions: list[AdmissionDecision] = []
@@ -128,7 +129,8 @@ class Simulation:
         # Loading rejects every clash among workload and derived flow ids.
         assert flow.id not in self.flows, f"duplicate flow id {flow.id!r}"
         self.flows[flow.id] = flow
-        self.flow_stats[flow.id] = TrafficStats()
+        flow.stats = TrafficStats()
+        flow.slice_stats = self.slice_stats[flow.slice_cls]
         try:
             hops = self.topology.route(flow.src, flow.dst)
         except Unreachable:
@@ -147,28 +149,21 @@ class Simulation:
         return decision
 
     def make_frame(self, flow: Flow, payload_bytes: int, now: int) -> Frame:
-        return Frame(
-            flow_id=flow.id, slice_cls=flow.slice_cls, src=flow.src, dst=flow.dst,
-            payload_bytes=payload_bytes,
-            total_bytes=self.stack.serialize_overhead(payload_bytes),
-            created_at=now,
-        )
+        return Frame(flow, payload_bytes, self.stack.serialize_overhead(payload_bytes), now)
 
-    def send(self, flow: Flow, frame: Frame, now: int,
+    def send(self, frame: Frame, now: int,
              inject: Optional[Callable[[Frame, int], None]] = None, energy_nj: int = 0) -> None:
-        """Account for an emission and inject after the flow's setup latency.
+        """Charge an emission to its flow's two ledgers; inject after setup latency.
 
         Session establishment is charged to every frame as a fixed delay
         before injection, so end to end delay always includes it. A mobile
         source passes its own `inject`, which parks frames while detached.
         """
+        flow = frame.flow
         assert flow.admitted, f"flow {flow.id} emitted without admission"
-        fstats = self.flow_stats[flow.id]
-        sstats = self.slice_stats[flow.slice_cls]
-        fstats.sent += 1
-        sstats.sent += 1
-        fstats.energy_nj += energy_nj
-        sstats.energy_nj += energy_nj
+        for stats in (flow.stats, flow.slice_stats):
+            stats.sent += 1
+            stats.energy_nj += energy_nj
         if inject is None:
             inject = self._net_inject
         if flow.setup_latency_ns > 0:
@@ -217,7 +212,7 @@ class Simulation:
                     frame = self.make_frame(flow, payload_bytes, now)
                     msg = SyncMessage(twin.id, twin.parent, deltas)
                     frame.content = (self.deliver_sync, msg)
-                    self.send(flow, frame, now)
+                    self.send(frame, now)
         self.engine.schedule(now + twin.sync_period, EventKind.SYNC_DUE, (self._push_due, twin))
 
     def _on_flush(self, _payload, now: int) -> None:
@@ -227,16 +222,13 @@ class Simulation:
     # --- delivery and drops ---------------------------------------------------
 
     def _on_deliver(self, frame: Frame, now: int) -> None:
+        flow = frame.flow
         delay = now - frame.created_at
-        fstats = self.flow_stats[frame.flow_id]
-        sstats = self.slice_stats[frame.slice_cls]
-        fstats.delivered += 1
-        sstats.delivered += 1
-        fstats.hist.add(delay)
-        sstats.hist.add(delay)
         bits = frame.payload_bytes * 8
-        fstats.payload_bits += bits
-        sstats.payload_bits += bits
+        for stats in (flow.stats, flow.slice_stats):
+            stats.delivered += 1
+            stats.hist.add(delay)
+            stats.payload_bits += bits
         if frame.content is not None:
             _call(frame.content, now)
 
@@ -246,8 +238,8 @@ class Simulation:
         self._escalate(twin, twin.check_alerts(), now)
 
     def _on_drop(self, frame: Frame, cause: str, now: int) -> None:
-        self.flow_stats[frame.flow_id].record_drop(cause)
-        self.slice_stats[frame.slice_cls].record_drop(cause)
+        for stats in (frame.flow.stats, frame.flow.slice_stats):
+            stats.record_drop(cause)
 
     def _escalate(self, twin: Twin, fired: list[AlertRule], now: int) -> None:
         """Propagate fired alerts one level up the hierarchy.
@@ -272,7 +264,7 @@ class Simulation:
         if flow.admitted:
             frame = self.make_frame(flow, ALERT_PAYLOAD_BYTES, now)
             frame.content = (self.deliver_sync, msg)
-            self.send(flow, frame, now)
+            self.send(frame, now)
 
     def _open_alert_flow(self, twin: Twin, parent: Twin) -> Flow:
         flow = twin.alert_flow = Flow(

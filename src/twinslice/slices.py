@@ -73,6 +73,9 @@ class Flow:
     preadmitted: bool = False  # operator-pinned: bypasses admission checks
     setup_latency_ns: int = 0
     frame_payload: int = 0  # nominal payload bytes, used for the admission delay check
+    # Its ledgers, set at admission: its own, and a reference to its slice's.
+    stats: Optional[TrafficStats] = None
+    slice_stats: Optional[TrafficStats] = None
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,11 @@ class LinkQueue:
         """Enqueue drop-tail; returns False when the queue is full."""
         if self.occupancy >= self.capacity:
             return False
-        if frame.slice_cls is SliceClass.ERLLC:
+        cls = frame.flow.slice_cls
+        if cls is SliceClass.ERLLC:
             self._prio.append(frame)
         else:
-            self._queues[frame.slice_cls].append(frame)
+            self._queues[cls].append(frame)
         self.occupancy += 1
         return True
 

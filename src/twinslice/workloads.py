@@ -203,7 +203,7 @@ class StreamGen(Source):
 
     def emit(self, k: int, now: int) -> None:
         frame = self.sim.make_frame(self.flow, self.spec.frame_bytes, now)
-        self.sim.send(self.flow, frame, now)
+        self.sim.send(frame, now)
         self.emitted += 1
         self._again(k + 1, (k + 1) * self.period)
 
@@ -233,14 +233,14 @@ class SurgeryGen(Source):
     def emit(self, k: int, now: int) -> None:
         frame = self.sim.make_frame(self.flow, self.spec.cmd_bytes, now)
         frame.content = (self._cmd_delivered, now)
-        self.sim.send(self.flow, frame, now)
+        self.sim.send(frame, now)
         self.emitted += 1
         self._again(k + 1, (k + 1) * self.period)
 
     def on_cmd_delivered(self, cmd_created: int, now: int) -> None:
         ack = self.sim.make_frame(self.ack_flow, self.spec.cmd_bytes, now)
         ack.content = (self._ack_delivered, cmd_created)
-        self.sim.send(self.ack_flow, ack, now)
+        self.sim.send(ack, now)
 
     def on_ack_delivered(self, cmd_created: int, now: int) -> None:
         rtt = now - cmd_created
@@ -310,7 +310,7 @@ class AmbulanceGen(Source):
     def sync_emit(self, k: int, now: int) -> None:
         frame = self._sync_frame(self.flow, self.twin, self.versions, now)
         self.emitted += 1
-        self.sim.send(self.flow, frame, now, inject=self._inject)
+        self.sim.send(frame, now, inject=self._inject)
         self._again(k + 1, (k + 1) * self.tele_period)
 
     def inject(self, frame: Frame, now: int) -> None:
@@ -389,7 +389,7 @@ class WearableFleetGen(Source):
         flow = self.flows[i]
         frame = self._sync_frame(flow, self.sim.twins[self.spec.members[i][1]], self.versions[i], now)
         self.emitted += 1
-        self.sim.send(flow, frame, now)
+        self.sim.send(frame, now)
         if self.spec.poisson:
             gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
         else:
@@ -428,7 +428,7 @@ class BeaconGen(Source):
             return
         self.transmissions += 1
         frame = self._sync_frame(self.flow, self.twin, self.versions, now)
-        self.sim.send(self.flow, frame, now, energy_nj=self.spec.energy_per_tx_nj)
+        self.sim.send(frame, now, energy_nj=self.spec.energy_per_tx_nj)
         self._again(k + 1, (k + 1) * self.spec.period_ns)
 
     @property

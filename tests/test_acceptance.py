@@ -23,7 +23,7 @@ from twinslice.network import (
     Topology,
     unloaded_path_delay,
 )
-from twinslice.slices import LinkQueue, SliceClass
+from twinslice.slices import Flow, LinkQueue, SliceClass
 from twinslice.twins import TwinLevel
 
 WARD = "ward.scn"
@@ -94,10 +94,10 @@ def test_ac02_unloaded_delay_is_exact(timed_run):
     expected = flow.setup_latency_ns + unloaded_path_delay(hops, wire_bytes)
     assert expected == 400_640  # 4 x (160ns tx + 20us prop) + 320us setup
 
-    cmd = sim.flow_stats["surgery"].hist
+    cmd = sim.flows["surgery"].stats.hist
     assert cmd.count == 2000
     assert cmd.min_value == cmd.max_value == expected
-    ack = sim.flow_stats["surgery.ack"].hist
+    ack = sim.flows["surgery.ack"].stats.hist
     assert ack.count == 2000
     assert ack.min_value == ack.max_value == expected
 
@@ -135,10 +135,11 @@ def test_ac03_mm1_queueing_oracle():
     net = NetworkService(eng, topo, fork_rng(2026, "loss"), deliver, drop)
     sizes = fork_rng(2026, "service")
     gaps = fork_rng(2026, "arrivals")
+    mm1 = Flow("mm1", SliceClass.UMMTC, 2, 1, 0)
 
     def arrival(payload, now):
         b = sizes.exponential_ticks(1250)
-        net.inject(Frame("mm1", SliceClass.UMMTC, 2, 1, b, b, now), now)
+        net.inject(Frame(mm1, b, b, now), now)
         tally["emitted"] += 1
         if tally["emitted"] < n:
             eng.schedule(now + gaps.exponential_ticks(12500), EventKind.TRAFFIC_ARRIVAL, None)
@@ -261,7 +262,7 @@ def test_ac08_weighted_scheduler_fairness():
     q = LinkQueue(1024)
 
     def mkframe(cls, tag):
-        return Frame(tag, cls, 0, 1, 256, 256, 0)
+        return Frame(Flow(tag, cls, 0, 1, 0), 256, 256, 0)
 
     for i in range(12):
         q.push(mkframe(SliceClass.FEMBB, f"f{i}"))
@@ -277,8 +278,8 @@ def test_ac08_weighted_scheduler_fairness():
             continue
         f = q.pop()
         assert f is not None
-        popped_bytes[f.slice_cls] += f.total_bytes
-        q.push(mkframe(f.slice_cls, f"refill{i}"))  # keep the class backlogged
+        popped_bytes[f.flow.slice_cls] += f.total_bytes
+        q.push(mkframe(f.flow.slice_cls, f"refill{i}"))  # keep the class backlogged
 
     ratio = popped_bytes[SliceClass.FEMBB] / popped_bytes[SliceClass.ELPC]
     assert abs(ratio - 8.0) <= 0.8

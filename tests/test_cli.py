@@ -83,6 +83,26 @@ class TestValidate:
         assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_path_is_one_error_line(command, tmp_path, capsys):
+    # A directory once ended in an IsADirectoryError traceback.
+    assert main([command, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cannot read {tmp_path}: Is a directory"]
+
+
+@pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["run", "--seed", str(2**64)],
+                                  ["sweep", "--seeds", "-1"]], ids=["negative", "past_64_bits", "sweep"])
+def test_seed_outside_64_bits_exits_two(argv, clean_scn, capsys):
+    # A seed of -1 once ran, masked to the streams of 2**64 - 1.
+    command, *override = argv
+    assert main([command, str(clean_scn), *override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: run.master_seed: must be an integer in [0, 2**64)"]
+
+
 def with_twins(**ward):
     """CLEAN plus an edge and a core twin; edge fields set to None are left out."""
     doc = yaml.safe_load(CLEAN)

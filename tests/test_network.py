@@ -19,7 +19,7 @@ from twinslice.network import (
     unloaded_path_delay,
 )
 from twinslice.scenario import ScenarioError, scenario_from_dict
-from twinslice.slices import SliceClass
+from twinslice.slices import Flow, SliceClass
 
 
 def mknodes(*kinds):
@@ -39,7 +39,7 @@ def star():
 
 
 def frame(src, dst, payload=100, total=None, flow="f", cls=SliceClass.UMMTC, created=0):
-    return Frame(flow_id=flow, slice_cls=cls, src=src, dst=dst,
+    return Frame(flow=Flow(id=flow, slice_cls=cls, src=src, dst=dst, demand_bps=0),
                  payload_bytes=payload, total_bytes=total or payload, created_at=created)
 
 

@@ -148,6 +148,14 @@ class TestRunSection:
         errs = errors_of(base_doc(run={"t_end": "1s", "out": ""}))
         assert any("run.out" in e for e in errs)
 
+    def test_master_seed_is_one_64_bit_word(self):
+        # fork_rng once masked the seed, so 2**64 drew the streams of seed 0.
+        top = 2**64 - 1
+        assert scenario_from_dict(base_doc(run={"t_end": "1s", "master_seed": top})).master_seed == top
+        for seed in (2**64, -1, 1.5, True):
+            errs = errors_of(base_doc(run={"t_end": "1s", "master_seed": seed}))
+            assert errs == ["run.master_seed: must be an integer in [0, 2**64)"], seed
+
     def test_utilization_cap_override_and_bounds(self):
         doc = base_doc(admission={"utilization_cap": 0.5})
         assert scenario_from_dict(doc).utilization_cap == 0.5

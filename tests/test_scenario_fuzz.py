@@ -103,7 +103,16 @@ class TestGeneratedScenarios:
             settled = row["delivered"] + row["dropped_loss"] + row["dropped_queue"] + row["dropped_fault"]
             assert row["sent"] == settled + row["in_flight"], name
             assert row["in_flight"] >= 0, name
-        per_flow = result.sim.flow_stats
+        flows = result.sim.flows.values()
+        per_flow = {flow.id: flow.stats for flow in flows}
+        # Each slice's ledger is the sum of the ledgers of its flows.
+        for cls, stats in result.sim.slice_stats.items():
+            own = [flow.stats for flow in flows if flow.slice_cls is cls]
+            for name in ("sent", "delivered", "dropped_loss", "dropped_queue", "dropped_fault",
+                         "payload_bits", "energy_nj"):
+                assert getattr(stats, name) == sum(getattr(s, name) for s in own), (cls, name)
+            assert stats.hist.count == sum(s.hist.count for s in own), cls
+            assert stats.hist.total == sum(s.hist.total for s in own), cls
         assert all(stats.in_flight >= 0 for stats in per_flow.values())
         wl = result.report["workloads"]
         assert wl["cam"]["frames_emitted"] == per_flow["cam"].sent

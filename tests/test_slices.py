@@ -20,7 +20,7 @@ from twinslice.slices import (
 
 
 def fr(cls, size=QUANTUM_UNIT, flow="f"):
-    return Frame(flow_id=flow, slice_cls=cls, src=0, dst=1,
+    return Frame(flow=Flow(id=flow, slice_cls=cls, src=0, dst=1, demand_bps=0),
                  payload_bytes=size, total_bytes=size, created_at=0)
 
 
@@ -219,7 +219,7 @@ class TestLinkQueue:
         counts = {cls: 0 for cls in WDRR_WEIGHTS}
         rotation = sum(WDRR_WEIGHTS.values())  # 15 pops per round
         for _ in range(rotation * 6):
-            counts[q.pop().slice_cls] += 1
+            counts[q.pop().flow.slice_cls] += 1
         assert counts == {cls: w * 6 for cls, w in WDRR_WEIGHTS.items()}
 
     def test_backlogged_pair_splits_eight_to_one(self):
@@ -227,7 +227,7 @@ class TestLinkQueue:
         for _ in range(400):
             q.push(fr(SliceClass.FEMBB))
             q.push(fr(SliceClass.ELPC))
-        got = [q.pop().slice_cls for _ in range(90)]
+        got = [q.pop().flow.slice_cls for _ in range(90)]
         assert got.count(SliceClass.FEMBB) == 80
         assert got.count(SliceClass.ELPC) == 10
 
@@ -240,7 +240,7 @@ class TestLinkQueue:
         q.push(big)
         pops = [q.pop() for _ in range(17)]
         assert pops[16] is big
-        assert all(f.slice_cls is SliceClass.FEMBB for f in pops[:16])
+        assert all(f.flow.slice_cls is SliceClass.FEMBB for f in pops[:16])
 
     def test_deficit_resets_when_class_empties(self):
         # Leftover credit from a short frame must not carry to a later burst.
