@@ -33,7 +33,7 @@ from .slices import (
     check_sla,
     default_contracts,
 )
-from .twins import AlertRule, MetricSample, SyncMessage, Twin, TwinLevel, TwinSyncError, parse_reducer
+from .twins import AlertRule, MetricSample, Twin, TwinLevel, TwinSyncError, parse_reducer
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "default_contracts",
     "AlertRule",
     "MetricSample",
-    "SyncMessage",
     "Twin",
     "TwinLevel",
     "TwinSyncError",

@@ -16,8 +16,9 @@ import time
 from pathlib import Path
 from typing import Optional, TextIO
 
+from .engine import SEED_LIMIT
 from .metrics import fmt6, to_json_bytes
-from .scenario import Scenario, ScenarioError, load_scenario, parse_duration
+from .scenario import SEED_ERROR, Scenario, ScenarioError, load_scenario, parse_duration
 from .sim import RunResult, run_scenario
 
 
@@ -83,14 +84,9 @@ def _load(path: str, listing: bool = False) -> Optional[Scenario]:
     return None
 
 
-def _run(scn: Scenario, seed: Optional[int], until: Optional[str]) -> Optional[RunResult]:
-    """One run with an optional --until horizon, or None after printing why not."""
-    try:
-        t_end = None if until is None else parse_duration(until, "--until")
-        return run_scenario(scn, seed=seed, t_end=t_end)
-    except ScenarioError as exc:
-        _fail(exc.errors)
-        return None
+def _horizon(until: Optional[str]) -> Optional[int]:
+    """The --until override in ns; raises ScenarioError when it does not parse."""
+    return None if until is None else parse_duration(until, "--until")
 
 
 def _emit(result: RunResult, formats: list[str], out: Optional[str], stem: str,
@@ -161,9 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if scn is None:
         return 2
     started = time.perf_counter()
-    result = _run(scn, args.seed, args.until)
-    if result is None:
-        return 2
+    result = run_scenario(scn, seed=args.seed, t_end=_horizon(args.until))
     elapsed = time.perf_counter() - started
     formats = scn.formats if args.format is None else (
         ["json", "csv"] if args.format == "both" else [args.format]
@@ -185,15 +179,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(["--seeds must be a comma separated list of integers"])
     if not seeds:
         return _fail(["--seeds must name at least one seed"])
+    # Every seed and the horizon are checked before the first run prints.
+    if not all(0 <= seed < SEED_LIMIT for seed in seeds):
+        return _fail([SEED_ERROR])
+    t_end = _horizon(args.until)
     stem = Path(args.scenario).stem
     out = args.out if args.out is not None else scn.out
     worst = 0
     reports = []
     for seed in seeds:
         started = time.perf_counter()
-        result = _run(scn, seed, args.until)
-        if result is None:
-            return 2
+        result = run_scenario(scn, seed=seed, t_end=t_end)
         elapsed = time.perf_counter() - started
         if out is not None:
             _emit(result, scn.formats, out, stem, suffix=f".seed{seed}")
@@ -219,9 +215,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_sweep(args)
+    try:
+        return cmd_run(args) if args.command == "run" else cmd_sweep(args)
+    except ScenarioError as exc:  # a bad --seed or --until override
+        return _fail(exc.errors)
 
 
 if __name__ == "__main__":

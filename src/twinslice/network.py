@@ -50,12 +50,16 @@ class Link:
     loss_prob: float = 0.0
     queue_cap: int = DEFAULT_QUEUE_CAP
     up: bool = True
+    failures: int = 0  # times it went down: a frame in flight compares it on arrival
 
 
 class Channel:
-    """One direction of a link: queue, transmitter state, and endpoints."""
+    """One direction of a link: queue, transmitter state, and endpoints.
 
-    __slots__ = ("link", "src", "dst", "queue", "busy")
+    `cut` marks a `busy` frame whose link or sending node failed mid-service.
+    """
+
+    __slots__ = ("link", "src", "dst", "queue", "busy", "cut")
 
     def __init__(self, link: Link, src: int, dst: int) -> None:
         self.link = link
@@ -63,6 +67,7 @@ class Channel:
         self.dst = dst
         self.queue = LinkQueue(link.queue_cap)
         self.busy: Optional[Frame] = None
+        self.cut = False
 
 
 TRANSPORT_BYTES = {"quic": 27, "udp": 8}
@@ -302,22 +307,23 @@ class NetworkService:
         frame = chan.busy
         chan.busy = None
         link = chan.link
-        if frame is not None:
-            if not (link.up and self.topology.nodes[chan.src].up):
-                # The link or the transmitting node failed mid-serialization.
-                self.on_drop(frame, "fault", now)
-            elif link.loss_prob > 0.0 and self.loss_rng.bernoulli(link.loss_prob):
-                self.on_drop(frame, "loss", now)
-            else:
-                self.engine.schedule(now + link.prop_delay_ns, EventKind.FRAME_ARRIVAL, (chan, frame))
+        if chan.cut:
+            # The link or the transmitting node failed mid-serialization.
+            chan.cut = False
+            self.on_drop(frame, "fault", now)
+        elif link.loss_prob > 0.0 and self.loss_rng.bernoulli(link.loss_prob):
+            self.on_drop(frame, "loss", now)
+        else:
+            self.engine.schedule(now + link.prop_delay_ns, EventKind.FRAME_ARRIVAL,
+                                 (chan, frame, link.failures))
         if link.up:
             nxt = chan.queue.pop()
             if nxt is not None:
                 self._begin(chan, nxt, now)
 
-    def _on_arrival(self, pair: tuple[Channel, Frame], now: int) -> None:
-        chan, frame = pair
-        if not chan.link.up:
+    def _on_arrival(self, flight: tuple[Channel, Frame, int], now: int) -> None:
+        chan, frame, failures = flight
+        if chan.link.failures != failures:
             # The carrying link failed while the frame was in flight.
             self.on_drop(frame, "fault", now)
             return
@@ -348,12 +354,15 @@ class NetworkService:
 
     def fail_link(self, link: Link, now: int) -> int:
         """Take a link down; queued frames drop, the in-service and in-flight
-        frames drop at their departure/arrival instants. Returns drop count."""
+        frames drop at their departure/arrival instants, even if the link
+        recovers first. Returns drop count."""
         link.up = False
+        link.failures += 1
         self.topology.bump_epoch()
         dropped = 0
         for src in (link.a, link.b):
             chan = self.topology.channel(link.id, src)
+            chan.cut = chan.busy is not None
             for frame in chan.queue.drain():
                 self.on_drop(frame, "fault", now)
                 dropped += 1
@@ -362,22 +371,17 @@ class NetworkService:
     def recover_link(self, link: Link, now: int) -> None:
         link.up = True
         self.topology.bump_epoch()
-        # Restart service in case frames were enqueued while the transmitter
-        # was idle-and-down (possible when only an endpoint node was down).
-        for src in (link.a, link.b):
-            chan = self.topology.channel(link.id, src)
-            if chan.busy is None:
-                nxt = chan.queue.pop()
-                if nxt is not None:
-                    self._begin(chan, nxt, now)
 
     def fail_node(self, node: Node, now: int) -> None:
         """Take a node down; frames queued on its outgoing channels drop, and
-        the frame it is serializing drops at its departure instant."""
+        each frame it is serializing drops at its departure instant, even if
+        the node recovers first."""
         node.up = False
         self.topology.bump_epoch()
         for _peer, link in self.topology._adj[node.id]:
-            for frame in self.topology.channel(link.id, node.id).queue.drain():
+            chan = self.topology.channel(link.id, node.id)
+            chan.cut = chan.busy is not None
+            for frame in chan.queue.drain():
                 self.on_drop(frame, "fault", now)
 
     def recover_node(self, node: Node, now: int) -> None:

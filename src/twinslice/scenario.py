@@ -570,6 +570,7 @@ def _parse_workloads(
     twin_by_id = {t.id: t for t in twins}
     node_by_id = {n.id: n for n in nodes}
     seen_ids: set[str] = set()
+    fed: set[str] = set()  # twins that already have their one source
     for i, path, item in _items(raw, "workloads", errors, null_ok=True):
         kind = item.get("kind")
         if kind not in _WORKLOAD_KINDS:
@@ -608,15 +609,17 @@ def _parse_workloads(
                 spec = SurgeryLoopSpec(wid, src, dst, rate, size, budget, start, duration)
 
         elif kind == "ambulance_run":
-            spec = _parse_ambulance(item, wid, start, duration, node_by_id, twin_by_id, path, errors)
+            spec = _parse_ambulance(item, wid, start, duration, node_by_id, twin_by_id, fed, path,
+                                    errors)
 
         elif kind == "wearable_fleet":
             spec = _parse_fleet(item, wid, start, duration, nodes, links, twins, node_by_id, path, errors)
             if spec is not None:
                 twin_by_id = {t.id: t for t in twins}
+                fed.update(twin_id for _device, twin_id in spec.members)
 
         elif kind == "implant_beacon":
-            spec = _parse_beacon(item, wid, start, duration, node_by_id, twin_by_id, path, errors)
+            spec = _parse_beacon(item, wid, start, duration, node_by_id, twin_by_id, fed, path, errors)
 
         if spec is not None and spec.period_ns < 1:
             # A zero-tick period would reschedule at one instant forever.
@@ -628,8 +631,10 @@ def _parse_workloads(
     return out
 
 
-def _check_device_twin(item: dict, node_by_id: dict, twin_by_id: dict, path: str,
+def _check_device_twin(item: dict, node_by_id: dict, twin_by_id: dict, fed: set[str], path: str,
                        errors: list[str], want_mobile: bool) -> Optional[tuple[int, str]]:
+    """The (device, twin) a telemetry workload feeds. A twin has one source, its entity:
+    two sources would each number their samples from 1 and clash."""
     device = _node_id(item.get("device"), node_by_id, f"{path}.device", errors)
     twin_id = item.get("twin")
     ok = device is not None
@@ -650,15 +655,23 @@ def _check_device_twin(item: dict, node_by_id: dict, twin_by_id: dict, path: str
         elif not twin.vitals:
             errors.append(f"{path}.twin: {twin_id!r} declares no metrics; telemetry would be empty")
             ok = False
+        elif twin_id in fed:
+            errors.append(f"{path}.twin: {twin_id!r} is already fed by another workload")
+            ok = False
+        elif ok and twin.entity != device:
+            errors.append(f"{path}.device: twin {twin_id!r} is bound to entity {twin.entity}, "
+                          f"not node {device}")
+            ok = False
+        fed.add(twin_id)
     if not ok:
         return None
     return device, twin_id
 
 
 def _parse_ambulance(item: dict, wid: str, start: int, duration: Optional[int],
-                     node_by_id: dict, twin_by_id: dict, path: str,
+                     node_by_id: dict, twin_by_id: dict, fed: set[str], path: str,
                      errors: list[str]) -> Optional[AmbulanceRunSpec]:
-    bound = _check_device_twin(item, node_by_id, twin_by_id, path, errors, want_mobile=True)
+    bound = _check_device_twin(item, node_by_id, twin_by_id, fed, path, errors, want_mobile=True)
     seq = _edge_list(item.get("edge_sequence"), node_by_id, f"{path}.edge_sequence", errors)
     speed = item.get("speed_kmh")
     if not _is_num(speed) or speed <= 0:
@@ -732,9 +745,9 @@ def _parse_fleet(item: dict, wid: str, start: int, duration: Optional[int],
 
 
 def _parse_beacon(item: dict, wid: str, start: int, duration: Optional[int],
-                  node_by_id: dict, twin_by_id: dict, path: str,
+                  node_by_id: dict, twin_by_id: dict, fed: set[str], path: str,
                   errors: list[str]) -> Optional[ImplantBeaconSpec]:
-    bound = _check_device_twin(item, node_by_id, twin_by_id, path, errors, want_mobile=False)
+    bound = _check_device_twin(item, node_by_id, twin_by_id, fed, path, errors, want_mobile=False)
     period = parse_duration(item.get("period"), f"{path}.period", errors)
     energy = parse_energy(item.get("energy_per_tx"), f"{path}.energy_per_tx", errors)
     battery = parse_energy(item.get("battery"), f"{path}.battery", errors)

@@ -33,7 +33,7 @@ from .slices import (
     admit,
     check_sla,
 )
-from .twins import AlertRule, SyncMessage, Twin, TwinLevel
+from .twins import AlertRule, Delta, Twin, TwinLevel
 from .workloads import GENERATORS, Source
 
 ALERT_PAYLOAD_BYTES = 64
@@ -80,6 +80,7 @@ class Simulation:
         # scheduling one allocates nothing but its (callee, arg) pair.
         self._net_inject = self.net.inject
         self.deliver_sync = self._deliver_sync
+        self.deliver_push = self._deliver_push
         self._push_due = self._twin_push
         self.stack = scenario.stack
         self.contracts = scenario.contracts
@@ -120,7 +121,7 @@ class Simulation:
         twins = {spec.id: Twin(spec) for spec in specs}
         for twin in twins.values():
             for child_id in twin.children:
-                twins[child_id].parent = twin.id
+                twins[child_id].parent = twin
         return twins
 
     # --- flow and frame services (used by generators) ------------------------
@@ -148,19 +149,17 @@ class Simulation:
         self.admission_decisions.append(decision)
         return decision
 
-    def make_frame(self, flow: Flow, payload_bytes: int, now: int) -> Frame:
-        return Frame(flow, payload_bytes, self.stack.serialize_overhead(payload_bytes), now)
-
-    def send(self, frame: Frame, now: int,
+    def send(self, flow: Flow, payload_bytes: int, now: int, content: Optional[tuple] = None,
              inject: Optional[Callable[[Frame, int], None]] = None, energy_nj: int = 0) -> None:
-        """Charge an emission to its flow's two ledgers; inject after setup latency.
+        """Emit a frame on `flow` that fires `content` on delivery; inject after setup latency.
 
         Session establishment is charged to every frame as a fixed delay
         before injection, so end to end delay always includes it. A mobile
         source passes its own `inject`, which parks frames while detached.
         """
-        flow = frame.flow
         assert flow.admitted, f"flow {flow.id} emitted without admission"
+        frame = Frame(flow, payload_bytes, self.stack.serialize_overhead(payload_bytes), now,
+                      content=content)
         for stats in (flow.stats, flow.slice_stats):
             stats.sent += 1
             stats.energy_nj += energy_nj
@@ -172,14 +171,11 @@ class Simulation:
         else:
             inject(frame, now)
 
-    def sample_vitals(self, twin: Twin, versions: dict[str, int], now: int) -> SyncMessage:
+    def sample_vitals(self, twin: Twin, version: int, now: int) -> tuple:
+        """Delivery content for `twin`'s vitals; `version` is its one source's emission count."""
         rng = self.stream(f"vitals:{twin.id}")
-        deltas = []
-        for spec in twin.vitals:
-            versions[spec.name] = versions.get(spec.name, 0) + 1
-            value = rng.normal(spec.mean, spec.sd)
-            deltas.append((spec.name, value, versions[spec.name], now))
-        return SyncMessage(source=twin.id, to=twin.id, deltas=deltas)
+        deltas = [(spec.name, rng.normal(spec.mean, spec.sd), version, now) for spec in twin.vitals]
+        return (self.deliver_sync, (twin, deltas))
 
     # --- event handlers ------------------------------------------------------
 
@@ -208,11 +204,8 @@ class Simulation:
                 flow = twin.push_flow
                 assert flow is not None and twin.parent is not None
                 if flow.admitted:
-                    payload_bytes = SYNC_HEADER_BYTES + DELTA_BYTES * len(deltas)
-                    frame = self.make_frame(flow, payload_bytes, now)
-                    msg = SyncMessage(twin.id, twin.parent, deltas)
-                    frame.content = (self.deliver_sync, msg)
-                    self.send(frame, now)
+                    self.send(flow, SYNC_HEADER_BYTES + DELTA_BYTES * len(deltas), now,
+                              (self.deliver_push, (twin, deltas)))
         self.engine.schedule(now + twin.sync_period, EventKind.SYNC_DUE, (self._push_due, twin))
 
     def _on_flush(self, _payload, now: int) -> None:
@@ -232,10 +225,16 @@ class Simulation:
         if frame.content is not None:
             _call(frame.content, now)
 
-    def _deliver_sync(self, msg: SyncMessage, now: int) -> None:
-        twin = self.twins[msg.to]
-        twin.apply_sync(msg, now)
+    def _deliver_sync(self, landed: tuple[Twin, list[Delta]], now: int) -> None:
+        """Vitals or a child's alerts reach a twin's own state; check its rules."""
+        twin, deltas = landed
+        twin.apply_sync(deltas, now)
         self._escalate(twin, twin.check_alerts(), now)
+
+    def _deliver_push(self, pushed: tuple[Twin, list[Delta]], now: int) -> None:
+        """A child's summary lands in its parent's child cache, which no alert rule reads."""
+        child, deltas = pushed
+        child.parent.apply_sync(deltas, now, child.id)
 
     def _on_drop(self, frame: Frame, cause: str, now: int) -> None:
         for stats in (frame.flow.stats, frame.flow.slice_stats):
@@ -251,7 +250,6 @@ class Simulation:
         """
         if not fired or twin.parent is None:
             return
-        parent = self.twins[twin.parent]
         deltas = []
         for rule in fired:
             sample = twin.state.get(rule.metric)
@@ -259,12 +257,9 @@ class Simulation:
             observed = sample.observed_at if sample is not None else now
             version = twin.alert_versions[rule.metric] = twin.alert_versions.get(rule.metric, 0) + 1
             deltas.append((f"alert:{twin.id}:{rule.metric}", value, version, observed))
-        msg = SyncMessage(source=f"alertfeed:{twin.id}", to=parent.id, deltas=deltas)
-        flow = twin.alert_flow or self._open_alert_flow(twin, parent)
+        flow = twin.alert_flow or self._open_alert_flow(twin, twin.parent)
         if flow.admitted:
-            frame = self.make_frame(flow, ALERT_PAYLOAD_BYTES, now)
-            frame.content = (self.deliver_sync, msg)
-            self.send(frame, now)
+            self.send(flow, ALERT_PAYLOAD_BYTES, now, (self.deliver_sync, (twin.parent, deltas)))
 
     def _open_alert_flow(self, twin: Twin, parent: Twin) -> Flow:
         flow = twin.alert_flow = Flow(

@@ -41,13 +41,6 @@ class MetricSample:
 Delta = tuple[str, float, int, int]
 
 
-@dataclass
-class SyncMessage:
-    source: str
-    to: str  # the twin that applies it
-    deltas: list[Delta]
-
-
 Reducer = Callable[[list[float]], float]
 
 
@@ -109,7 +102,7 @@ class Twin:
         self.policy: dict[str, tuple[str, Reducer]] = {
             m: parse_reducer(r) for m, r in sorted(spec.policy.items())}
         self.alert_rules = [AlertRule(metric, threshold) for metric, threshold in spec.alerts]
-        self.parent: Optional[str] = None
+        self.parent: Optional[Twin] = None
         self.state: dict[str, MetricSample] = {}
         self.child_cache: dict[str, dict[str, MetricSample]] = {}
         self.last_pushed: dict[str, int] = {}
@@ -123,17 +116,17 @@ class Twin:
         self.push_flow: Optional[Flow] = None  # global edge twins: deltas to the core
         self.alert_flow: Optional[Flow] = None  # opened by the first escalation
 
-    def apply_sync(self, msg: SyncMessage, now: int) -> None:
+    def apply_sync(self, deltas: list[Delta], now: int, child: Optional[str] = None) -> None:
         """Apply newer-versioned deltas; stale ones are ignored.
 
-        A message from a registered child lands in that child's cached
-        summary; anything else (the bound physical entity, alert feeds)
-        lands in the twin's own state, and the age of each own-state value
-        it overwrites is noted in staleness_max.
+        Deltas pushed by `child` land in its entry of child_cache.
+        Without a child (the bound entity's vitals, a child's alerts) the
+        deltas land in the twin's own state, and the age of each own-state
+        value they overwrite is noted in staleness_max.
         """
-        own = msg.source not in self.children
-        target = self.state if own else self.child_cache.setdefault(msg.source, {})
-        for metric, value, version, observed_at in msg.deltas:
+        own = child is None
+        target = self.state if own else self.child_cache.setdefault(child, {})
+        for metric, value, version, observed_at in deltas:
             cur = target.get(metric)
             if cur is not None:
                 if version <= cur.version:

@@ -2,9 +2,9 @@
 
 Each generator is a Source: it owns its flows, schedules its own emission
 events, and keeps per-workload statistics (RTTs, handovers, energy).
-Telemetry-style workloads (wearables, implants, ambulance) emit twin sync
-messages as their frames, so twin freshness is carried by the same packets
-the slice contracts meter.
+Telemetry-style workloads (wearables, implants, ambulance) carry vitals
+samples to their twins in their frames, so twin freshness is carried by the
+same packets the slice contracts meter.
 """
 
 from __future__ import annotations
@@ -181,13 +181,6 @@ class Source:
         if offset < self._duration():
             self.sim.engine.schedule(self.spec.start + offset, self.kind, (self._fire, arg))
 
-    def _sync_frame(self, flow: Flow, twin: Any, versions: dict[str, int], now: int) -> Frame:
-        """A frame carrying fresh vitals to `twin`."""
-        msg = self.sim.sample_vitals(twin, versions, now)
-        frame = self.sim.make_frame(flow, self.spec.payload_bytes, now)
-        frame.content = (self.sim.deliver_sync, msg)
-        return frame
-
 
 class StreamGen(Source):
     """Constant-bitrate frame source (FeMBB)."""
@@ -202,8 +195,7 @@ class StreamGen(Source):
         self.emitted = 0
 
     def emit(self, k: int, now: int) -> None:
-        frame = self.sim.make_frame(self.flow, self.spec.frame_bytes, now)
-        self.sim.send(frame, now)
+        self.sim.send(self.flow, self.spec.frame_bytes, now)
         self.emitted += 1
         self._again(k + 1, (k + 1) * self.period)
 
@@ -231,16 +223,12 @@ class SurgeryGen(Source):
         self.emitted = 0
 
     def emit(self, k: int, now: int) -> None:
-        frame = self.sim.make_frame(self.flow, self.spec.cmd_bytes, now)
-        frame.content = (self._cmd_delivered, now)
-        self.sim.send(frame, now)
+        self.sim.send(self.flow, self.spec.cmd_bytes, now, (self._cmd_delivered, now))
         self.emitted += 1
         self._again(k + 1, (k + 1) * self.period)
 
     def on_cmd_delivered(self, cmd_created: int, now: int) -> None:
-        ack = self.sim.make_frame(self.ack_flow, self.spec.cmd_bytes, now)
-        ack.content = (self._ack_delivered, cmd_created)
-        self.sim.send(ack, now)
+        self.sim.send(self.ack_flow, self.spec.cmd_bytes, now, (self._ack_delivered, cmd_created))
 
     def on_ack_delivered(self, cmd_created: int, now: int) -> None:
         rtt = now - cmd_created
@@ -284,7 +272,6 @@ class AmbulanceGen(Source):
         self._handover = self.on_handover
         self._inject = self.inject
         self.buffer: list[Frame] = []
-        self.versions: dict[str, int] = {}
         self.handovers = 0
         self.deferred = 0
         self.buffered_total = 0
@@ -308,9 +295,9 @@ class AmbulanceGen(Source):
         return self.spec.cell_time_ns * len(self.spec.edge_sequence)
 
     def sync_emit(self, k: int, now: int) -> None:
-        frame = self._sync_frame(self.flow, self.twin, self.versions, now)
+        vitals = self.sim.sample_vitals(self.twin, k + 1, now)
         self.emitted += 1
-        self.sim.send(frame, now, inject=self._inject)
+        self.sim.send(self.flow, self.spec.payload_bytes, now, vitals, inject=self._inject)
         self._again(k + 1, (k + 1) * self.tele_period)
 
     def inject(self, frame: Frame, now: int) -> None:
@@ -368,7 +355,6 @@ class WearableFleetGen(Source):
 
     def __init__(self, sim: Any, spec: WearableFleetSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
-        self.versions: list[dict[str, int]] = [{} for _ in spec.members]
         self.emitted = 0
         demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
         for i, (device, twin_id) in enumerate(spec.members):
@@ -387,9 +373,10 @@ class WearableFleetGen(Source):
 
     def sync_emit(self, i: int, now: int) -> None:
         flow = self.flows[i]
-        frame = self._sync_frame(flow, self.sim.twins[self.spec.members[i][1]], self.versions[i], now)
+        twin = self.sim.twins[self.spec.members[i][1]]
+        vitals = self.sim.sample_vitals(twin, flow.stats.sent + 1, now)
         self.emitted += 1
-        self.sim.send(frame, now)
+        self.sim.send(flow, self.spec.payload_bytes, now, vitals)
         if self.spec.poisson:
             gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
         else:
@@ -417,7 +404,6 @@ class BeaconGen(Source):
         demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
         self.flow = self._flow(spec.id, SliceClass.ELPC, spec.device, self.twin.host, demand,
                                spec.payload_bytes)
-        self.versions: dict[str, int] = {}
         self.transmissions = 0
         self.halted = False
 
@@ -427,8 +413,9 @@ class BeaconGen(Source):
             self.halted = True
             return
         self.transmissions += 1
-        frame = self._sync_frame(self.flow, self.twin, self.versions, now)
-        self.sim.send(frame, now, energy_nj=self.spec.energy_per_tx_nj)
+        vitals = self.sim.sample_vitals(self.twin, k + 1, now)
+        self.sim.send(self.flow, self.spec.payload_bytes, now, vitals,
+                      energy_nj=self.spec.energy_per_tx_nj)
         self._again(k + 1, (k + 1) * self.spec.period_ns)
 
     @property

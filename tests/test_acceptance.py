@@ -9,20 +9,13 @@ whose derivations live next to the assertion.
 """
 
 import hashlib
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
-from twinslice.engine import Engine, EventKind, fork_rng
-from twinslice.network import (
-    Frame,
-    Link,
-    NetworkService,
-    Node,
-    NodeKind,
-    Topology,
-    unloaded_path_delay,
-)
+from twinslice.network import Frame, unloaded_path_delay
 from twinslice.slices import Flow, LinkQueue, SliceClass
 from twinslice.twins import TwinLevel
 
@@ -34,6 +27,14 @@ SINGLE = "ambulance_single.scn"
 WEARABLES = "wearables.scn"
 
 CONSERVED = ("delivered", "dropped_loss", "dropped_queue", "dropped_fault")
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_conserved(report, context):
@@ -112,41 +113,12 @@ def test_ac03_mm1_queueing_oracle():
     lambda = 80k frames/s (mean gap 12.5us), service mean 1250 bytes at
     1 Gb/s = 10us, so rho = 0.8 and the analytic mean sojourn is
     1 / (mu - lambda) = 50us. One million frames keep the sample mean
-    within the 5% band despite queue autocorrelation.
+    within the 5% band despite queue autocorrelation. The harness is the
+    one scripts/queueing_validation.py sweeps with, so it exists once.
     """
-    t0 = time.perf_counter()
-    nodes = [Node(0, NodeKind.CORE), Node(1, NodeKind.EDGE), Node(2, NodeKind.DEVICE)]
-    links = [
-        Link(0, 1, 0, 10**9, 1000),
-        Link(1, 2, 1, 10**9, 0, queue_cap=2_000_000),
-    ]
-    topo = Topology(nodes, links)
-    eng = Engine()
     n = 1_000_000
-    tally = {"delivered": 0, "sojourn": 0, "dropped": 0, "emitted": 0}
-
-    def deliver(f, now):
-        tally["delivered"] += 1
-        tally["sojourn"] += now - f.created_at
-
-    def drop(f, cause, now):
-        tally["dropped"] += 1
-
-    net = NetworkService(eng, topo, fork_rng(2026, "loss"), deliver, drop)
-    sizes = fork_rng(2026, "service")
-    gaps = fork_rng(2026, "arrivals")
-    mm1 = Flow("mm1", SliceClass.UMMTC, 2, 1, 0)
-
-    def arrival(payload, now):
-        b = sizes.exponential_ticks(1250)
-        net.inject(Frame(mm1, b, b, now), now)
-        tally["emitted"] += 1
-        if tally["emitted"] < n:
-            eng.schedule(now + gaps.exponential_ticks(12500), EventKind.TRAFFIC_ARRIVAL, None)
-
-    eng.on(EventKind.TRAFFIC_ARRIVAL, arrival)
-    eng.schedule(0, EventKind.TRAFFIC_ARRIVAL, None)
-    eng.run_until(1 << 62)
+    t0 = time.perf_counter()
+    tally = load_script("queueing_validation").simulate(0.8, n, 2026)
     wall = time.perf_counter() - t0
 
     assert tally["dropped"] == 0

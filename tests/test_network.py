@@ -327,6 +327,51 @@ class TestTransport:
         assert [(c, t) for _f, c, t in h.dropped] == [("fault", 161)] * 19 + [("fault", 8000)]
         assert h.net.topology.channel(0, 1).busy is None
 
+    def outcomes(self, h):
+        return ([at for _f, at in h.delivered], [(c, t) for _f, c, t in h.dropped])
+
+    # A 1000 B frame from device 3 to edge 1 serializes until 80 us on link 2
+    # and propagates until 90 us. Each fault below fails and recovers inside
+    # one of those windows.
+
+    def test_short_link_fault_drops_the_frame_in_service(self):
+        topo = star()
+        h = Harness(topo)
+        h.net.inject(frame(3, 1, total=1000), 0)
+        h.net.fail_link(topo.links[2], 1)
+        h.net.recover_link(topo.links[2], 2)
+        h.engine.run_until(10**9)
+        assert self.outcomes(h) == ([], [("fault", 80_000)])
+
+    def test_short_sender_fault_drops_the_frame_in_service(self):
+        topo = star()
+        h = Harness(topo)
+        h.net.inject(frame(3, 1, total=1000), 0)
+        h.net.fail_node(topo.nodes[3], 1)
+        h.net.recover_node(topo.nodes[3], 2)
+        h.engine.run_until(10**9)
+        assert self.outcomes(h) == ([], [("fault", 80_000)])
+
+    def test_short_link_fault_drops_the_frame_in_flight(self):
+        topo = star()
+        h = Harness(topo)
+        h.net.inject(frame(3, 1, total=1000), 0)
+        h.engine.run_until(85_000)
+        h.net.fail_link(topo.links[2], 85_000)
+        h.net.recover_link(topo.links[2], 86_000)
+        h.engine.run_until(10**9)
+        assert self.outcomes(h) == ([], [("fault", 90_000)])
+
+    def test_receiving_node_is_judged_at_arrival_only(self):
+        topo = star()
+        h = Harness(topo)
+        h.net.inject(frame(3, 1, total=1000), 0)
+        h.engine.run_until(85_000)
+        h.net.fail_node(topo.nodes[1], 85_000)
+        h.net.recover_node(topo.nodes[1], 86_000)
+        h.engine.run_until(10**9)
+        assert self.outcomes(h) == ([90_000], [])
+
     def diamond(self):
         # core 0 reachable from edge 3 via relay edges 1 or 2
         return Topology(mknodes("core", "edge", "edge", "edge"), [

@@ -259,6 +259,36 @@ class TestFleetExpansion:
         assert errors_of(doc) == ["workloads[0].link: must be a mapping"]
 
 
+class TestTwinSource:
+    """A telemetry workload sends from its twin's entity, and a twin has one source."""
+
+    def beacon(self, wid, twin="pt", device=2):
+        return {"kind": "implant_beacon", "id": wid, "device": device, "twin": twin,
+                "period": "10ms", "payload": 40, "energy_per_tx": "10nj", "battery": "1j"}
+
+    def doc(self, *workloads):
+        doc = twin_doc(metrics=[{"name": "hr", "mean": 70, "sd": 1}])
+        doc["nodes"].append({"id": 3, "kind": "device"})
+        doc["links"].append({"id": 2, "ends": [3, 1], "rate": "100mbps"})
+        doc["workloads"] = list(workloads)
+        return doc
+
+    def test_two_sources_on_one_twin_rejected(self):
+        # Each source numbers its samples from 1, so the twin once dropped
+        # the second source's samples as stale.
+        assert errors_of(self.doc(self.beacon("b1"), self.beacon("b2"))) == [
+            "workloads[1].twin: 'pt' is already fed by another workload"]
+
+    def test_device_must_be_the_twin_entity(self):
+        assert errors_of(self.doc(self.beacon("b", device=3))) == [
+            "workloads[0].device: twin 'pt' is bound to entity 2, not node 3"]
+
+    def test_fleet_member_twin_has_its_member_as_source(self):
+        doc = TestFleetExpansion().doc(n=2)
+        doc["workloads"].append(self.beacon("b", twin="w_0"))
+        assert errors_of(doc) == ["workloads[1].twin: 'w_0' is already fed by another workload"]
+
+
 class TestAmbulanceRun:
     def doc(self, **over):
         wl = {"kind": "ambulance_run", "id": "amb", "device": 2, "twin": "pt",

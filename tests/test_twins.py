@@ -11,7 +11,6 @@ from twinslice.scenario import ScenarioError, TwinSpec, scenario_from_dict
 from twinslice.twins import (
     AlertRule,
     MetricSample,
-    SyncMessage,
     Twin,
     TwinLevel,
     TwinSyncError,
@@ -23,49 +22,44 @@ def twin(level=TwinLevel.GLOBAL_EDGE, policy_spec=None, children=(), **kw):
     return Twin(TwinSpec("t", level.value, host=1, children=children, policy=policy_spec or {}, **kw))
 
 
-def msg(source, *deltas):
-    return SyncMessage(source=source, to="t", deltas=list(deltas))
-
-
 class TestApplySync:
     def test_newer_version_overwrites(self):
         t = twin()
-        t.apply_sync(msg("dev", ("hr", 70.0, 3, 100)), now=100)
-        t.apply_sync(msg("dev", ("hr", 75.0, 4, 200)), now=200)
+        t.apply_sync([("hr", 70.0, 3, 100)], now=100)
+        t.apply_sync([("hr", 75.0, 4, 200)], now=200)
         assert t.state["hr"] == MetricSample(75.0, 4, 200)
 
     def test_duplicate_version_ignored(self):
         t = twin()
-        t.apply_sync(msg("dev", ("hr", 70.0, 3, 100)), now=100)
-        t.apply_sync(msg("dev", ("hr", 99.0, 3, 150)), now=150)
+        t.apply_sync([("hr", 70.0, 3, 100)], now=100)
+        t.apply_sync([("hr", 99.0, 3, 150)], now=150)
         assert t.state["hr"].value == 70.0
 
     def test_stale_version_ignored_after_newer(self):
         t = twin()
-        t.apply_sync(msg("dev", ("hr", 80.0, 5, 500)), now=500)
-        t.apply_sync(msg("dev", ("hr", 70.0, 4, 400)), now=600)
+        t.apply_sync([("hr", 80.0, 5, 500)], now=500)
+        t.apply_sync([("hr", 70.0, 4, 400)], now=600)
         assert t.state["hr"] == MetricSample(80.0, 5, 500)
 
     def test_child_messages_land_in_cache_not_state(self):
         t = twin()
-        t.children = ["kid"]
-        t.apply_sync(msg("kid", ("hr", 64.0, 1, 10)), now=10)
+        t.apply_sync([("hr", 64.0, 1, 10)], now=10, child="kid")
         assert "hr" not in t.state
         assert t.child_cache["kid"]["hr"] == MetricSample(64.0, 1, 10)
 
     def test_ages_reported_only_for_own_state_overwrites(self):
         t = twin(children=["kid"])
-        t.apply_sync(msg("dev", ("hr", 70.0, 1, 0)), now=0)
+        t.apply_sync([("hr", 70.0, 1, 0)], now=0)
         assert t.staleness_max == {}  # a first write overwrites nothing
-        t.apply_sync(msg("dev", ("hr", 71.0, 2, 950)), now=1000)
+        t.apply_sync([("hr", 71.0, 2, 950)], now=1000)
         assert t.staleness_max == {"hr": 1000}  # age of the overwritten sample
-        t.apply_sync(msg("kid", ("hr", 60.0, 9, 0)), now=2000)
-        t.apply_sync(msg("kid", ("hr", 61.0, 10, 0)), now=3000)
+        t.apply_sync([("hr", 60.0, 9, 0)], now=2000, child="kid")
+        t.apply_sync([("hr", 61.0, 10, 0)], now=3000, child="kid")
         assert t.staleness_max == {"hr": 1000}  # cache overwrites never age-report
 
     def test_staleness_arithmetic(self):
         t = twin()
-        t.apply_sync(msg("dev", ("hr", 70.0, 1, 400)), now=450)
+        t.apply_sync([("hr", 70.0, 1, 400)], now=450)
         assert t.staleness("hr", 1000) == 600
 
     def test_staleness_unknown_metric_raises(self):
@@ -76,16 +70,16 @@ class TestApplySync:
 class TestStaleness:
     def test_tracks_max_per_metric(self):
         t = twin()
-        t.apply_sync(msg("dev", ("hr", 70.0, 1, 0), ("spo2", 97.0, 1, 0)), now=0)
-        t.apply_sync(msg("dev", ("hr", 71.0, 2, 100)), now=100)
-        t.apply_sync(msg("dev", ("hr", 72.0, 3, 120)), now=140)  # a younger overwrite
-        t.apply_sync(msg("dev", ("spo2", 96.0, 2, 7)), now=7)
+        t.apply_sync([("hr", 70.0, 1, 0), ("spo2", 97.0, 1, 0)], now=0)
+        t.apply_sync([("hr", 71.0, 2, 100)], now=100)
+        t.apply_sync([("hr", 72.0, 3, 120)], now=140)  # a younger overwrite
+        t.apply_sync([("spo2", 96.0, 2, 7)], now=7)
         assert t.staleness_max == {"hr": 100, "spo2": 7}
         assert twin().staleness_max == {}
 
     def test_zero_age_recorded(self):
         t = twin()
-        t.apply_sync(msg("dev", ("m", 1.0, 1, 50)), now=50)
+        t.apply_sync([("m", 1.0, 1, 50)], now=50)
         t.sample_ages(50)
         assert t.staleness_max == {"m": 0}
         t.sample_ages(80)  # the end-of-run sample ages what is still stored

@@ -260,3 +260,29 @@ class TestBeacon:
         assert wl["transmissions"] == 0
         assert wl["halted"] is True
         assert res.report["slices"]["ELPC"]["verdict"] == "no-data"
+
+
+def test_each_twin_version_counts_its_source_emissions():
+    # A twin has one source, and its n-th sample carries version n on every
+    # vital, so on a clean fabric each twin ends at its source's emission count.
+    beacon = {"kind": "implant_beacon", "id": "b", "device": 5, "twin": "imp",
+              "period": "100ms", "payload": 50, "energy_per_tx": "100nj",
+              "battery": "1mj", "duration": "1s"}
+    imp = dict(BEACON_TWIN[0], entity=5, metrics=[{"name": "heart_rate", "mean": 60, "sd": 2},
+                                                  {"name": "spo2", "mean": 97, "sd": 1}])
+    res = small_run([AMB_BASE, beacon, fleet_item(True)], t_end="3500ms",
+                    nodes=CORRIDOR["nodes"] + [{"id": 5, "kind": "device"}],
+                    links=CORRIDOR["links"] + [{"id": 6, "ends": [5, 1], "rate": "100mbps",
+                                                "prop_delay": "10us"}],
+                    twins=CORRIDOR["twins"] + [imp])
+    assert all(row["delivered"] == row["sent"] for row in res.report["slices"].values())
+
+    def versions(twin_id):
+        return {sample["version"] for sample in res.report["twins"][twin_id]["state"].values()}
+
+    workloads = res.report["workloads"]
+    assert versions("amb") == {workloads["amb_run"]["frames_emitted"]} == {30}
+    assert versions("imp") == {workloads["b"]["transmissions"]} == {10}
+    sent = [res.sim.flows[f"fl.{i}"].stats.sent for i in range(4)]
+    assert sent == [3, 3, 2, 2]
+    assert [versions(f"dev_{i}") for i in range(4)] == [{n} for n in sent]
