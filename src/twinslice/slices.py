@@ -120,6 +120,12 @@ WDRR_ORDER = (SliceClass.FEMBB, SliceClass.LDHMC, SliceClass.UMMTC, SliceClass.E
 WDRR_WEIGHTS = {SliceClass.FEMBB: 8, SliceClass.LDHMC: 4, SliceClass.UMMTC: 2, SliceClass.ELPC: 1}
 QUANTUM_UNIT = 256  # bytes credited per weight unit per round
 
+# WDRR state is indexed by slot, a class's position in WDRR_ORDER, so the
+# scheduler never hashes a SliceClass (a plain Enum hashes in Python).
+_SLOT = {cls: i for i, cls in enumerate(WDRR_ORDER)}
+_QUANTUM = tuple(WDRR_WEIGHTS[cls] * QUANTUM_UNIT for cls in WDRR_ORDER)
+_SLOTS = len(WDRR_ORDER)
+
 
 class LinkQueue:
     """Per-direction link queue: strict-priority ERLLC over WDRR for the rest.
@@ -127,6 +133,11 @@ class LinkQueue:
     Deficit counters persist across dequeues, so long-run byte shares of
     backlogged classes converge to the configured weights. A class's deficit
     resets when its queue empties (no credit hoarding while idle).
+
+    Most channels never queue a frame (a frame reaching an idle transmitter
+    is served at once), so the per-class state is built by the first push
+    and dropped again by `drain`; until then `_prio`, `_queues` and
+    `_deficit` are None.
     """
 
     __slots__ = ("capacity", "occupancy", "_prio", "_queues", "_deficit", "_ptr", "_fresh")
@@ -134,9 +145,9 @@ class LinkQueue:
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.occupancy = 0
-        self._prio: deque = deque()
-        self._queues: dict[SliceClass, deque] = {cls: deque() for cls in WDRR_ORDER}
-        self._deficit: dict[SliceClass, int] = {cls: 0 for cls in WDRR_ORDER}
+        self._prio: Optional[deque] = None
+        self._queues: Optional[list[deque]] = None  # by slot
+        self._deficit: Optional[list[int]] = None  # by slot
         self._ptr = 0
         self._fresh = True
 
@@ -144,54 +155,57 @@ class LinkQueue:
         """Enqueue drop-tail; returns False when the queue is full."""
         if self.occupancy >= self.capacity:
             return False
+        if self._prio is None:
+            self._prio = deque()
+            self._queues = [deque() for _ in range(_SLOTS)]
+            self._deficit = [0] * _SLOTS
         cls = frame.flow.slice_cls
         if cls is SliceClass.ERLLC:
             self._prio.append(frame)
         else:
-            self._queues[cls].append(frame)
+            self._queues[_SLOT[cls]].append(frame)
         self.occupancy += 1
         return True
 
     def pop(self) -> Optional["Frame"]:
         """Dequeue the next frame to transmit, or None when idle."""
+        if self.occupancy == 0:
+            return None
         if self._prio:
             self.occupancy -= 1
             return self._prio.popleft()
-        if self.occupancy == 0:
-            return None
+        queues = self._queues
+        deficit = self._deficit
         while True:
-            cls = WDRR_ORDER[self._ptr]
-            q = self._queues[cls]
+            i = self._ptr
+            q = queues[i]
             if q:
                 if self._fresh:
-                    self._deficit[cls] += WDRR_WEIGHTS[cls] * QUANTUM_UNIT
+                    deficit[i] += _QUANTUM[i]
                     self._fresh = False
                 head = q[0]
-                if self._deficit[cls] >= head.total_bytes:
-                    self._deficit[cls] -= head.total_bytes
+                if deficit[i] >= head.total_bytes:
+                    deficit[i] -= head.total_bytes
                     q.popleft()
                     self.occupancy -= 1
                     if not q:
-                        self._deficit[cls] = 0
+                        deficit[i] = 0
                         self._advance()
                     return head
-                self._advance()
-            else:
-                self._deficit[cls] = 0
-                self._advance()
+            self._advance()
 
     def _advance(self) -> None:
-        self._ptr = (self._ptr + 1) % len(WDRR_ORDER)
+        self._ptr = (self._ptr + 1) % _SLOTS
         self._fresh = True
 
     def drain(self) -> list["Frame"]:
         """Remove and return every queued frame (used when a link fails)."""
+        if self._prio is None:
+            return []
         out = list(self._prio)
-        self._prio.clear()
-        for cls in WDRR_ORDER:
-            out.extend(self._queues[cls])
-            self._queues[cls].clear()
-            self._deficit[cls] = 0
+        for q in self._queues:
+            out.extend(q)
+        self._prio = self._queues = self._deficit = None
         self.occupancy = 0
         self._ptr = 0
         self._fresh = True

@@ -1,5 +1,7 @@
 """Stack overhead, transmission arithmetic, routing, and hop-by-hop transport."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -397,6 +399,45 @@ class TestTransport:
         # At node 1 the frame replans to 1->3->2->0 and still gets through.
         assert len(h.delivered) == 1
         assert not h.dropped
+
+
+class TestIdleChannels:
+    """Most channels never queue a frame; they must cost little and fault cleanly."""
+
+    def test_idle_channel_is_small(self):
+        # 1,000 edges on one core, chained: 1,999 links, 3,998 channels.
+        n = 1000
+        nodes = mknodes("core", *["edge"] * n)
+        links = [Link(i, i + 1, 0, 10**9, US) for i in range(n)]
+        links += [Link(n + i, i + 1, i + 2, 10**9, US) for i in range(n - 1)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            topo = Topology(nodes, links)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert traced / (2 * len(topo.links)) < 1024  # bytes per channel
+
+    def test_failing_idle_link_drops_nothing(self):
+        topo = star()
+        h = Harness(topo)
+        assert h.net.fail_link(topo.links[2], 0) == 0
+        h.net.recover_link(topo.links[2], 10)
+        h.net.inject(frame(3, 1), 20)
+        h.engine.run_until(10**9)
+        assert not h.dropped
+        assert len(h.delivered) == 1
+
+    def test_failing_node_with_idle_links_drops_nothing(self):
+        topo = star()
+        h = Harness(topo)
+        h.net.fail_node(topo.nodes[1], 0)
+        h.net.recover_node(topo.nodes[1], 10)
+        h.net.inject(frame(3, 0), 20)
+        h.engine.run_until(10**9)
+        assert not h.dropped
+        assert len(h.delivered) == 1
 
 
 class TestConservation:
