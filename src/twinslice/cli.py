@@ -90,10 +90,11 @@ def _horizon(until: Optional[str]) -> Optional[int]:
 
 
 def _emit(result: RunResult, formats: list[str], out: Optional[str], stem: str,
-          suffix: str = "") -> None:
+          suffix: str = "", report: Optional[bytes] = None) -> None:
+    """Write the result in each format; `report` is its JSON bytes if already rendered."""
     payloads = {}
     if "json" in formats:
-        payloads["json"] = result.json_bytes()
+        payloads["json"] = report or result.json_bytes()
     if "csv" in formats:
         payloads["csv"] = result.csv_bytes()
     if out is None:
@@ -191,9 +192,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         result = run_scenario(scn, seed=seed, t_end=t_end)
         elapsed = time.perf_counter() - started
+        report = result.json_bytes()
         if out is not None:
-            _emit(result, scn.formats, out, stem, suffix=f".seed{seed}")
-        digest = hashlib.sha256(result.json_bytes()).hexdigest()[:12]
+            _emit(result, scn.formats, out, stem, suffix=f".seed{seed}", report=report)
+        digest = hashlib.sha256(report).hexdigest()[:12]
         verdict = "violated" if result.violated else "ok"
         events = result.report["run"]["events_processed"]
         print(f"seed {seed}: {verdict} events={events} report={digest}")

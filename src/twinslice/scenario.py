@@ -13,6 +13,7 @@ nothing again.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -109,6 +110,14 @@ def _is_int(value: Any) -> bool:
 
 def _is_num(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    """A number that converts to a finite float (an int past float range does not)."""
+    try:
+        return _is_num(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _int(value: Any, path: str, errors: list[str], lo: Optional[int] = None,
@@ -482,8 +491,9 @@ def _parse_vitals(raw: Any, path: str, errors: list[str]) -> list[VitalSpec]:
         seen.add(nm)
         mean = item.get("mean", 0.0)
         sd = item.get("sd", 0.0)
-        if not (_is_num(mean) and _is_num(sd)) or sd < 0:
-            errors.append(f"{p}: mean must be numeric and sd >= 0")
+        # A NaN or infinite vital would put NaN/Infinity, which are not JSON, into the report.
+        if not (_is_finite(mean) and _is_finite(sd)) or sd < 0:
+            errors.append(f"{p}: mean and sd must be finite numbers and sd >= 0")
             continue
         out.append(VitalSpec(nm, float(mean), float(sd)))
     return out

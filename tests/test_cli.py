@@ -1,11 +1,15 @@
 """Command line behavior: exit codes, report emission, seed sweeps."""
 
+import hashlib
 import json
 
 import pytest
 import yaml
 
+import twinslice.sim
 from twinslice.cli import main
+from twinslice.engine import MS
+from twinslice.metrics import to_json_bytes
 from twinslice.scenario import load_scenario
 from twinslice.sim import run_scenario
 
@@ -180,6 +184,27 @@ def test_validate_accepts_only_what_run_builds(case, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {error}", f"1 error(s) in {p}"]
 
 
+def test_non_finite_vitals_fail_validate_and_run(scenario_dir, tmp_path, capsys):
+    # Both once passed validate, and run wrote 22 NaN/Infinity tokens into
+    # the JSON report, which a strict parser rejects.
+    text = (scenario_dir / "ward.scn").read_text()
+    for old, new in (("{name: heart_rate, mean: 75, sd: 4}", "{name: heart_rate, mean: .nan, sd: 4}"),
+                     ("{name: spo2, mean: 97, sd: 0.8}", "{name: spo2, mean: 97, sd: .inf}")):
+        assert old in text
+        text = text.replace(old, new)
+    p = tmp_path / "ward.scn"
+    p.write_text(text)
+    errors = [*(f"error: workloads[1].metrics[{i}]: mean and sd must be finite numbers and sd >= 0"
+                for i in (0, 1)),
+              "error: workloads[1].metrics: fleet devices need at least one vitals channel"]
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().out.splitlines() == [*errors, "3 error(s)"]
+    assert main(["run", str(p), "--until", "2s"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [*errors, f"3 error(s) in {p}"]
+
+
 class TestRun:
     def test_met_contracts_exit_zero(self, clean_scn, capsys):
         assert main(["run", str(clean_scn)]) == 0
@@ -300,6 +325,29 @@ class TestSweep:
         assert (outdir / "clean.seed2.json").exists()
         summary = json.loads((outdir / "clean.summary.json").read_bytes())
         assert summary["runs"] == 2
+
+    def test_out_renders_each_report_once(self, scenario_dir, tmp_path, capsys, monkeypatch):
+        # With --out, each seed's JSON was once rendered twice: for the file
+        # and again for the report= digest.
+        rendered = []
+
+        def counting(report):
+            rendered.append(report)
+            return to_json_bytes(report)
+
+        monkeypatch.setattr(twinslice.sim, "to_json_bytes", counting)
+        path = scenario_dir / "surgery.scn"
+        assert main(["sweep", str(path), "--seeds", "1,2", "--until", "10ms",
+                     "--out", str(tmp_path)]) == 0
+        assert len(rendered) == 2
+        out = capsys.readouterr().out
+        scn = load_scenario(path)
+        for seed in (1, 2):
+            direct = run_scenario(scn, seed=seed, t_end=10 * MS)
+            report = direct.json_bytes()
+            assert (tmp_path / f"surgery.seed{seed}.json").read_bytes() == report
+            assert (tmp_path / f"surgery.seed{seed}.csv").read_bytes() == direct.csv_bytes()
+            assert f"report={hashlib.sha256(report).hexdigest()[:12]}" in out.splitlines()[seed - 1]
 
 
 class TestParser:

@@ -1,6 +1,11 @@
-"""Histogram correctness against sort-based oracles, and stats accounting."""
+"""Histogram correctness against sort-based oracles, stats accounting, and
+report rendering against `json.dumps` as the oracle."""
 
+import enum
+import json
 import math
+import tracemalloc
+from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +19,7 @@ from twinslice.metrics import (
     TrafficStats,
     bin_width_at,
     fmt6,
+    to_json_bytes,
 )
 from twinslice.engine import MS, US
 
@@ -157,3 +163,96 @@ class TestFmt6:
     def test_idempotent(self):
         for x in (1.23456789, 98765.4321, 3.0):
             assert fmt6(fmt6(x)) == fmt6(x)
+
+
+def json_reference(tree) -> bytes:
+    return (json.dumps(tree, indent=2) + "\n").encode()
+
+
+# Strings and keys: any code point, with the ones json escapes drawn often
+# (quote, backslash, control characters, DEL, a lone surrogate, non-ASCII).
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028\ud800\xe9\u20ac\U0001f600'),
+                         st.characters()), max_size=6)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), TEXT,
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-7, 1e16, 2**64, -(2**64) - 1, math.nan, math.inf, -math.inf]),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=40,
+)
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Tag(str, enum.Enum):
+    MET = "met"
+
+
+class Ratio(float):
+    pass
+
+
+def fleet_shaped_report(n_twins: int) -> dict:
+    """The shape of a wearables report: one small entry per twin."""
+    twins = {
+        f"w_{i}": {
+            "level": "individual",
+            "host": 1 + i % 2,
+            "state": {"heart_rate": {"value": 60 + i / 997, "version": 8,
+                                     "observed_at_ns": 7_000_000_000 + 1000 * i}},
+            "staleness_max_ns": {"heart_rate": 1_000_000_000 + i},
+            "alerts_fired": 0,
+            "last_aggregation_children": 0,
+        }
+        for i in range(n_twins)
+    }
+    return {"scenario": {"name": "fleet"}, "run": {"events_processed": 336_092},
+            "twins": twins, "faults": []}
+
+
+class TestToJsonBytes:
+    @given(TREES)
+    @example({})
+    @example([])
+    @example(())
+    @example({"a": [{"b": ({"c": [[], {}]},)}], "": {"\x00\u00e9\ud800": None}})
+    @example([-0.0, 1e-7, 1e16, math.nan, math.inf, -math.inf, 2**64, -(2**70), True, False, None])
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_json_dumps_indent_2(self, tree):
+        assert to_json_bytes(tree) == json_reference(tree)
+
+    def test_subclasses_render_as_their_json_type(self):
+        tree = OrderedDict(level=Level.HIGH, verdict=Tag.MET, ratio=Ratio(0.5),
+                           rows=[Level.HIGH, Ratio(math.inf)], keys={Tag.MET: 1})
+        assert to_json_bytes(tree) == json_reference(tree)
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None, ("a",)])
+    def test_a_key_that_is_not_a_str_raises(self, key):
+        # json.dumps would write int, float, bool and None keys as strings.
+        with pytest.raises(TypeError):
+            to_json_bytes({"twins": {key: 1}})
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"bytes", object()])
+    def test_a_value_json_cannot_write_raises(self, value):
+        with pytest.raises(TypeError):
+            to_json_bytes({"value": [value]})
+
+    def test_peak_memory_is_at_most_three_times_the_output(self):
+        # json.dumps(indent=2) peaks at about 7x its output on this report.
+        report = fleet_shaped_report(10_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            size = len(to_json_bytes(report))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert size > 3_000_000
+        assert peak <= 3 * size

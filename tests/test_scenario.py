@@ -1,6 +1,7 @@
 """Scenario parsing: exact units, collected errors, expansion, overrides."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -235,6 +236,21 @@ class TestFleetExpansion:
         doc["workloads"][0].pop("metrics")
         errs = errors_of(doc)
         assert any("at least one vitals channel" in e for e in errs)
+
+    @pytest.mark.parametrize("field", ["mean", "sd"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "past_float_range"])
+    def test_vitals_must_be_finite(self, field, value):
+        # A NaN or infinite vital once loaded and put NaN/Infinity tokens,
+        # which are not JSON, into the report; an int past float range
+        # crashed the load with OverflowError.
+        doc = self.doc()
+        doc["workloads"][0]["metrics"] = [{"name": "hr", "mean": 70, "sd": 3, field: value},
+                                          {"name": "spo2", "mean": 97, "sd": 1}]
+        assert errors_of(doc) == [
+            "workloads[0].metrics[0]: mean and sd must be finite numbers and sd >= 0"]
+        twin = twin_doc(metrics=[{"name": "hr", "mean": 70, "sd": 1, field: value}])
+        assert errors_of(twin) == ["twins[0].metrics[0]: mean and sd must be finite numbers and sd >= 0"]
 
     def test_link_rate_must_be_positive(self):
         doc = self.doc()

@@ -7,6 +7,7 @@ staggered or Poisson fleets, and one link or node fault.
 """
 
 import copy
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,7 +97,9 @@ class TestGeneratedScenarios:
             result = run(doc)
         except ScenarioError:
             return
-        assert run(doc).json_bytes() == result.json_bytes()
+        report = result.json_bytes()
+        assert run(doc).json_bytes() == report
+        assert report == (json.dumps(result.report, indent=2) + "\n").encode()
         # in_flight is what is left of sent once settled frames are taken
         # out, so a frame delivered or dropped twice makes it negative.
         for name, row in result.report["slices"].items():
