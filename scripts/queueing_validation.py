@@ -8,6 +8,7 @@ streams, so a given argument set reproduces its table exactly.
 """
 
 import argparse
+import functools
 import time
 
 from twinslice.engine import Engine, EventKind, fork_rng
@@ -37,7 +38,8 @@ def simulate(rho: float, frames: int, seed: int) -> dict:
     def drop(frame, cause, now):
         tally["dropped"] += 1
 
-    net = NetworkService(eng, topo, fork_rng(seed, "loss"), deliver, drop)
+    net = NetworkService(eng, topo, functools.cache(lambda label: fork_rng(seed, label)), deliver,
+                         drop)
     sizes = fork_rng(seed, "service")
     gaps = fork_rng(seed, "arrivals")
     probe = Flow("probe", SliceClass.UMMTC, 2, 1, 0)

@@ -4,7 +4,7 @@ Links are full duplex: each declared link carries two independent channels
 (one per direction), each with its own scheduler queue and transmitter.
 Transmission time is ceil(total_bytes * 8 / rate) in integer nanoseconds;
 propagation is added on top. Loss is Bernoulli per frame at the end of
-transmission, drawn from the dedicated "network" stream.
+transmission, drawn from the "loss:<flow id>" stream of the frame's flow.
 """
 
 from __future__ import annotations
@@ -261,13 +261,13 @@ class NetworkService:
         self,
         engine: Engine,
         topology: Topology,
-        loss_rng: RngStream,
+        stream: Callable[[str], RngStream],
         on_deliver: Callable[[Frame, int], None],
         on_drop: Callable[[Frame, str, int], None],
     ) -> None:
         self.engine = engine
         self.topology = topology
-        self.loss_rng = loss_rng
+        self.stream = stream  # label -> the run's one stream of that label
         self.on_deliver = on_deliver
         self.on_drop = on_drop
         engine.on(EventKind.FRAME_DEPARTURE, self._on_departure)
@@ -311,7 +311,7 @@ class NetworkService:
             # The link or the transmitting node failed mid-serialization.
             chan.cut = False
             self.on_drop(frame, "fault", now)
-        elif link.loss_prob > 0.0 and self.loss_rng.bernoulli(link.loss_prob):
+        elif link.loss_prob > 0.0 and self.stream(f"loss:{frame.flow.id}").bernoulli(link.loss_prob):
             self.on_drop(frame, "loss", now)
         else:
             self.engine.schedule(now + link.prop_delay_ns, EventKind.FRAME_ARRIVAL,

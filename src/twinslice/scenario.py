@@ -504,8 +504,8 @@ def _parse_alerts(raw: Any, path: str, errors: list[str]) -> list[tuple[str, flo
     for _, p, item in _items(raw, path, errors, null_ok=True, keys=("metric", "threshold"),
                              item_error="must be a mapping with metric and threshold"):
         thr = item["threshold"]
-        if not _is_num(thr):
-            errors.append(f"{p}.threshold: must be numeric")
+        if not _is_finite(thr):
+            errors.append(f"{p}.threshold: must be a finite number")
             continue
         out.append((str(item["metric"]), float(thr)))
     return out
@@ -606,7 +606,7 @@ def _parse_workloads(
             fsize = _int(item.get("frame_size"), f"{path}.frame_size", errors, 1, _BYTE_COUNT)
             bitrate = _signed(bitrate, f"{path}.bitrate", errors, positive=True)
             if None not in (src, dst, fsize, bitrate):
-                spec = TelemedicineStreamSpec(wid, src, dst, bitrate, fsize, start, duration)
+                spec = TelemedicineStreamSpec(wid, src, dst, bitrate, fsize)
 
         elif kind == "surgery_loop":
             budget = _quantity(item.get("rtt_budget", "2ms"), parse_duration, f"{path}.rtt_budget", errors)
@@ -616,27 +616,26 @@ def _parse_workloads(
                         "a positive integer (commands per second)")
             size = _int(item.get("cmd_size"), f"{path}.cmd_size", errors, 1, _BYTE_COUNT)
             if None not in (budget, src, dst, rate, size):
-                spec = SurgeryLoopSpec(wid, src, dst, rate, size, budget, start, duration)
+                spec = SurgeryLoopSpec(wid, src, dst, rate, size, budget)
 
         elif kind == "ambulance_run":
-            spec = _parse_ambulance(item, wid, start, duration, node_by_id, twin_by_id, fed, path,
-                                    errors)
+            spec = _parse_ambulance(item, wid, node_by_id, twin_by_id, fed, path, errors)
 
         elif kind == "wearable_fleet":
-            spec = _parse_fleet(item, wid, start, duration, nodes, links, twins, node_by_id, path, errors)
+            spec = _parse_fleet(item, wid, nodes, links, twins, node_by_id, path, errors)
             if spec is not None:
                 twin_by_id = {t.id: t for t in twins}
                 fed.update(twin_id for _device, twin_id in spec.members)
 
         elif kind == "implant_beacon":
-            spec = _parse_beacon(item, wid, start, duration, node_by_id, twin_by_id, fed, path, errors)
+            spec = _parse_beacon(item, wid, node_by_id, twin_by_id, fed, path, errors)
 
         if spec is not None and spec.period_ns < 1:
             # A zero-tick period would reschedule at one instant forever.
             errors.append(f"{path}.{_PERIOD_SOURCE[kind]}: the emission period it gives rounds to 0 ns")
             spec = None
         if spec is not None:
-            spec.preadmit = preadmit
+            spec.start, spec.duration, spec.preadmit = start, duration, preadmit
             out.append(spec)
     return out
 
@@ -678,14 +677,13 @@ def _check_device_twin(item: dict, node_by_id: dict, twin_by_id: dict, fed: set[
     return device, twin_id
 
 
-def _parse_ambulance(item: dict, wid: str, start: int, duration: Optional[int],
-                     node_by_id: dict, twin_by_id: dict, fed: set[str], path: str,
-                     errors: list[str]) -> Optional[AmbulanceRunSpec]:
+def _parse_ambulance(item: dict, wid: str, node_by_id: dict, twin_by_id: dict, fed: set[str],
+                     path: str, errors: list[str]) -> Optional[AmbulanceRunSpec]:
     bound = _check_device_twin(item, node_by_id, twin_by_id, fed, path, errors, want_mobile=True)
     seq = _edge_list(item.get("edge_sequence"), node_by_id, f"{path}.edge_sequence", errors)
     speed = item.get("speed_kmh")
-    if not _is_num(speed) or speed <= 0:
-        errors.append(f"{path}.speed_kmh: must be positive")
+    if not _is_finite(speed) or speed <= 0:
+        errors.append(f"{path}.speed_kmh: must be a finite positive number")
         speed = None
     rate = _int(item.get("telemetry_rate", 10), f"{path}.telemetry_rate", errors, 1,
                 "a positive integer (frames per second)")
@@ -699,13 +697,13 @@ def _parse_ambulance(item: dict, wid: str, start: int, duration: Optional[int],
     return AmbulanceRunSpec(
         id=wid, device=device, twin_id=twin_id, speed_kmh=float(speed),
         edge_sequence=seq, telemetry_rate=rate, payload_bytes=payload,
-        cell_span_m=float(cell), handover_gap_ns=gap, start=start, duration=duration,
+        cell_span_m=float(cell), handover_gap_ns=gap,
     )
 
 
-def _parse_fleet(item: dict, wid: str, start: int, duration: Optional[int],
-                 nodes: list[NodeSpec], links: list[LinkSpec], twins: list[TwinSpec],
-                 node_by_id: dict, path: str, errors: list[str]) -> Optional[WearableFleetSpec]:
+def _parse_fleet(item: dict, wid: str, nodes: list[NodeSpec], links: list[LinkSpec],
+                 twins: list[TwinSpec], node_by_id: dict, path: str,
+                 errors: list[str]) -> Optional[WearableFleetSpec]:
     period = parse_duration(item.get("period"), f"{path}.period", errors)
     edges = _edge_list(item.get("edges"), node_by_id, f"{path}.edges", errors)
     n = _int(item.get("n_devices"), f"{path}.n_devices", errors, 1, "an integer >= 1")
@@ -734,7 +732,6 @@ def _parse_fleet(item: dict, wid: str, start: int, duration: Optional[int],
         id=wid, edges=edges, n_devices=n, period_ns=period, payload_bytes=payload,
         stagger=bool(item.get("stagger", True)), poisson=bool(item.get("poisson", False)),
         twin_prefix=prefix, vitals=vitals, alerts=alerts,
-        start=start, duration=duration,
     )
     # Expansion: one device node, one access link, and one individual twin per
     # member, appended after the explicit ids so those stay dense and stable.
@@ -754,9 +751,8 @@ def _parse_fleet(item: dict, wid: str, start: int, duration: Optional[int],
     return spec
 
 
-def _parse_beacon(item: dict, wid: str, start: int, duration: Optional[int],
-                  node_by_id: dict, twin_by_id: dict, fed: set[str], path: str,
-                  errors: list[str]) -> Optional[ImplantBeaconSpec]:
+def _parse_beacon(item: dict, wid: str, node_by_id: dict, twin_by_id: dict, fed: set[str],
+                  path: str, errors: list[str]) -> Optional[ImplantBeaconSpec]:
     bound = _check_device_twin(item, node_by_id, twin_by_id, fed, path, errors, want_mobile=False)
     period = parse_duration(item.get("period"), f"{path}.period", errors)
     energy = parse_energy(item.get("energy_per_tx"), f"{path}.energy_per_tx", errors)
@@ -771,7 +767,6 @@ def _parse_beacon(item: dict, wid: str, start: int, duration: Optional[int],
     return ImplantBeaconSpec(
         id=wid, device=device, twin_id=twin_id, period_ns=period,
         payload_bytes=payload, energy_per_tx_nj=energy, battery_nj=battery,
-        start=start, duration=duration,
     )
 
 

@@ -72,10 +72,8 @@ class Simulation:
             [Link(s.id, s.a, s.b, s.rate_bps, s.prop_delay_ns, s.loss_prob, s.queue_cap)
              for s in scenario.links],
         )
-        self.net = NetworkService(
-            self.engine, self.topology, self.stream("network"),
-            self._on_deliver, self._on_drop,
-        )
+        self.net = NetworkService(self.engine, self.topology, self.stream, self._on_deliver,
+                                  self._on_drop)
         # Callees that events and frame contents carry, bound once so that
         # scheduling one allocates nothing but its (callee, arg) pair.
         self._net_inject = self.net.inject
@@ -171,8 +169,9 @@ class Simulation:
         else:
             inject(frame, now)
 
-    def sample_vitals(self, twin: Twin, version: int, now: int) -> tuple:
-        """Delivery content for `twin`'s vitals; `version` is its one source's emission count."""
+    def sample_vitals(self, twin: Twin, flow: Flow, now: int) -> tuple:
+        """Delivery content for `twin`'s next vitals, which its one source sends next on `flow`."""
+        version = flow.stats.sent + 1  # the source's emission count, this emission included
         rng = self.stream(f"vitals:{twin.id}")
         deltas = [(spec.name, rng.normal(spec.mean, spec.sd), version, now) for spec in twin.vitals]
         return (self.deliver_sync, (twin, deltas))

@@ -60,6 +60,8 @@ def parse_reducer(spec: str) -> tuple[str, Reducer]:
         return spec, lambda vs: min(vs)
     if spec.startswith("count_over:"):
         threshold = float(spec.split(":", 1)[1])
+        if not math.isfinite(threshold):
+            raise TwinSyncError(f"count_over threshold must be finite, not {threshold}")
         return spec, lambda vs: float(sum(1 for v in vs if v > threshold))
     raise TwinSyncError(f"unknown reducer {spec!r}")
 

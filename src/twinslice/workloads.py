@@ -1,7 +1,8 @@
 """Workload generators: the traffic sources that drive a run.
 
 Each generator is a Source: it owns its flows, schedules its own emission
-events, and keeps per-workload statistics (RTTs, handovers, energy).
+events, and keeps the statistics its flows' ledgers do not (RTTs,
+handovers). Its emission counts and energy are read from those ledgers.
 Telemetry-style workloads (wearables, implants, ambulance) carry vitals
 samples to their twins in their frames, so twin freshness is carried by the
 same packets the slice contracts meter.
@@ -9,7 +10,7 @@ same packets the slice contracts meter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Callable, Optional
 
 from .engine import EventKind, SEC
@@ -38,15 +39,22 @@ class FaultSpec:
 
 
 @dataclass
-class TelemedicineStreamSpec:
+class WorkloadSpec:
+    """What every workload declares: its id, its time window, and whether it skips admission."""
+
     id: str
+    _: KW_ONLY
+    start: int = 0
+    duration: Optional[int] = None
+    preadmit: bool = False
+
+
+@dataclass
+class TelemedicineStreamSpec(WorkloadSpec):
     src: int
     dst: int
     bitrate_bps: int
     frame_bytes: int
-    start: int = 0
-    duration: Optional[int] = None
-    preadmit: bool = False
 
     @property
     def period_ns(self) -> int:
@@ -55,16 +63,12 @@ class TelemedicineStreamSpec:
 
 
 @dataclass
-class SurgeryLoopSpec:
-    id: str
+class SurgeryLoopSpec(WorkloadSpec):
     src: int
     dst: int
     cmd_rate: int  # commands per second
     cmd_bytes: int
     rtt_budget_ns: int
-    start: int = 0
-    duration: Optional[int] = None
-    preadmit: bool = False
 
     @property
     def period_ns(self) -> int:
@@ -72,8 +76,7 @@ class SurgeryLoopSpec:
 
 
 @dataclass
-class AmbulanceRunSpec:
-    id: str
+class AmbulanceRunSpec(WorkloadSpec):
     device: int
     twin_id: str
     speed_kmh: float
@@ -82,9 +85,6 @@ class AmbulanceRunSpec:
     payload_bytes: int = 600
     cell_span_m: float = 1000.0
     handover_gap_ns: int = DEFAULT_HANDOVER_GAP
-    start: int = 0
-    duration: Optional[int] = None
-    preadmit: bool = False
 
     @property
     def period_ns(self) -> int:
@@ -97,8 +97,7 @@ class AmbulanceRunSpec:
 
 
 @dataclass
-class WearableFleetSpec:
-    id: str
+class WearableFleetSpec(WorkloadSpec):
     edges: list[int]
     n_devices: int
     period_ns: int
@@ -108,34 +107,18 @@ class WearableFleetSpec:
     twin_prefix: str = "wearable"
     vitals: list[VitalSpec] = field(default_factory=list)
     alerts: list[tuple[str, float]] = field(default_factory=list)
-    start: int = 0
-    duration: Optional[int] = None
-    preadmit: bool = False
     # filled during expansion: (device_node, twin_id) per fleet member
     members: list[tuple[int, str]] = field(default_factory=list)
 
 
 @dataclass
-class ImplantBeaconSpec:
-    id: str
+class ImplantBeaconSpec(WorkloadSpec):
     device: int
     twin_id: str
     period_ns: int
     payload_bytes: int
     energy_per_tx_nj: int
     battery_nj: int
-    start: int = 0
-    duration: Optional[int] = None
-    preadmit: bool = False
-
-
-WorkloadSpec = (
-    TelemedicineStreamSpec
-    | SurgeryLoopSpec
-    | AmbulanceRunSpec
-    | WearableFleetSpec
-    | ImplantBeaconSpec
-)
 
 
 class Source:
@@ -149,7 +132,7 @@ class Source:
 
     kind: EventKind  # the event kind of its emissions
 
-    def __init__(self, sim: Any, spec: Any, fire: Callable[[int, int], None]) -> None:
+    def __init__(self, sim: Any, spec: WorkloadSpec, fire: Callable[[int, int], None]) -> None:
         self.sim = sim
         self.spec = spec
         self.flows: list[Flow] = []
@@ -192,15 +175,13 @@ class StreamGen(Source):
         self.period = spec.period_ns
         self.flow = self._flow(spec.id, SliceClass.FEMBB, spec.src, spec.dst, spec.bitrate_bps,
                                spec.frame_bytes)
-        self.emitted = 0
 
     def emit(self, k: int, now: int) -> None:
         self.sim.send(self.flow, self.spec.frame_bytes, now)
-        self.emitted += 1
         self._again(k + 1, (k + 1) * self.period)
 
     def report(self) -> dict:
-        return {"kind": "telemedicine_stream", "frames_emitted": self.emitted}
+        return {"kind": "telemedicine_stream", "frames_emitted": self.flow.stats.sent}
 
 
 class SurgeryGen(Source):
@@ -220,11 +201,9 @@ class SurgeryGen(Source):
         self._ack_delivered = self.on_ack_delivered
         self.rtt_hist = DelayHistogram()
         self.budget_violations = 0
-        self.emitted = 0
 
     def emit(self, k: int, now: int) -> None:
         self.sim.send(self.flow, self.spec.cmd_bytes, now, (self._cmd_delivered, now))
-        self.emitted += 1
         self._again(k + 1, (k + 1) * self.period)
 
     def on_cmd_delivered(self, cmd_created: int, now: int) -> None:
@@ -239,7 +218,7 @@ class SurgeryGen(Source):
     def report(self) -> dict:
         out = {
             "kind": "surgery_loop",
-            "commands_emitted": self.emitted,
+            "commands_emitted": self.flow.stats.sent,
             "rtt_budget_ns": self.spec.rtt_budget_ns,
             "rtt_budget_violations": self.budget_violations,
             "round_trips": self.rtt_hist.count,
@@ -275,7 +254,6 @@ class AmbulanceGen(Source):
         self.handovers = 0
         self.deferred = 0
         self.buffered_total = 0
-        self.emitted = 0
 
     def build(self) -> None:
         self.sim.topology.set_attachment(self.spec.device, self.spec.edge_sequence[0])
@@ -295,8 +273,7 @@ class AmbulanceGen(Source):
         return self.spec.cell_time_ns * len(self.spec.edge_sequence)
 
     def sync_emit(self, k: int, now: int) -> None:
-        vitals = self.sim.sample_vitals(self.twin, k + 1, now)
-        self.emitted += 1
+        vitals = self.sim.sample_vitals(self.twin, self.flow, now)
         self.sim.send(self.flow, self.spec.payload_bytes, now, vitals, inject=self._inject)
         self._again(k + 1, (k + 1) * self.tele_period)
 
@@ -337,7 +314,7 @@ class AmbulanceGen(Source):
     def report(self) -> dict:
         return {
             "kind": "ambulance_run",
-            "frames_emitted": self.emitted,
+            "frames_emitted": self.flow.stats.sent,
             "handovers": self.handovers,
             "handovers_deferred": self.deferred,
             "frames_buffered": self.buffered_total,
@@ -355,7 +332,6 @@ class WearableFleetGen(Source):
 
     def __init__(self, sim: Any, spec: WearableFleetSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
-        self.emitted = 0
         demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
         for i, (device, twin_id) in enumerate(spec.members):
             self._flow(f"{spec.id}.{i}", SliceClass.UMMTC, device, sim.twins[twin_id].host, demand,
@@ -374,8 +350,7 @@ class WearableFleetGen(Source):
     def sync_emit(self, i: int, now: int) -> None:
         flow = self.flows[i]
         twin = self.sim.twins[self.spec.members[i][1]]
-        vitals = self.sim.sample_vitals(twin, flow.stats.sent + 1, now)
-        self.emitted += 1
+        vitals = self.sim.sample_vitals(twin, flow, now)
         self.sim.send(flow, self.spec.payload_bytes, now, vitals)
         if self.spec.poisson:
             gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
@@ -384,12 +359,11 @@ class WearableFleetGen(Source):
         self._again(i, now - self.spec.start + gap)
 
     def report(self) -> dict:
-        admitted = sum(1 for f in self.flows if f.admitted)
         return {
             "kind": "wearable_fleet",
             "devices": len(self.flows),
-            "devices_admitted": admitted,
-            "frames_emitted": self.emitted,
+            "devices_admitted": sum(f.admitted for f in self.flows),
+            "frames_emitted": sum(f.stats.sent for f in self.flows),
         }
 
 
@@ -404,29 +378,23 @@ class BeaconGen(Source):
         demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
         self.flow = self._flow(spec.id, SliceClass.ELPC, spec.device, self.twin.host, demand,
                                spec.payload_bytes)
-        self.transmissions = 0
         self.halted = False
 
     def sync_emit(self, k: int, now: int) -> None:
-        # No idle drain: the battery pays exactly per transmission.
-        if (self.transmissions + 1) * self.spec.energy_per_tx_nj > self.spec.battery_nj:
+        # No idle drain: the battery pays exactly per transmission, into the flow's ledger.
+        if self.flow.stats.energy_nj + self.spec.energy_per_tx_nj > self.spec.battery_nj:
             self.halted = True
             return
-        self.transmissions += 1
-        vitals = self.sim.sample_vitals(self.twin, k + 1, now)
+        vitals = self.sim.sample_vitals(self.twin, self.flow, now)
         self.sim.send(self.flow, self.spec.payload_bytes, now, vitals,
                       energy_nj=self.spec.energy_per_tx_nj)
         self._again(k + 1, (k + 1) * self.spec.period_ns)
 
-    @property
-    def energy_consumed_nj(self) -> int:
-        return self.transmissions * self.spec.energy_per_tx_nj
-
     def report(self) -> dict:
         return {
             "kind": "implant_beacon",
-            "transmissions": self.transmissions,
-            "energy_consumed_nj": self.energy_consumed_nj,
+            "transmissions": self.flow.stats.sent,
+            "energy_consumed_nj": self.flow.stats.energy_nj,
             "battery_nj": self.spec.battery_nj,
             "halted": self.halted,
         }

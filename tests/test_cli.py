@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 import yaml
@@ -133,6 +134,12 @@ def with_surgery(wid, doc=None, cmd_rate=100):
                          cmd_size=64)
 
 
+def with_alert(threshold):
+    doc = yaml.safe_load(CLEAN)
+    doc["twins"][0]["alerts"] = [{"metric": "hr", "threshold": threshold}]
+    return doc
+
+
 def with_fleet_link(link):
     doc = yaml.safe_load(CLEAN)
     doc["workloads"].append({
@@ -164,6 +171,16 @@ UNBUILDABLE = {
         "workloads.x.ack: flow id 'x.ack' clashes with a flow of workloads.x"),
     "derived_ids_clash": (with_surgery("twinsync", with_twins(id="ack")),
                           "twins.ack: flow id 'twinsync.ack' clashes with a flow of workloads.twinsync"),
+    # A NaN alert never fired and a -inf one fired on every sample; a NaN or
+    # infinite count_over threshold made the reducer 0.0 forever.
+    "nan_alert_threshold": (with_alert(math.nan),
+                            "twins[0].alerts[0].threshold: must be a finite number"),
+    "minus_inf_alert_threshold": (with_alert(-math.inf),
+                                  "twins[0].alerts[0].threshold: must be a finite number"),
+    "count_over_nan": (with_twins(policy={"hr": "mean", "n": "count_over:nan"}),
+                       "twins[1].policy.n: count_over threshold must be finite, not nan"),
+    "count_over_inf": (with_twins(policy={"hr": "mean", "n": "count_over:inf"}),
+                       "twins[1].policy.n: count_over threshold must be finite, not inf"),
     # A delay past the histogram's last edge (1e19 ns) once crashed `run`.
     "horizon_past_the_histogram": (
         dict(with_workload(kind="telemedicine_stream", id="v", src=2, dst=0, bitrate="1mbps",
@@ -203,6 +220,21 @@ def test_non_finite_vitals_fail_validate_and_run(scenario_dir, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [*errors, f"3 error(s) in {p}"]
+
+
+@pytest.mark.parametrize("speed", [".nan", ".inf"])
+def test_non_finite_ambulance_speed_fails_validate_and_run(speed, scenario_dir, tmp_path, capsys):
+    # NaN once passed validate and crashed run with a ValueError traceback;
+    # inf made every cell 0 ns long.
+    text = (scenario_dir / "ambulance.scn").read_text()
+    assert "speed_kmh: 120" in text
+    p = tmp_path / "ambulance.scn"
+    p.write_text(text.replace("speed_kmh: 120", f"speed_kmh: {speed}"))
+    error = "error: workloads[0].speed_kmh: must be a finite positive number"
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().out.splitlines() == [error, "1 error(s)"]
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err.splitlines() == [error, f"1 error(s) in {p}"]
 
 
 class TestRun:

@@ -1,5 +1,6 @@
 """Stack overhead, transmission arithmetic, routing, and hop-by-hop transport."""
 
+import functools
 import tracemalloc
 
 import pytest
@@ -53,7 +54,7 @@ class Harness:
         self.delivered = []
         self.dropped = []
         self.net = NetworkService(
-            self.engine, topo, fork_rng(seed, "network"),
+            self.engine, topo, functools.cache(lambda label: fork_rng(seed, label)),
             lambda f, now: self.delivered.append((f, now)),
             lambda f, cause, now: self.dropped.append((f, cause, now)),
         )

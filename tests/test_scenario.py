@@ -323,6 +323,12 @@ class TestAmbulanceRun:
     def test_handover_gap_must_not_be_negative(self):
         assert errors_of(self.doc(handover_gap=-1)) == ["workloads[0].handover_gap: must be >= 0"]
 
+    @pytest.mark.parametrize("speed", [math.nan, math.inf, 0, -36])
+    def test_speed_must_be_finite_and_positive(self, speed):
+        # NaN once loaded and crashed the run in cell_time_ns; inf made every cell 0 ns long.
+        assert errors_of(self.doc(speed_kmh=speed)) == [
+            "workloads[0].speed_kmh: must be a finite positive number"]
+
     def test_telemetry_period_must_not_round_to_zero(self):
         assert scenario_from_dict(self.doc(telemetry_rate=1_500_000_000)).workloads[0].period_ns == 1
         assert errors_of(self.doc(telemetry_rate=2_000_000_000)) == [
@@ -429,6 +435,13 @@ class TestTwinTiming:
         assert errors_of(self.doc(aggregation_period=None, children=[])) == [
             "twins.ward.aggregation_period: cannot derive from children; set it explicitly"]
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_count_over_threshold_must_be_finite(self, threshold):
+        # A NaN or infinite threshold reduced to 0.0 forever.
+        policy = {"hr": "mean", "n": f"count_over:{threshold}"}
+        assert errors_of(self.doc(policy=policy)) == [
+            f"twins[0].policy.n: count_over threshold must be finite, not {threshold}"]
+
     def test_auto_children_resolve_at_load(self):
         doc = TestFleetExpansion().doc(n=3)
         doc["twins"] = [{"id": "ward", "level": "global_edge", "host": 1, "policy": {"hr": "mean"}},
@@ -445,6 +458,13 @@ def twin_doc(**twin):
     spec = {"id": "pt", "level": "individual", "host": 1, "entity": 2}
     spec.update(twin)
     return base_doc(twins=[spec])
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_alert_threshold_must_be_finite(threshold):
+    # A NaN rule could never fire, and a -inf rule fired on the first sample.
+    assert errors_of(twin_doc(alerts=[{"metric": "hr", "threshold": threshold}])) == [
+        "twins[0].alerts[0].threshold: must be a finite number"]
 
 
 CORE_ONLY = [{"id": 0, "kind": "core"}]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinslice.engine import MS
+from twinslice.metrics import to_json_bytes
 from twinslice.scenario import ScenarioError, scenario_from_dict
 from twinslice.sim import Simulation
 
@@ -123,5 +124,28 @@ class TestGeneratedScenarios:
         assert wl["op"]["round_trips"] == per_flow["op.ack"].delivered
         assert wl["amb"]["frames_emitted"] == per_flow["amb"].sent
         assert wl["imp"]["transmissions"] == per_flow["imp"].sent
+        assert wl["imp"]["energy_consumed_nj"] == 10 * wl["imp"]["transmissions"]  # 10 nJ a frame
         assert wl["fleet"]["frames_emitted"] == sum(
             per_flow[f"fleet.{i}"].sent for i in range(wl["fleet"]["devices"]))
+
+    @given(small_scenarios(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_fault_past_the_horizon_changes_only_faults(self, doc, data):
+        # Metamorphic: the late fault's events never fire, and scheduling them
+        # shifts every later event's sequence number alike, so event order holds.
+        try:
+            base = run(doc).report
+        except ScenarioError:
+            return
+        t_end = doc["run"]["t_end"]
+        t_fail = t_end + data.draw(st.integers(1, t_end))
+        late = copy.deepcopy(doc)
+        late["faults"].append({
+            "target": data.draw(st.sampled_from([f"link:{i}" for i in range(len(ENDS))]
+                                                + [f"node:{n['id']}" for n in NODES])),
+            "t_fail": t_fail, "t_recover": t_fail + data.draw(st.integers(1, t_end))})
+        report = run(late).report
+        assert report.pop("faults")[:-1] == base.pop("faults")
+        assert list(report) == list(base)
+        for key in base:
+            assert to_json_bytes(report[key]) == to_json_bytes(base[key]), key

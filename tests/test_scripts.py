@@ -35,3 +35,13 @@ def test_run_all_summarizes_each_scenario(scenario_dir, tmp_path):
     done = run_script("run_all.py", "--expect-violations", "--dir", tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("surgery.scn: ok exit=0 events=38001 ")
+
+
+def test_gc_phases_counts_full_collections_per_phase():
+    done = run_script("gc_phases.py", "--workload", "sweep", "--seeds", 1)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["workload sweep: gen-2 collections per phase",
+                         "  seed  setup    run report  after  other  report_s   run_s  peak_rss_mb"]
+    seed, *counts = lines[2].split()[:6]
+    assert seed == "1" and all(c.isdigit() for c in counts)

@@ -190,6 +190,33 @@ class TestRunDiscipline:
         assert row["max_ns"] == 0  # zero hops, zero setup
 
 
+def lossy_streams_doc(*names):
+    """One 8 Mb/s stream per name, each from its own device over a 1 % lossy access link."""
+    nodes = [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}]
+    links = [{"id": 0, "ends": [1, 0], "rate": "1gbps", "prop_delay": "10us"}]
+    workloads = []
+    for i, name in enumerate(names, start=2):
+        nodes.append({"id": i, "kind": "device"})
+        links.append({"id": i - 1, "ends": [i, 1], "rate": "100mbps", "prop_delay": "10us",
+                      "loss": 0.01})
+        workloads.append({"kind": "telemedicine_stream", "id": name, "src": i, "dst": 0,
+                          "bitrate": "8mbps", "frame_size": 1000, "duration": "1s"})
+    return {"name": "lossy", "run": {"t_end": "1100ms", "master_seed": 3, "formats": ["json"]},
+            "nodes": nodes, "links": links, "workloads": workloads}
+
+
+class TestLossStreams:
+    def test_a_workload_on_disjoint_lossy_links_leaves_other_losses_alone(self):
+        # Metamorphic: each flow draws its loss from its own stream, so adding
+        # a stream on another device's lossy link cannot move a's drops.
+        alone = run_scenario(build(lossy_streams_doc("a"))).sim.flows["a"].stats
+        both = run_scenario(build(lossy_streams_doc("a", "b"))).sim.flows
+        assert alone.sent == both["a"].stats.sent == 1000
+        assert alone.dropped_loss > 0
+        assert both["a"].stats.dropped_loss == alone.dropped_loss
+        assert both["b"].stats.dropped_loss > 0
+
+
 class TestReportShape:
     def test_run_section(self, result):
         run = result.report["run"]

@@ -116,6 +116,11 @@ class TestReducers:
         assert name == "count_over:99.5"
         assert fn([99.5, 99.6]) == 1.0
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e999"])
+    def test_count_over_threshold_must_be_finite(self, threshold):
+        with pytest.raises(TwinSyncError, match="must be finite"):
+            parse_reducer(f"count_over:{threshold}")
+
     def test_unknown_reducer_raises(self):
         with pytest.raises(TwinSyncError, match="unknown reducer"):
             parse_reducer("median")

@@ -9,8 +9,8 @@ from twinslice.sim import run_scenario
 from twinslice.twins import Twin
 from twinslice.workloads import (
     DEFAULT_HANDOVER_GAP,
+    GENERATORS,
     AmbulanceRunSpec,
-    BeaconGen,
     ImplantBeaconSpec,
     StreamGen,
     SurgeryGen,
@@ -18,6 +18,7 @@ from twinslice.workloads import (
     TelemedicineStreamSpec,
     WearableFleetGen,
     WearableFleetSpec,
+    WorkloadSpec,
 )
 
 
@@ -84,13 +85,16 @@ class TestSpecArithmetic:
         assert [f.id for f in WearableFleetGen(sim, spec).flows] == [
             "fleet.0", "fleet.1", "fleet.2"]
 
-    def test_beacon_energy_ledger(self):
-        sim = on_edge_1("t")
-        spec = ImplantBeaconSpec("b", 5, "t", period_ns=10**9, payload_bytes=40,
-                                 energy_per_tx_nj=100, battery_nj=1000)
-        gen = BeaconGen(sim, spec)
-        gen.transmissions = 7
-        assert gen.energy_consumed_nj == 700
+
+class TestWorkloadSpec:
+    def test_every_spec_declares_the_shared_fields_once(self):
+        assert all(issubclass(spec, WorkloadSpec) for spec in GENERATORS)
+        spec = ImplantBeaconSpec("b", 5, "t", 10**9, 40, 100, 1000, start=7, preadmit=True)
+        assert (spec.id, spec.start, spec.duration, spec.preadmit) == ("b", 7, None, True)
+
+    def test_start_duration_and_preadmit_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            TelemedicineStreamSpec("s", 0, 1, 8_000_000, 10_000, 5)
 
 
 class TestStreamEmission:
