@@ -93,17 +93,16 @@ SEED_LIMIT = 2**64
 
 
 class RngStream:
-    """A named, independently seeded random stream.
+    """An independently seeded random stream.
 
     Streams are forked from (master_seed, label) via a counter-based
     generator, so adding a new consumer with its own label never perturbs
     draws made from existing labels.
     """
 
-    __slots__ = ("label", "gen")
+    __slots__ = ("gen",)
 
-    def __init__(self, label: str, gen: np.random.Generator) -> None:
-        self.label = label
+    def __init__(self, gen: np.random.Generator) -> None:
         self.gen = gen
 
     def random(self) -> float:
@@ -136,4 +135,4 @@ def fork_rng(master_seed: int, label: str) -> RngStream:
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     ss = np.random.SeedSequence([master_seed, *words])
-    return RngStream(label, np.random.Generator(np.random.Philox(ss)))
+    return RngStream(np.random.Generator(np.random.Philox(ss)))

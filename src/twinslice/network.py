@@ -85,8 +85,7 @@ class StackProfile:
     alp: int = 8
     session: int = 4
     security: int = 29
-    transport: str = "quic"
-    transport_bytes: int = 27
+    transport_bytes: int = 27  # quic; `with_transport` sets it by transport name
     network: int = 40
     phy: int = 28
     # None = derive per flow as 2 RTTs of the path (4x one-way propagation).
@@ -107,7 +106,7 @@ class StackProfile:
         if transport not in TRANSPORT_BYTES:
             raise ValueError(f"unknown transport {transport!r}")
         kw.setdefault("transport_bytes", TRANSPORT_BYTES[transport])
-        return cls(transport=transport, **kw)
+        return cls(**kw)
 
 
 @dataclass(slots=True)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
-from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
@@ -44,6 +45,8 @@ from .workloads import (
 # metrics.HORIZON_LIMIT and for a master seed outside [0, engine.SEED_LIMIT).
 HORIZON_ERROR = "run.t_end: must be below 2**63 ns"
 SEED_ERROR = "run.master_seed: must be an integer in [0, 2**64)"
+# Integer fields, rates, energies and lengths stay below it, so what a run derives stays a finite float.
+MAGNITUDE_LIMIT = 2**63
 
 
 class ScenarioError(Exception):
@@ -62,18 +65,21 @@ _ENERGY = {"nj": 1, "uj": 1_000, "mj": 1_000_000, "j": 1_000_000_000}
 _LENGTH = {"m": 1, "km": 1_000}
 
 
-def _unit_parser(table: dict[str, int], what: str, bare_unit: str) -> Callable[..., Optional[int]]:
+def _unit_parser(table: dict[str, int], what: str, bare_unit: str,
+                 bounded: bool = True) -> Callable[..., Optional[int]]:
     """A parser for '10ms' style quantities, exact on one integer grid.
 
-    Bare ints mean the base unit. The parser appends its one error with its
-    path to `errors` and returns None; with no list given it raises
-    ScenarioError instead.
+    Bare ints mean the base unit; a `bounded` quantity is below
+    MAGNITUDE_LIMIT. The parser appends its one error with its path to
+    `errors` and returns None; with no list given it raises ScenarioError
+    instead.
     """
     def parse(value: Any, path: str = what, errors: Optional[list[str]] = None) -> Optional[int]:
+        number = None
         if isinstance(value, bool):
             problem = f"expected a {what}, got a boolean"
         elif isinstance(value, int):
-            return value
+            number = value
         elif isinstance(value, float):
             problem = f"bare floats are ambiguous; write a suffixed string (e.g. '1.5{bare_unit}')"
         elif not isinstance(value, str):
@@ -83,10 +89,15 @@ def _unit_parser(table: dict[str, int], what: str, bare_unit: str) -> Callable[.
         elif m.group(2).lower() not in table:
             problem = f"unknown {what} unit {m.group(2)!r} in {value!r}"
         else:
-            exact = Decimal(m.group(1)) * table[m.group(2).lower()]
-            if exact == exact.to_integral_value():
-                return int(exact)
-            problem = f"{value!r} does not land on an integer number of base units"
+            exact = Fraction(m.group(1)) * table[m.group(2).lower()]
+            if exact.denominator == 1:
+                number = int(exact)
+            else:
+                problem = f"{value!r} does not land on an integer number of base units"
+        if number is not None:
+            if not bounded or number < MAGNITUDE_LIMIT:
+                return number
+            problem = "must be below 2**63"
         if errors is None:
             raise ScenarioError([f"{path}: {problem}"])
         errors.append(f"{path}: {problem}")
@@ -95,7 +106,8 @@ def _unit_parser(table: dict[str, int], what: str, bare_unit: str) -> Callable[.
     return parse
 
 
-parse_duration = _unit_parser(_DURATION, "duration", "ms")
+# Unbounded: a start, delay or period past the horizon only falls outside the run.
+parse_duration = _unit_parser(_DURATION, "duration", "ms", bounded=False)
 parse_rate = _unit_parser(_RATE, "rate", "mbps")
 parse_energy = _unit_parser(_ENERGY, "energy", "uJ")
 parse_length_m = _unit_parser(_LENGTH, "length", "m")
@@ -122,10 +134,13 @@ def _is_finite(value: Any) -> bool:
 
 def _int(value: Any, path: str, errors: list[str], lo: Optional[int] = None,
          what: str = "an integer") -> Optional[int]:
-    """An integer no smaller than lo; `what` finishes the 'must be' message."""
-    if _is_int(value) and (lo is None or value >= lo):
+    """An integer no smaller than lo, and below MAGNITUDE_LIMIT; `what` finishes the 'must be' message."""
+    if not (_is_int(value) and (lo is None or value >= lo)):
+        errors.append(f"{path}: must be {what}")
+    elif value >= MAGNITUDE_LIMIT:
+        errors.append(f"{path}: must be below 2**63")
+    else:
         return value
-    errors.append(f"{path}: must be {what}")
     return None
 
 
@@ -408,9 +423,6 @@ def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[st
                 errors.append(f"{path}.max_loss: must be a probability in [0, 1] or null")
         elif key == "max_energy_per_msg":
             contract.max_energy_per_msg_nj = None if value is None else parse_energy(value, f"{path}.max_energy_per_msg", errors)
-        elif key == "mobility_kmh":
-            contract.mobility_kmh = None if value is None else _int(
-                value, f"{path}.mobility_kmh", errors, 0, "a non-negative integer or null")
         else:
             errors.append(f"{path}.{key}: unknown contract field")
 
@@ -494,6 +506,10 @@ def _parse_vitals(raw: Any, path: str, errors: list[str]) -> list[VitalSpec]:
         # A NaN or infinite vital would put NaN/Infinity, which are not JSON, into the report.
         if not (_is_finite(mean) and _is_finite(sd)) or sd < 0:
             errors.append(f"{p}: mean and sd must be finite numbers and sd >= 0")
+            continue
+        # A draw stays within about 40 sd: means and sums over millions of children stay finite.
+        if abs(mean) > 1e300 or sd > 1e300:
+            errors.append(f"{p}: |mean| and sd must be at most 1e300")
             continue
         out.append(VitalSpec(nm, float(mean), float(sd)))
     return out
@@ -694,11 +710,16 @@ def _parse_ambulance(item: dict, wid: str, node_by_id: dict, twin_by_id: dict, f
     if bound is None or None in (seq, speed, rate, payload, cell, gap):
         return None
     device, twin_id = bound
-    return AmbulanceRunSpec(
+    spec = AmbulanceRunSpec(
         id=wid, device=device, twin_id=twin_id, speed_kmh=float(speed),
         edge_sequence=seq, telemetry_rate=rate, payload_bytes=payload,
         cell_span_m=float(cell), handover_gap_ns=gap,
     )
+    with suppress(ZeroDivisionError, OverflowError):  # a speed that underflows, an infinite time
+        if spec.cell_time_ns < HORIZON_LIMIT:
+            return spec
+    errors.append(f"{path}.speed_kmh: the cell time it gives must be below 2**63 ns")
+    return None
 
 
 def _parse_fleet(item: dict, wid: str, nodes: list[NodeSpec], links: list[LinkSpec],
@@ -708,6 +729,9 @@ def _parse_fleet(item: dict, wid: str, nodes: list[NodeSpec], links: list[LinkSp
     edges = _edge_list(item.get("edges"), node_by_id, f"{path}.edges", errors)
     n = _int(item.get("n_devices"), f"{path}.n_devices", errors, 1, "an integer >= 1")
     period = _signed(period, f"{path}.period", errors, positive=True)
+    if item.get("poisson") and period is not None and period >= HORIZON_LIMIT:  # a float mean gap
+        errors.append(f"{path}.period: a Poisson fleet's period must be below 2**63 ns")
+        period = None
     payload = _int(item.get("payload"), f"{path}.payload", errors, 1, _BYTE_COUNT)
     vitals = _parse_vitals(item.get("metrics"), f"{path}.metrics", errors)
     if not vitals:
@@ -729,7 +753,7 @@ def _parse_fleet(item: dict, wid: str, nodes: list[NodeSpec], links: list[LinkSp
         return None
 
     spec = WearableFleetSpec(
-        id=wid, edges=edges, n_devices=n, period_ns=period, payload_bytes=payload,
+        id=wid, edges=edges, period_ns=period, payload_bytes=payload,
         stagger=bool(item.get("stagger", True)), poisson=bool(item.get("poisson", False)),
         twin_prefix=prefix, vitals=vitals, alerts=alerts,
     )

@@ -45,7 +45,6 @@ class QosContract:
     max_e2e_delay_ns: Optional[int] = None
     max_loss: Optional[float] = None
     max_energy_per_msg_nj: Optional[int] = None
-    mobility_kmh: Optional[int] = None  # declared metadata, not a checked dimension
 
 
 def default_contracts() -> dict[SliceClass, QosContract]:
@@ -53,7 +52,7 @@ def default_contracts() -> dict[SliceClass, QosContract]:
     return {
         SliceClass.FEMBB: QosContract(min_rate_bps=1_000_000, max_e2e_delay_ns=50 * MS, max_loss=1e-3),
         SliceClass.ERLLC: QosContract(max_e2e_delay_ns=1 * MS, max_loss=1e-5),
-        SliceClass.LDHMC: QosContract(max_e2e_delay_ns=20 * MS, max_loss=1e-3, mobility_kmh=1000),
+        SliceClass.LDHMC: QosContract(max_e2e_delay_ns=20 * MS, max_loss=1e-3),
         SliceClass.UMMTC: QosContract(max_e2e_delay_ns=1 * SEC, max_loss=1e-2),
         SliceClass.ELPC: QosContract(max_e2e_delay_ns=10 * SEC, max_loss=1e-2,
                                      max_energy_per_msg_nj=1_000_000),
@@ -192,6 +191,16 @@ class LinkQueue:
                         deficit[i] = 0
                         self._advance()
                     return head
+                if head.total_bytes - deficit[i] > _QUANTUM[i]:
+                    # The head needs more rounds of credit. A round in which no head fits only
+                    # adds each backlogged class's quantum: credit all of them at once.
+                    self._advance()
+                    need = {j: -(-(p[0].total_bytes - deficit[j]) // _QUANTUM[j])
+                            for j, p in enumerate(queues) if p}
+                    rounds = min(need.values()) - 1
+                    for j in need:
+                        deficit[j] += rounds * _QUANTUM[j]
+                    continue
             self._advance()
 
     def _advance(self) -> None:

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 
 
 class TwinSyncError(Exception):
-    """Malformed sync or aggregation input (unknown metric, bad reducer)."""
+    """A malformed aggregation policy: an unknown reducer or a non-finite threshold."""
 
 
 class TwinLevel(Enum):
@@ -44,25 +44,25 @@ Delta = tuple[str, float, int, int]
 Reducer = Callable[[list[float]], float]
 
 
-def parse_reducer(spec: str) -> tuple[str, Reducer]:
+def parse_reducer(spec: str) -> Reducer:
     """Reducer by name; count_over takes its threshold after a colon.
 
     All reducers are order-insensitive over the child multiset; mean and sum
     use exact float summation so child ordering can never leak into results.
     """
     if spec == "mean":
-        return spec, lambda vs: math.fsum(vs) / len(vs)
+        return lambda vs: math.fsum(vs) / len(vs)
     if spec == "sum":
-        return spec, lambda vs: math.fsum(vs)
+        return lambda vs: math.fsum(vs)
     if spec == "max":
-        return spec, lambda vs: max(vs)
+        return lambda vs: max(vs)
     if spec == "min":
-        return spec, lambda vs: min(vs)
+        return lambda vs: min(vs)
     if spec.startswith("count_over:"):
         threshold = float(spec.split(":", 1)[1])
         if not math.isfinite(threshold):
             raise TwinSyncError(f"count_over threshold must be finite, not {threshold}")
-        return spec, lambda vs: float(sum(1 for v in vs if v > threshold))
+        return lambda vs: float(sum(1 for v in vs if v > threshold))
     raise TwinSyncError(f"unknown reducer {spec!r}")
 
 
@@ -101,8 +101,7 @@ class Twin:
         self.aggregation_phase = spec.aggregation_phase
         self.children: list[str] = list(spec.children)
         self.vitals = spec.vitals
-        self.policy: dict[str, tuple[str, Reducer]] = {
-            m: parse_reducer(r) for m, r in sorted(spec.policy.items())}
+        self.policy: dict[str, Reducer] = {m: parse_reducer(r) for m, r in sorted(spec.policy.items())}
         self.alert_rules = [AlertRule(metric, threshold) for metric, threshold in spec.alerts]
         self.parent: Optional[Twin] = None
         self.state: dict[str, MetricSample] = {}
@@ -146,12 +145,6 @@ class Twin:
         for metric, sample in self.state.items():
             self._note_age(metric, now - sample.observed_at)
 
-    def staleness(self, metric: str, now: int) -> int:
-        sample = self.state.get(metric)
-        if sample is None:
-            raise TwinSyncError(f"twin {self.id} has no metric {metric!r}")
-        return now - sample.observed_at
-
     def aggregate(self, child_states: list[dict[str, MetricSample]], now: int) -> bool:
         """Reduce visible child summaries into this twin's own state.
 
@@ -163,7 +156,7 @@ class Twin:
         self.last_aggregation_children = len(child_states)
         if not child_states:
             return False
-        for metric, (_name, fn) in self.policy.items():
+        for metric, fn in self.policy.items():
             values: list[float] = []
             observed = None
             for state in child_states:

@@ -99,7 +99,6 @@ class AmbulanceRunSpec(WorkloadSpec):
 @dataclass
 class WearableFleetSpec(WorkloadSpec):
     edges: list[int]
-    n_devices: int
     period_ns: int
     payload_bytes: int
     stagger: bool = True

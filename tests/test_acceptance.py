@@ -157,12 +157,14 @@ def test_ac05_hierarchy_reduction_consistency(timed_run):
     1e-12 relative for the float accumulations (mean/sum).
     """
     sim = timed_run(WARD, seed=42).result.sim
+    specs = {spec.id: spec for spec in sim.scenario.twins}
     checked = 0
     for twin in sim.twins.values():
         if twin.level is TwinLevel.INDIVIDUAL:
             continue
         assert twin.last_aggregation_children == len(twin.children) > 0
-        for metric, (reducer_name, fn) in twin.policy.items():
+        for metric, fn in twin.policy.items():
+            reducer_name = specs[twin.id].policy[metric]
             values = [
                 sim.twins[child].state[metric].value
                 for child in twin.children

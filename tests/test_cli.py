@@ -140,11 +140,25 @@ def with_alert(threshold):
     return doc
 
 
-def with_fleet_link(link):
+def with_fleet(**fields):
+    return with_workload(**{"kind": "wearable_fleet", "id": "fl", "edges": [1], "n_devices": 2,
+                            "period": "10ms", "payload": 50,
+                            "metrics": [{"name": "hr", "mean": 70, "sd": 1}], **fields})
+
+
+def with_ambulance(**fields):
     doc = yaml.safe_load(CLEAN)
-    doc["workloads"].append({
-        "kind": "wearable_fleet", "id": "fl", "edges": [1], "n_devices": 2, "period": "10ms",
-        "payload": 50, "link": link, "metrics": [{"name": "hr", "mean": 70, "sd": 1}]})
+    doc["nodes"].append({"id": 3, "kind": "device", "mobile": True})
+    doc["links"].append({"id": 2, "ends": [3, 1], "rate": "100mbps", "prop_delay": "10us"})
+    doc["twins"].append({"id": "pt", "level": "individual", "host": 1, "entity": 3,
+                         "metrics": [{"name": "hr", "mean": 80, "sd": 5}]})
+    return with_workload(doc, **{"kind": "ambulance_run", "id": "amb", "device": 3, "twin": "pt",
+                                 "edge_sequence": [1], "speed_kmh": 120, **fields})
+
+
+def with_beacon(**fields):
+    doc = yaml.safe_load(CLEAN)
+    doc["workloads"][0].update(fields)
     return doc
 
 
@@ -157,7 +171,7 @@ UNBUILDABLE = {
     "negative_phase": (with_twins(aggregation_phase=-5), "twins.ward.aggregation_phase: must be >= 0"),
     "no_nodes": ({"name": "empty", "run": {"t_end": "1s"}},
                  "nodes: exactly one core node required, found 0"),
-    "zero_fleet_link_rate": (with_fleet_link({"rate": 0}), "workloads[1].link.rate: must be positive"),
+    "zero_fleet_link_rate": (with_fleet(link={"rate": 0}), "workloads[1].link.rate: must be positive"),
     # A period that rounds to 0 ns once made `run` reschedule at one instant forever.
     "zero_tick_stream": (with_workload(kind="telemedicine_stream", id="v", src=2, dst=0,
                                        bitrate="20gbps", frame_size=1),
@@ -187,6 +201,31 @@ UNBUILDABLE = {
                            frame_size=1000, duration="10ms", preadmit=True),
              run={"t_end": "20000000000s"}, stack={"setup_latency": "10000000000s"}),
         "run.t_end: must be below 2**63 ns"),
+    # A cell time past 2**63 ns (or infinite) once crashed `run` with an
+    # OverflowError, and a cell_span past float range crashed the loader.
+    "crawling_ambulance": (with_ambulance(speed_kmh=1.0e-300),
+                           "workloads[1].speed_kmh: the cell time it gives must be below 2**63 ns"),
+    "vanishing_speed": (with_ambulance(speed_kmh=5e-324),
+                        "workloads[1].speed_kmh: the cell time it gives must be below 2**63 ns"),
+    "slow_ambulance_on_a_long_cell": (
+        with_ambulance(speed_kmh=1e-9, cell_span="1000km"),
+        "workloads[1].speed_kmh: the cell time it gives must be below 2**63 ns"),
+    "cell_span_past_float_range": (with_ambulance(cell_span=10**400),
+                                   "workloads[1].cell_span: must be below 2**63"),
+    # Byte counts, rates, energies and lengths past 2**63 once overflowed a
+    # float: in the loader, at build, in admission, or in the energy verdict.
+    "huge_frame_size": (with_workload(kind="telemedicine_stream", id="v", src=2, dst=0,
+                                      bitrate="1mbps", frame_size=10**400),
+                        "workloads[1].frame_size: must be below 2**63"),
+    "huge_fleet_payload": (with_fleet(payload=10**400), "workloads[1].payload: must be below 2**63"),
+    "huge_fleet_link_rate": (with_fleet(link={"rate": f"{10**400}bps"}),
+                             "workloads[1].link.rate: must be below 2**63"),
+    # An energy past the battery silently halted the beacon before its first frame.
+    "huge_energy_per_tx": (with_beacon(energy_per_tx=10**400),
+                           "workloads[0].energy_per_tx: must be below 2**63"),
+    # The mean of a Poisson fleet's gaps is drawn as a float.
+    "huge_poisson_period": (with_fleet(poisson=True, period=10**400),
+                            "workloads[1].period: a Poisson fleet's period must be below 2**63 ns"),
 }
 
 
@@ -220,6 +259,23 @@ def test_non_finite_vitals_fail_validate_and_run(scenario_dir, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [*errors, f"3 error(s) in {p}"]
+
+
+def test_vitals_past_the_magnitude_bound_fail_validate_and_run(scenario_dir, tmp_path, capsys):
+    # Once they passed validate, and run died at the first mean aggregation
+    # with "OverflowError: intermediate overflow in fsum".
+    text = (scenario_dir / "ward.scn").read_text()
+    old = "{name: heart_rate, mean: 75, sd: 4}"
+    assert old in text
+    p = tmp_path / "ward.scn"
+    p.write_text(text.replace(old, "{name: heart_rate, mean: 1.7e+308, sd: 0}"))
+    error = "error: workloads[1].metrics[0]: |mean| and sd must be at most 1e300"
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().out.splitlines() == [error, "1 error(s)"]
+    assert main(["run", str(p), "--until", "5s"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [error, f"1 error(s) in {p}"]
 
 
 @pytest.mark.parametrize("speed", [".nan", ".inf"])

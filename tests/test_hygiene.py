@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+every attribute it stores is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,42 @@ def test_the_scan_sees_names_in_annotations_and_all():
     source = ("from typing import Any, Optional\nimport os.path\nfrom .x import w, y, z\n"
               "__all__ = ['y']\ndef f(a: Any) -> 'list[w]':\n    os.path.join('z')\n")
     assert unused_imports(source) == ["Optional", "z"]
+
+
+def write_only_attributes(sources: list[str]) -> list[str]:
+    """Attribute names stored in these modules that none of them ever reads.
+
+    A store is `self.x = ...` (plain, annotated or augmented) or an annotated
+    field in a class body; a read is any `obj.x` load. Names are matched
+    without their owner, so a field counts as read when an attribute of that
+    name is read on anything. The `_: KW_ONLY` marker is not a field.
+    """
+    stored: set[str] = set()
+    loaded: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    stored.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                stored |= {item.target.id for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                           and not (isinstance(item.annotation, ast.Name)
+                                    and item.annotation.id == "KW_ONLY")}
+    return sorted(stored - loaded)
+
+
+def test_every_stored_attribute_is_read():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert write_only_attributes(sources) == []
+
+
+def test_the_attribute_scan_sees_fields_self_stores_and_reads_across_modules():
+    fields = ("from dataclasses import KW_ONLY, dataclass\n@dataclass\nclass S:\n"
+              "    a: int\n    _: KW_ONLY\n    b: int = 0\n    c = 1\n")
+    methods = ("class T:\n    def __init__(self, s):\n        self.d = s.a\n        self.e = 0\n"
+               "        self.f: int = 0\n        self.e += 1\n        s.g = 2\n"
+               "    def get(self):\n        return self.f\n")
+    assert write_only_attributes([fields, methods]) == ["b", "d", "e"]

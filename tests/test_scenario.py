@@ -73,6 +73,11 @@ class TestUnits:
     def test_inexact_fractions_rejected(self):
         self.reject(parse_duration, "0.5ns", "integer number of base units")
         self.reject(parse_rate, "0.0000001mbps", "integer number of base units")
+        # Past 28 significant digits the product was rounded, and this read as 1 Gb/s.
+        self.reject(parse_rate, "1.0000000000000000000000000001gbps", "integer number of base units")
+
+    def test_long_durations_parse_exactly(self):
+        assert parse_duration("1234567890123456789012345678901ns") == 1234567890123456789012345678901
 
     def test_unknown_unit_rejected(self):
         self.reject(parse_duration, "5fortnights", "unknown duration unit")
@@ -203,6 +208,41 @@ class TestContracts:
     def test_loss_must_be_probability(self):
         errs = errors_of(base_doc(contracts={"ERLLC": {"max_loss": 2}}))
         assert any("probability" in e for e in errs)
+
+    def test_mobility_is_not_a_contract_field(self):
+        # It was stored and never checked, so a scenario setting it now says so.
+        assert errors_of(base_doc(contracts={"LDHMC": {"mobility_kmh": 1000}})) == [
+            "contracts.LDHMC.mobility_kmh: unknown contract field"]
+
+
+class TestMagnitudes:
+    """Every integer field, rate, energy and length is below 2**63; durations are not bounded."""
+
+    def test_unit_quantities(self):
+        assert parse_rate(2**63 - 1) == 2**63 - 1
+        assert parse_energy("9223372036854775807nj") == 2**63 - 1
+        for parse, value, path in ((parse_rate, 2**63, "rate"), (parse_rate, f"{10**400}bps", "rate"),
+                                   (parse_energy, "9223372036.854775808j", "energy")):
+            with pytest.raises(ScenarioError) as info:
+                parse(value)
+            assert info.value.errors == [f"{path}: must be below 2**63"]
+        assert parse_duration(f"{10**400}ns") == 10**400
+
+    @pytest.mark.parametrize("section, value, error", [
+        ("links", [{"id": 0, "ends": [1, 0], "rate": 10**400}], "links[0].rate"),
+        ("links", [{"id": 0, "ends": [1, 0], "rate": "1gbps", "queue_cap": 2**63}],
+         "links[0].queue_cap"),
+        ("stack", {"alp": 10**400}, "stack.alp"),
+        ("contracts", {"FeMBB": {"min_rate": f"{2**63}bps"}}, "contracts.FeMBB.min_rate"),
+        ("contracts", {"ELPC": {"max_energy_per_msg": 10**400}},
+         "contracts.ELPC.max_energy_per_msg"),
+    ])
+    def test_fields_at_or_past_2_63(self, section, value, error):
+        assert f"{error}: must be below 2**63" in errors_of(base_doc(**{section: value}))
+
+    def test_durations_keep_their_rules(self):
+        scn = scenario_from_dict(base_doc(stack={"setup_latency": f"{10**400}ns"}))
+        assert scn.stack.setup_latency_ns == 10**400
 
 
 class TestFleetExpansion:

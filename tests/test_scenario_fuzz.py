@@ -3,19 +3,21 @@
 Each example places a stream, a surgery loop, an ambulance run, a wearable
 fleet and an implant beacon on one small fabric, with start times up to
 1.5x the horizon (so some sources never fire), optional durations,
-staggered or Poisson fleets, and one link or node fault.
+staggered or Poisson fleets, and one link or node fault. The magnitude test
+then sets one field of such a scenario to an extreme value.
 """
 
 import copy
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinslice.engine import MS
 from twinslice.metrics import to_json_bytes
 from twinslice.scenario import ScenarioError, scenario_from_dict
 from twinslice.sim import Simulation
+from twinslice.workloads import AmbulanceRunSpec
 
 NODES = [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}, {"id": 2, "kind": "edge"},
          {"id": 3, "kind": "edge"}, {"id": 4, "kind": "device", "mobile": True},
@@ -23,7 +25,27 @@ NODES = [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}, {"id": 2, "kind":
 # Edge 1 and 2 also meet directly, so a failed uplink leaves a detour.
 ENDS = ([1, 0], [2, 0], [3, 0], [1, 2], [4, 1], [4, 2], [4, 3], [5, 1], [6, 2])
 VITALS = [{"name": "hr", "mean": 80, "sd": 5}]
+TWINS = [
+    {"id": "pt", "level": "individual", "host": 3, "entity": 4, "metrics": VITALS},
+    {"id": "bt", "level": "individual", "host": 1, "entity": 5, "metrics": VITALS},
+    {"id": "ward", "level": "global_edge", "host": 1, "children": "auto", "policy": {"hr": "mean"}},
+    {"id": "hub", "level": "global_core", "host": 0, "policy": {"hr": "max"}},
+]
 GRID = 100_000  # 100 us
+
+
+def document(t_end, workloads, faults, seed=0, queue_caps=(64,) * len(ENDS)):
+    """The fabric and its twins, carrying these workloads and faults."""
+    return {
+        "name": "fuzz",
+        "run": {"t_end": t_end, "master_seed": seed},
+        "nodes": NODES,
+        "links": [{"id": i, "ends": e, "rate": "100mbps", "prop_delay": "10us", "queue_cap": cap}
+                  for i, (e, cap) in enumerate(zip(ENDS, queue_caps))],
+        "twins": TWINS,
+        "workloads": workloads,
+        "faults": faults,
+    }
 
 
 @st.composite
@@ -68,22 +90,8 @@ def small_scenarios(draw):
     t_fail = draw(st.integers(0, t_end // GRID)) * GRID
     fault = {"target": target, "t_fail": t_fail,
              "t_recover": t_fail + draw(st.integers(1, t_end // GRID)) * GRID}
-    return {
-        "name": "fuzz",
-        "run": {"t_end": t_end, "master_seed": draw(st.integers(0, 3))},
-        "nodes": NODES,
-        "links": [{"id": i, "ends": e, "rate": "100mbps", "prop_delay": "10us",
-                   "queue_cap": draw(st.sampled_from([4, 64]))} for i, e in enumerate(ENDS)],
-        "twins": [
-            {"id": "pt", "level": "individual", "host": 3, "entity": 4, "metrics": VITALS},
-            {"id": "bt", "level": "individual", "host": 1, "entity": 5, "metrics": VITALS},
-            {"id": "ward", "level": "global_edge", "host": 1, "children": "auto",
-             "policy": {"hr": "mean"}},
-            {"id": "hub", "level": "global_core", "host": 0, "policy": {"hr": "max"}},
-        ],
-        "workloads": workloads,
-        "faults": [fault],
-    }
+    return document(t_end, workloads, [fault], seed=draw(st.integers(0, 3)),
+                    queue_caps=[draw(st.sampled_from([4, 64])) for _ in ENDS])
 
 
 def run(doc):
@@ -149,3 +157,101 @@ class TestGeneratedScenarios:
         assert list(report) == list(base)
         for key in base:
             assert to_json_bytes(report[key]) == to_json_bytes(base[key]), key
+
+
+# --- extreme magnitudes --------------------------------------------------------
+
+BIG = 10**400
+EXTREMES = [BIG, -BIG, 2**63, 2**63 - 1, 1, 1.7e308, -1.7e308, 5e-324]
+# Fields by what they hold, each with the extremes it is set to. Paths index a
+# document of `small_scenarios`; a missing mapping on the way is created.
+FIELDS = (
+    [(("workloads", i, key), EXTREMES) for i, key in (
+        (0, "frame_size"), (1, "cmd_size"), (2, "payload"), (3, "payload"), (4, "payload"))]
+    + [(("stack", "alp"), EXTREMES)]
+    # rates; 10**9 a second is a 1 ns period
+    + [(path, EXTREMES + [10**9, "1bps", f"{BIG}bps"]) for path in (
+        ("workloads", 0, "bitrate"), ("workloads", 1, "cmd_rate"), ("workloads", 2, "telemetry_rate"),
+        ("links", 0, "rate"), ("links", 7, "rate"), ("workloads", 3, "link", "rate"),
+        ("contracts", "FeMBB", "min_rate"))]
+    + [(path, EXTREMES + [f"{BIG}nj"]) for path in (
+        ("workloads", 4, "energy_per_tx"), ("workloads", 4, "battery"),
+        ("contracts", "ELPC", "max_energy_per_msg"))]
+    + [(("workloads", 2, "cell_span"), EXTREMES + [f"{BIG}m"])]
+    + [(("workloads", 2, "speed_kmh"), EXTREMES + [1e-300])]
+    + [(path, EXTREMES + [1e300, -1e300]) for path in (
+        ("twins", 0, "metrics", 0, "mean"), ("twins", 1, "metrics", 0, "sd"),
+        ("workloads", 3, "metrics", 0, "mean"), ("workloads", 3, "metrics", 0, "sd"))]
+    + [(path, EXTREMES + [f"{BIG}ns"]) for path in (
+        ("workloads", 3, "period"), ("workloads", 4, "period"), ("workloads", 2, "handover_gap"),
+        ("workloads", 1, "rtt_budget"), ("workloads", 0, "start"), ("workloads", 3, "duration"),
+        ("links", 0, "prop_delay"), ("faults", 0, "t_fail"), ("faults", 0, "t_recover"),
+        ("twins", 2, "aggregation_period"), ("twins", 2, "sync_period"),
+        ("stack", "setup_latency"))]
+)
+
+
+@st.composite
+def extreme_edits(draw):
+    """One field of a drawn scenario and the extreme value it is set to."""
+    path, values = draw(st.sampled_from(FIELDS))
+    return {path: draw(st.sampled_from(values))}
+
+
+def edited(doc, edits):
+    doc = json.loads(json.dumps(doc))  # unshares VITALS, so an edit touches one field
+    for path, value in edits.items():
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target.setdefault(step, {}) if isinstance(target, dict) else target[step]
+        target[key] = value
+    return doc
+
+
+def short_horizon(scn):
+    """The horizon, cut to 1,000 times the shortest period that drives events,
+    so that a 1 ns period costs no more events than a 1 us one."""
+    periods = [wl.period_ns for wl in scn.workloads]
+    periods += [wl.handover_gap_ns for wl in scn.workloads if isinstance(wl, AmbulanceRunSpec)]
+    periods += [p for t in scn.twins for p in (t.sync_period, t.aggregation_period)]
+    return min([scn.t_end] + [1000 * p for p in periods if p > 0])
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Each source of the drawn shape with fixed choices, all starting at 0: the
+# base of the inputs that once crashed.
+REFERENCE = document(10 * MS, [
+    {"kind": "telemedicine_stream", "id": "cam", "src": 5, "dst": 0, "bitrate": "10mbps",
+     "frame_size": 1000},
+    {"kind": "surgery_loop", "id": "op", "src": 5, "dst": 6, "cmd_rate": 1000, "cmd_size": 64},
+    {"kind": "ambulance_run", "id": "amb", "device": 4, "twin": "pt", "edge_sequence": [1, 2, 3],
+     "speed_kmh": 3600, "cell_span": 1, "telemetry_rate": 2000, "payload": 200},
+    {"kind": "wearable_fleet", "id": "fleet", "edges": [1], "n_devices": 4, "period": "1ms",
+     "payload": 40, "twin_prefix": "w", "metrics": VITALS},
+    {"kind": "implant_beacon", "id": "imp", "device": 5, "twin": "bt", "period": "500us",
+     "payload": 40, "energy_per_tx": "10nj", "battery": "1j"},
+], faults=[])
+
+
+@given(small_scenarios(), extreme_edits())
+# Inputs that each once crashed the loader, the build or the run:
+@example(REFERENCE, {("workloads", 2, "speed_kmh"): 1e-300})  # an infinite cell time
+@example(REFERENCE, {("workloads", 2, "cell_span"): BIG})
+@example(REFERENCE, {("workloads", 0, "frame_size"): BIG})
+@example(REFERENCE, {("workloads", 3, "payload"): BIG})
+# The battery must hold one transmission for the energy verdict to divide.
+@example(REFERENCE, {("workloads", 4, "energy_per_tx"): BIG, ("workloads", 4, "battery"): BIG})
+@example(REFERENCE, {("links", 0, "rate"): BIG})
+@example(REFERENCE, {("workloads", 3, "metrics", 0, "mean"): 1.7e308})
+@settings(max_examples=100, deadline=None)
+def test_extreme_magnitudes_fail_to_load_or_run_to_a_strict_report(doc, edits):
+    try:
+        scn = scenario_from_dict(edited(doc, edits))
+    except ScenarioError:
+        return
+    report = Simulation(scn, t_end=short_horizon(scn)).run().json_bytes()
+    json.loads(report, parse_constant=reject_constant)

@@ -1,6 +1,8 @@
 """Admission control, SLA verdicts, and the priority/deficit link scheduler."""
 
+import signal
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,21 @@ def fr(cls, size=QUANTUM_UNIT, flow="f"):
                  payload_bytes=size, total_bytes=size, created_at=0)
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail the block, instead of hanging, once it runs past `seconds`."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def mkflow(cls=SliceClass.UMMTC, demand=100, setup=0, pre=False):
     return Flow(id="x", slice_cls=cls, src=0, dst=1, demand_bps=demand,
                 preadmitted=pre, setup_latency_ns=setup)
@@ -43,7 +60,7 @@ class TestDefaultContracts:
         c = default_contracts()
         assert c[SliceClass.FEMBB] == QosContract(1_000_000, 50 * MS, 1e-3)
         assert c[SliceClass.ERLLC] == QosContract(0, 1 * MS, 1e-5)
-        assert c[SliceClass.LDHMC] == QosContract(0, 20 * MS, 1e-3, mobility_kmh=1000)
+        assert c[SliceClass.LDHMC] == QosContract(0, 20 * MS, 1e-3)
         assert c[SliceClass.UMMTC] == QosContract(0, 1 * SEC, 1e-2)
         assert c[SliceClass.ELPC] == QosContract(0, 10 * SEC, 1e-2,
                                                  max_energy_per_msg_nj=1_000_000)
@@ -247,6 +264,16 @@ class TestLinkQueue:
         assert pops[16] is big
         assert all(f.flow.slice_cls is SliceClass.FEMBB for f in pops[:16])
 
+    def test_frames_far_larger_than_a_quantum_are_served_at_once(self):
+        # Once each idle round took one pass of the WDRR loop: 2**54 rounds
+        # for the ELPC frame, so `pop` never returned.
+        q = LinkQueue(4)
+        huge, large = fr(SliceClass.ELPC, size=2**62), fr(SliceClass.FEMBB, size=2**61 + 1)
+        q.push(huge)
+        q.push(large)
+        with deadline(seconds=2):
+            assert [q.pop(), q.pop(), q.pop()] == [large, huge, None]
+
     def test_deficit_resets_when_class_empties(self):
         # Leftover credit from a short frame must not carry to a later burst.
         q = LinkQueue(10_000)
@@ -368,7 +395,11 @@ class EagerLinkQueue:
 # Bursts of pushes then pops build the backlogs where the WDRR rotation,
 # deficits and drain resets decide the order; a flat random mix rarely does.
 QUEUE_ROUND = st.tuples(
-    st.lists(st.tuples(st.sampled_from(SLICE_ORDER), st.integers(min_value=1, max_value=3)),
+    # Frame sizes of whole quanta, or of any byte count up to 40 quanta: a class
+    # whose head frame needs several rounds of credit leaves whole rounds idle.
+    st.lists(st.tuples(st.sampled_from(SLICE_ORDER),
+                       st.one_of(st.integers(1, 3).map(QUANTUM_UNIT.__mul__),
+                                 st.integers(1, 40 * QUANTUM_UNIT))),
              max_size=8),
     st.integers(min_value=0, max_value=8),  # pops
     st.integers(min_value=0, max_value=3),  # 0: drain at the end of the round
@@ -381,13 +412,16 @@ class TestLinkQueueAgainstEagerOracle:
     def test_same_result_at_every_step(self, capacity, rounds):
         got, want = LinkQueue(capacity), EagerLinkQueue(capacity)
         for pushes, pops, drain in rounds:
-            for cls, quanta in pushes:
-                f = fr(cls, size=quanta * QUANTUM_UNIT)
+            for cls, size in pushes:
+                f = fr(cls, size=size)
                 assert got.push(f) == want.push(f)
                 assert got.occupancy == want.occupancy
             for _ in range(pops):
                 assert got.pop() is want.pop()
                 assert got.occupancy == want.occupancy
+                assert (got._ptr, got._fresh) == (want._ptr, want._fresh)
+                if got._deficit is not None:
+                    assert got._deficit == [want._deficit[cls] for cls in WDRR_ORDER]
             if drain == 0:
                 out, expected = got.drain(), want.drain()
                 assert len(out) == len(expected)

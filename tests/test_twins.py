@@ -60,11 +60,8 @@ class TestApplySync:
     def test_staleness_arithmetic(self):
         t = twin()
         t.apply_sync([("hr", 70.0, 1, 400)], now=450)
-        assert t.staleness("hr", 1000) == 600
-
-    def test_staleness_unknown_metric_raises(self):
-        with pytest.raises(TwinSyncError):
-            twin().staleness("nope", 0)
+        t.sample_ages(1000)
+        assert t.staleness_max == {"hr": 600}
 
 
 class TestStaleness:
@@ -90,31 +87,31 @@ class TestBuild:
     def test_parses_reducers_and_alert_rules_from_the_spec(self):
         t = twin(TwinLevel.INDIVIDUAL, {"hr": "max"}, entity=3, alerts=[("hr", 120.0)])
         assert (t.level, t.host, t.entity, t.parent) == (TwinLevel.INDIVIDUAL, 1, 3, None)
-        assert t.policy["hr"][0] == "max"
+        assert t.policy["hr"]([3.0, -1.0, 2.0]) == 3.0  # the max reducer
         assert t.alert_rules == [AlertRule("hr", 120.0)]
         assert (t.push_flow, t.alert_flow) == (None, None)
 
 
 class TestReducers:
     def test_mean_uses_exact_summation(self):
-        _name, fn = parse_reducer("mean")
+        fn = parse_reducer("mean")
         vals = [0.1] * 10
         assert fn(vals) == math.fsum(vals) / 10
 
     def test_sum_max_min(self):
-        assert parse_reducer("sum")[1]([1.5, 2.5]) == 4.0
-        assert parse_reducer("max")[1]([3.0, -1.0]) == 3.0
-        assert parse_reducer("min")[1]([3.0, -1.0]) == -1.0
+        assert parse_reducer("sum")([1.5, 2.5]) == 4.0
+        assert parse_reducer("max")([3.0, -1.0]) == 3.0
+        assert parse_reducer("min")([3.0, -1.0]) == -1.0
 
     def test_count_over_is_strict(self):
-        _name, fn = parse_reducer("count_over:0")
+        fn = parse_reducer("count_over:0")
         assert fn([0.0, 1.0, 1.0]) == 2.0
         assert fn([0.0, 0.0]) == 0.0
 
     def test_count_over_parses_threshold(self):
-        name, fn = parse_reducer("count_over:99.5")
-        assert name == "count_over:99.5"
+        fn = parse_reducer("count_over:99.5")
         assert fn([99.5, 99.6]) == 1.0
+        assert fn([99.4, 99.5, 99.6, 100.0]) == 2.0
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e999"])
     def test_count_over_threshold_must_be_finite(self, threshold):
@@ -129,7 +126,7 @@ class TestReducers:
     @settings(max_examples=60, deadline=None)
     def test_all_reducers_order_insensitive(self, vals):
         for spec in ("mean", "sum", "max", "min", "count_over:0"):
-            _n, fn = parse_reducer(spec)
+            fn = parse_reducer(spec)
             assert fn(vals) == fn(list(reversed(vals)))
 
 

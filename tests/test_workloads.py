@@ -71,16 +71,16 @@ class TestSpecArithmetic:
 
     def test_fleet_demand_rounds_with_floor_of_one(self):
         sim = on_edge_1("t0")
-        spec = WearableFleetSpec("f", [1], 1, period_ns=10**9, payload_bytes=120,
+        spec = WearableFleetSpec("f", [1], period_ns=10**9, payload_bytes=120,
                                  members=[(9, "t0")])
         assert WearableFleetGen(sim, spec).flows[0].demand_bps == 960
-        tiny = WearableFleetSpec("f", [1], 1, period_ns=100 * 10**9, payload_bytes=1,
+        tiny = WearableFleetSpec("f", [1], period_ns=100 * 10**9, payload_bytes=1,
                                  members=[(9, "t0")])
         assert WearableFleetGen(sim, tiny).flows[0].demand_bps == 1
 
     def test_fleet_flow_ids_are_indexed(self):
         sim = on_edge_1("t0", "t1", "t2")
-        spec = WearableFleetSpec("fleet", [1], 3, period_ns=10**9, payload_bytes=10,
+        spec = WearableFleetSpec("fleet", [1], period_ns=10**9, payload_bytes=10,
                                  members=[(7, "t0"), (8, "t1"), (9, "t2")])
         assert [f.id for f in WearableFleetGen(sim, spec).flows] == [
             "fleet.0", "fleet.1", "fleet.2"]
