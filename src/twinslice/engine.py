@@ -49,11 +49,18 @@ class Engine:
     scheduled: scheduling resolves it once, so the heap holds plain
     (fire_at, seq, handler, payload) tuples. seq is unique, so tuple
     comparison never reaches the handler or the payload.
+
+    A caller may `reserve` seqs and schedule at them later, or never: an
+    event pushed at a reserved place sorts as if it had been scheduled when
+    the place was reserved.
     """
 
     def __init__(self) -> None:
         self.now: SimTime = 0
         self.processed: int = 0
+        # The seq of the event being handled. Between runs it is the last seq
+        # handed out, so a call made then sorts after every place so far.
+        self.seq_now = -1
         self._seq = 0
         self._heap: list[tuple[SimTime, int, Handler, Any]] = []
         self._handlers: dict[EventKind, Handler] = {}
@@ -66,6 +73,18 @@ class Engine:
             raise SchedulePast(f"cannot schedule {kind.name} at {fire_at} < now {self.now}")
         heapq.heappush(self._heap, (fire_at, self._seq, self._handlers[kind], payload))
         self._seq += 1
+
+    def reserve(self, n: int) -> int:
+        """Hand out n consecutive seqs without scheduling anything; returns the first."""
+        seq = self._seq
+        self._seq = seq + n
+        return seq
+
+    def schedule_at(self, fire_at: SimTime, seq: int, kind: EventKind, payload: Any = None) -> None:
+        """Schedule at a place from `reserve`, one that does not sort before the current event."""
+        if fire_at < self.now:
+            raise SchedulePast(f"cannot schedule {kind.name} at {fire_at} < now {self.now}")
+        heapq.heappush(self._heap, (fire_at, seq, self._handlers[kind], payload))
 
     def pending(self) -> int:
         return len(self._heap)
@@ -80,10 +99,12 @@ class Engine:
         pop = heapq.heappop
         n = 0
         while heap and heap[0][0] <= t_end:
-            fire_at, _seq, handler, payload = pop(heap)
+            fire_at, seq, handler, payload = pop(heap)
             self.now = fire_at
+            self.seq_now = seq
             handler(payload, fire_at)
             n += 1
+        self.seq_now = self._seq - 1
         self.processed += n
         return n
 

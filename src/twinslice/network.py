@@ -56,17 +56,26 @@ class Link:
 class Channel:
     """One direction of a link: queue, transmitter state, and endpoints.
 
-    `cut` marks a `busy` frame whose link or sending node failed mid-service.
+    The transmitter serves `frame` until `free_at`. The frame's departure
+    sorts at `(free_at, dep_seq)`, a place reserved from the engine's counter
+    when its serialization began, and its arrival at the place right after.
+    A FRAME_DEPARTURE is pushed at that place, and `departs` set, only when it
+    has work to do: a loss draw, a queued frame to serve next, or a frame that
+    `cut` marks because its link or sending node failed mid-service. The
+    first of the frame's departure and arrival events releases it.
     """
 
-    __slots__ = ("link", "src", "dst", "queue", "busy", "cut")
+    __slots__ = ("link", "src", "dst", "queue", "frame", "free_at", "dep_seq", "departs", "cut")
 
     def __init__(self, link: Link, src: int, dst: int) -> None:
         self.link = link
         self.src = src
         self.dst = dst
         self.queue = LinkQueue(link.queue_cap)
-        self.busy: Optional[Frame] = None
+        self.frame: Optional[Frame] = None
+        self.free_at = -1
+        self.dep_seq = -1
+        self.departs = False
         self.cut = False
 
 
@@ -117,7 +126,7 @@ class Frame:
     payload_bytes: int
     total_bytes: int
     created_at: int
-    hops: Optional[list[Channel]] = None
+    hops: Optional[list[Channel]] = None  # None until injected, and once cut in service
     idx: int = 0
     content: Any = None  # a (callee, arg) pair the simulator fires on delivery
 
@@ -286,42 +295,80 @@ class NetworkService:
         frame.idx = 0
         self._enqueue(hops[0], frame, now)
 
+    def _serving(self, chan: Channel, now: int) -> bool:
+        """Whether chan's transmitter is busy at `now`: the current event sorts
+        before the departure place. `now` is the caller's, as a fault applied
+        between runs is at a time of its own."""
+        return now < chan.free_at or (now == chan.free_at and self.engine.seq_now < chan.dep_seq)
+
     def _enqueue(self, chan: Channel, frame: Frame, now: int) -> None:
         if not chan.link.up:
             self.on_drop(frame, "fault", now)
             return
-        if chan.busy is None:
+        if not self._serving(chan, now):
             # Idle transmitter: serve immediately without queueing.
             self._begin(chan, frame, now)
             return
         if not chan.queue.push(frame):
             self.on_drop(frame, "queue", now)
+            return
+        self._depart(chan)  # the departure serves the queue
+
+    def _depart(self, chan: Channel) -> None:
+        """Push the frame in service's departure at its reserved place, once."""
+        if not chan.departs:
+            chan.departs = True
+            self.engine.schedule_at(chan.free_at, chan.dep_seq, EventKind.FRAME_DEPARTURE, chan)
 
     def _begin(self, chan: Channel, frame: Frame, now: int) -> None:
-        chan.busy = frame
-        done = now + tx_ticks(frame.total_bytes, chan.link.rate_bps)
-        self.engine.schedule(done, EventKind.FRAME_DEPARTURE, chan)
+        link = chan.link
+        seq = self.engine.reserve(2)  # the departure's place, then the arrival's
+        done = now + tx_ticks(frame.total_bytes, link.rate_bps)
+        chan.frame = frame
+        chan.free_at = done
+        chan.dep_seq = seq
+        chan.departs = False
+        if link.loss_prob > 0.0:
+            self._depart(chan)  # loss is drawn at the departure instant
+            return
+        self.engine.schedule_at(done + link.prop_delay_ns, seq + 1, EventKind.FRAME_ARRIVAL,
+                                (chan, frame, link.failures))
+        if chan.queue.occupancy:
+            self._depart(chan)  # the departure serves the queue
 
     def _on_departure(self, chan: Channel, now: int) -> None:
-        frame = chan.busy
-        chan.busy = None
+        frame, seq = chan.frame, chan.dep_seq
+        self._release(chan)
         link = chan.link
         if chan.cut:
             # The link or the transmitting node failed mid-serialization.
             chan.cut = False
+            frame.hops = None  # so that an arrival already scheduled is ignored
             self.on_drop(frame, "fault", now)
-        elif link.loss_prob > 0.0 and self.stream(f"loss:{frame.flow.id}").bernoulli(link.loss_prob):
-            self.on_drop(frame, "loss", now)
-        else:
-            self.engine.schedule(now + link.prop_delay_ns, EventKind.FRAME_ARRIVAL,
-                                 (chan, frame, link.failures))
+        elif link.loss_prob > 0.0:
+            if self.stream(f"loss:{frame.flow.id}").bernoulli(link.loss_prob):
+                self.on_drop(frame, "loss", now)
+            else:
+                self.engine.schedule_at(now + link.prop_delay_ns, seq + 1,
+                                        EventKind.FRAME_ARRIVAL, (chan, frame, link.failures))
         if link.up:
             nxt = chan.queue.pop()
             if nxt is not None:
                 self._begin(chan, nxt, now)
 
+    @staticmethod
+    def _release(chan: Channel) -> None:
+        """The transmitter is done with its frame: keep no reference to it."""
+        chan.frame = None
+        chan.free_at = chan.dep_seq = -1
+
     def _on_arrival(self, flight: tuple[Channel, Frame, int], now: int) -> None:
         chan, frame, failures = flight
+        if chan.frame is frame:
+            self._release(chan)  # it was served without a departure event
+        hops = frame.hops
+        if hops is None:
+            return  # cut in service, and dropped at its departure instant
         if chan.link.failures != failures:
             # The carrying link failed while the frame was in flight.
             self.on_drop(frame, "fault", now)
@@ -331,8 +378,6 @@ class NetworkService:
             self.on_drop(frame, "fault", now)
             return
         frame.idx += 1
-        hops = frame.hops
-        assert hops is not None
         if frame.idx >= len(hops):
             self.on_deliver(frame, now)
             return
@@ -358,14 +403,7 @@ class NetworkService:
         link.up = False
         link.failures += 1
         self.topology.bump_epoch()
-        dropped = 0
-        for src in (link.a, link.b):
-            chan = self.topology.channel(link.id, src)
-            chan.cut = chan.busy is not None
-            for frame in chan.queue.drain():
-                self.on_drop(frame, "fault", now)
-                dropped += 1
-        return dropped
+        return sum(self._cut(self.topology.channel(link.id, src), now) for src in (link.a, link.b))
 
     def recover_link(self, link: Link, now: int) -> None:
         link.up = True
@@ -378,10 +416,18 @@ class NetworkService:
         node.up = False
         self.topology.bump_epoch()
         for _peer, link in self.topology._adj[node.id]:
-            chan = self.topology.channel(link.id, node.id)
-            chan.cut = chan.busy is not None
-            for frame in chan.queue.drain():
-                self.on_drop(frame, "fault", now)
+            self._cut(self.topology.channel(link.id, node.id), now)
+
+    def _cut(self, chan: Channel, now: int) -> int:
+        """Mark the frame in service to drop at its departure; drop the queue now.
+        Returns how many queued frames dropped."""
+        if self._serving(chan, now):
+            chan.cut = True
+            self._depart(chan)
+        frames = chan.queue.drain()
+        for frame in frames:
+            self.on_drop(frame, "fault", now)
+        return len(frames)
 
     def recover_node(self, node: Node, now: int) -> None:
         node.up = True

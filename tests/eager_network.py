@@ -1,0 +1,169 @@
+"""The network service as first written, kept as a test-only oracle.
+
+`EagerNetworkService` pushes a FRAME_DEPARTURE for every frame it starts
+serializing and schedules the frame's arrival from that departure. The
+package's `NetworkService` pushes a departure only when it has work to do
+(a loss draw, a queued frame, a cut), so the two must agree on every report
+field except `run.events_processed`.
+
+They differ in one declared tie rule. The package places a frame's arrival
+in the same-instant order when its serialization begins; this oracle, by
+default, places it when the frame departs. `reserve_arrival=True` switches
+the oracle to the package's rule, and then nothing else separates the two.
+Swap it in for `twinslice.sim.NetworkService` to run a whole scenario on it.
+"""
+
+from unittest import mock
+
+import twinslice.sim
+from twinslice.engine import EventKind
+from twinslice.metrics import to_json_bytes
+from twinslice.network import Unreachable, tx_ticks
+
+
+class EagerNetworkService:
+    """Queueing, serialization, propagation, loss and fault drops, one
+    departure event and one arrival event per hop."""
+
+    def __init__(self, engine, topology, stream, on_deliver, on_drop, reserve_arrival=False):
+        self.engine = engine
+        self.topology = topology
+        self.stream = stream
+        self.on_deliver = on_deliver
+        self.on_drop = on_drop
+        self.reserve_arrival = reserve_arrival
+        self.busy = {}  # channel -> the frame it is serializing
+        self.cut = set()  # channels whose frame in service failed mid-service
+        self.arrival_seq = {}  # channel -> its frame's reserved arrival place
+        engine.on(EventKind.FRAME_DEPARTURE, self._on_departure)
+        engine.on(EventKind.FRAME_ARRIVAL, self._on_arrival)
+
+    def inject(self, frame, now):
+        try:
+            hops = self.topology.route(frame.flow.src, frame.flow.dst)
+        except Unreachable:
+            self.on_drop(frame, "fault", now)
+            return
+        if not hops:
+            self.on_deliver(frame, now)
+            return
+        frame.hops = hops
+        frame.idx = 0
+        self._enqueue(hops[0], frame, now)
+
+    def _enqueue(self, chan, frame, now):
+        if not chan.link.up:
+            self.on_drop(frame, "fault", now)
+            return
+        if chan not in self.busy:
+            self._begin(chan, frame, now)
+            return
+        if not chan.queue.push(frame):
+            self.on_drop(frame, "queue", now)
+
+    def _begin(self, chan, frame, now):
+        self.busy[chan] = frame
+        done = now + tx_ticks(frame.total_bytes, chan.link.rate_bps)
+        if self.reserve_arrival:
+            seq = self.engine.reserve(2)
+            self.engine.schedule_at(done, seq, EventKind.FRAME_DEPARTURE, chan)
+            self.arrival_seq[chan] = seq + 1
+        else:
+            self.engine.schedule(done, EventKind.FRAME_DEPARTURE, chan)
+
+    def _on_departure(self, chan, now):
+        frame = self.busy.pop(chan)
+        link = chan.link
+        if chan in self.cut:
+            self.cut.discard(chan)
+            self.on_drop(frame, "fault", now)
+        elif link.loss_prob > 0.0 and self.stream(f"loss:{frame.flow.id}").bernoulli(link.loss_prob):
+            self.on_drop(frame, "loss", now)
+        elif self.reserve_arrival:
+            self.engine.schedule_at(now + link.prop_delay_ns, self.arrival_seq[chan],
+                                    EventKind.FRAME_ARRIVAL, (chan, frame, link.failures))
+        else:
+            self.engine.schedule(now + link.prop_delay_ns, EventKind.FRAME_ARRIVAL,
+                                 (chan, frame, link.failures))
+        if link.up:
+            nxt = chan.queue.pop()
+            if nxt is not None:
+                self._begin(chan, nxt, now)
+
+    def _on_arrival(self, flight, now):
+        chan, frame, failures = flight
+        if chan.link.failures != failures:
+            self.on_drop(frame, "fault", now)
+            return
+        here = chan.dst
+        if not self.topology.nodes[here].up:
+            self.on_drop(frame, "fault", now)
+            return
+        frame.idx += 1
+        if frame.idx >= len(frame.hops):
+            self.on_deliver(frame, now)
+            return
+        nxt = frame.hops[frame.idx]
+        if not self.topology._usable(nxt.link, nxt.src, nxt.dst):
+            try:
+                rest = self.topology.route(here, frame.flow.dst)
+            except Unreachable:
+                self.on_drop(frame, "fault", now)
+                return
+            frame.hops = rest
+            frame.idx = 0
+            nxt = rest[0]
+        self._enqueue(nxt, frame, now)
+
+    def _fail_channel(self, chan, now):
+        if chan in self.busy:
+            self.cut.add(chan)
+        dropped = chan.queue.drain()
+        for frame in dropped:
+            self.on_drop(frame, "fault", now)
+        return len(dropped)
+
+    def fail_link(self, link, now):
+        link.up = False
+        link.failures += 1
+        self.topology.bump_epoch()
+        return sum(self._fail_channel(self.topology.channel(link.id, src), now)
+                   for src in (link.a, link.b))
+
+    def recover_link(self, link, now):
+        link.up = True
+        self.topology.bump_epoch()
+
+    def fail_node(self, node, now):
+        node.up = False
+        self.topology.bump_epoch()
+        for _peer, link in self.topology._adj[node.id]:
+            self._fail_channel(self.topology.channel(link.id, node.id), now)
+
+    def recover_node(self, node, now):
+        node.up = True
+        self.topology.bump_epoch()
+
+
+def run_with(service, scenario, seed=None, t_end=None):
+    """Run a scenario with `service` in place of the package's network service."""
+    with mock.patch.object(twinslice.sim, "NetworkService", service):
+        return twinslice.sim.run_scenario(scenario, seed=seed, t_end=t_end)
+
+
+LEDGER = ("sent", "delivered", "dropped_loss", "dropped_queue", "dropped_fault", "in_flight",
+          "payload_bits", "energy_nj")
+
+
+def outcome(result):
+    """All that a run shows but its event count: the report's bytes without
+    `run.events_processed`, and every flow's ledger with its delay histogram."""
+    report = dict(result.report)
+    report["run"] = {k: v for k, v in report["run"].items() if k != "events_processed"}
+    ledgers = {}
+    for flow_id, flow in result.sim.flows.items():
+        stats, hist = flow.stats, flow.stats.hist
+        ledgers[flow_id] = ([getattr(stats, name) for name in LEDGER],
+                            (hist.count, hist.total, hist.min_value, hist.max_value,
+                             sorted(hist._bins.items())))
+    return to_json_bytes(report), result.csv_bytes(), ledgers

@@ -54,10 +54,47 @@ class TestOrdering:
             eng.schedule(3, EventKind.HANDOVER)  # no handler registered for it
 
 
+    def test_an_event_at_a_reserved_place_sorts_where_it_was_reserved(self):
+        eng = Engine()
+        seen = collect(eng)
+        eng.schedule(50, EventKind.TRAFFIC_ARRIVAL, "a")
+        first = eng.reserve(2)
+        eng.schedule(50, EventKind.TRAFFIC_ARRIVAL, "d")
+        eng.schedule_at(50, first + 1, EventKind.TRAFFIC_ARRIVAL, "c")
+        eng.schedule_at(50, first, EventKind.TRAFFIC_ARRIVAL, "b")
+        eng.reserve(1)  # a place left unused costs nothing
+        eng.run_until(100)
+        assert [p for _t, p in seen] == ["a", "b", "c", "d"]
+
+    def test_seq_now_is_the_current_place_and_between_runs_the_last_one(self):
+        eng = Engine()
+        places = []
+        eng.on(EventKind.TRAFFIC_ARRIVAL, lambda p, now: places.append(eng.seq_now))
+        assert eng.seq_now == -1
+        eng.schedule(5, EventKind.TRAFFIC_ARRIVAL)
+        eng.reserve(3)
+        eng.schedule(5, EventKind.TRAFFIC_ARRIVAL)
+        eng.run_until(10)
+        assert places == [0, 4]
+        assert eng.seq_now == 4
+        eng.reserve(2)
+        eng.run_until(20)
+        assert eng.seq_now == 6
+
+
 class TestClock:
     def test_schedule_in_past_raises(self):
         eng = Engine()
         eng.on(EventKind.TRAFFIC_ARRIVAL, lambda p, now: eng.schedule(now - 1, EventKind.TRAFFIC_ARRIVAL))
+        eng.schedule(10, EventKind.TRAFFIC_ARRIVAL)
+        with pytest.raises(SchedulePast):
+            eng.run_until(100)
+
+    def test_schedule_at_a_reserved_place_in_the_past_raises(self):
+        eng = Engine()
+        seq = eng.reserve(1)
+        eng.on(EventKind.TRAFFIC_ARRIVAL,
+               lambda p, now: eng.schedule_at(now - 1, seq, EventKind.TRAFFIC_ARRIVAL))
         eng.schedule(10, EventKind.TRAFFIC_ARRIVAL)
         with pytest.raises(SchedulePast):
             eng.run_until(100)

@@ -1,14 +1,19 @@
 """Stack overhead, transmission arithmetic, routing, and hop-by-hop transport."""
 
 import functools
+import gc
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinslice.engine import Engine, EventKind, US, fork_rng
+from eager_network import EagerNetworkService, outcome, run_with
+from twinslice.engine import Engine, EventKind, MS, SEC, US, fork_rng
 from twinslice.network import (
+    Channel,
     Frame,
     Link,
     NetworkService,
@@ -21,8 +26,13 @@ from twinslice.network import (
     tx_ticks,
     unloaded_path_delay,
 )
-from twinslice.scenario import ScenarioError, scenario_from_dict
+from twinslice.scenario import ScenarioError, load_scenario, scenario_from_dict
+from twinslice.sim import run_scenario
 from twinslice.slices import Flow, SliceClass
+
+# The package's service, and the eager oracle with the package's arrival rule and with its own.
+RESERVING = functools.partial(EagerNetworkService, reserve_arrival=True)
+SERVICES = {"lazy": NetworkService, "eager-reserving": RESERVING, "eager": EagerNetworkService}
 
 
 def mknodes(*kinds):
@@ -47,17 +57,20 @@ def frame(src, dst, payload=100, total=None, flow="f", cls=SliceClass.UMMTC, cre
 
 
 class Harness:
-    """Engine + NetworkService with recording callbacks."""
+    """Engine + network service with recording callbacks.
 
-    def __init__(self, topo, seed=1):
+    TRAFFIC_ARRIVAL events inject their payload, a frame, when they fire."""
+
+    def __init__(self, topo, seed=1, service=NetworkService):
         self.engine = Engine()
         self.delivered = []
         self.dropped = []
-        self.net = NetworkService(
+        self.net = service(
             self.engine, topo, functools.cache(lambda label: fork_rng(seed, label)),
             lambda f, now: self.delivered.append((f, now)),
             lambda f, cause, now: self.dropped.append((f, cause, now)),
         )
+        self.engine.on(EventKind.TRAFFIC_ARRIVAL, self.net.inject)
 
 
 class TestStackProfile:
@@ -328,7 +341,9 @@ class TestTransport:
         h.engine.run_until(10**9)
         assert not h.delivered
         assert [(c, t) for _f, c, t in h.dropped] == [("fault", 161)] * 19 + [("fault", 8000)]
-        assert h.net.topology.channel(0, 1).busy is None
+        chan = h.net.topology.channel(0, 1)
+        assert chan.frame is None
+        assert not h.net._serving(chan, h.engine.now)
 
     def outcomes(self, h):
         return ([at for _f, at in h.delivered], [(c, t) for _f, c, t in h.dropped])
@@ -374,6 +389,40 @@ class TestTransport:
         h.net.recover_node(topo.nodes[1], 86_000)
         h.engine.run_until(10**9)
         assert self.outcomes(h) == ([90_000], [])
+
+    @pytest.mark.parametrize("service", SERVICES.values(), ids=SERVICES)
+    @pytest.mark.parametrize("loss", [0.0, 0.5], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("cut", ["link", "sender", "both"])
+    def test_a_cut_on_a_channel_that_never_queued_drops_the_frame_once(self, service, loss, cut):
+        # No frame queues behind this one, so on a lossless link no departure
+        # event is pushed until the cut; the arrival already scheduled is ignored.
+        topo = star()
+        topo.links[2].loss_prob = loss
+        h = Harness(topo, service=service)
+        h.net.inject(frame(3, 1, total=1000), 0)
+        if cut in ("link", "both"):
+            h.net.fail_link(topo.links[2], 1)
+        if cut in ("sender", "both"):
+            h.net.fail_node(topo.nodes[3], 2)
+        h.net.recover_link(topo.links[2], 3)
+        h.net.recover_node(topo.nodes[3], 3)
+        h.engine.run_until(10**9)
+        assert self.outcomes(h) == ([], [("fault", 80_000)])
+        assert h.engine.pending() == 0
+
+    @pytest.mark.parametrize("service", SERVICES.values(), ids=SERVICES)
+    def test_a_fault_between_runs_is_judged_at_the_time_its_caller_passes(self, service):
+        # The run reached the frame's departure instant, so its departure place
+        # has passed though no event was pushed there: the frame is on the
+        # wire, and the fault drops it when it arrives.
+        topo = star()
+        h = Harness(topo, service=service)
+        h.net.inject(frame(3, 1, total=1000), 0)
+        h.engine.run_until(80_000)
+        h.net.fail_link(topo.links[2], 80_000)
+        h.net.recover_link(topo.links[2], 81_000)
+        h.engine.run_until(10**9)
+        assert self.outcomes(h) == ([], [("fault", 90_000)])
 
     def diamond(self):
         # core 0 reachable from edge 3 via relay edges 1 or 2
@@ -455,3 +504,128 @@ class TestConservation:
         h.engine.run_until(10**12)
         assert len(h.delivered) + len(h.dropped) == n
         assert h.engine.pending() == 0
+
+
+def order(h):
+    return [(f.flow.id, at) for f, at in h.delivered]
+
+
+class TestSameInstantOrder:
+    """A frame's departure sorts at the (instant, seq) place reserved when its
+    serialization began, whether or not an event is pushed there, and its
+    arrival sorts right after that place.
+
+    On `star`, edge 1 sends an 11,250 B frame x to the core over the 1 Gb/s
+    link 0: link 0 frees at 90 us and x arrives at 140 us. A 1,000 B frame
+    from device 3 crosses the 100 Mb/s link 2 in 80 us and propagates for
+    10 us, so it reaches edge 1 at the instant link 0 frees.
+    """
+
+    def crossing(self, service):
+        # y (FeMBB) leaves device 3 first; then x starts on link 0, and q
+        # (ELPC, the lower WDRR weight) queues behind x.
+        h = Harness(star(), service=service)
+        h.net.inject(frame(3, 0, total=1000, flow="y", cls=SliceClass.FEMBB), 0)
+        h.net.inject(frame(1, 0, total=11_250, flow="x", cls=SliceClass.ELPC), 0)
+        h.net.inject(frame(1, 0, total=1000, flow="q", cls=SliceClass.ELPC), 0)
+        h.engine.run_until(10**9)
+        return order(h)
+
+    def test_an_arrival_sorts_where_its_serialization_began(self):
+        # y began before x, so it reaches edge 1 before x departs: it queues
+        # beside q, and WDRR serves the FeMBB frame first.
+        want = [("x", 140 * US), ("y", 148 * US), ("q", 156 * US)]
+        assert self.crossing(NetworkService) == want
+        assert self.crossing(RESERVING) == want
+
+    def test_the_eager_oracle_keeps_the_old_rule(self):
+        # Placed when y departs, y's arrival sorts after x's departure, which
+        # has already begun q by the time y queues.
+        assert self.crossing(EagerNetworkService) == [
+            ("x", 140 * US), ("q", 148 * US), ("y", 156 * US)]
+
+    def pair_at_the_free_instant(self, service, before):
+        """Two frames for link 0 are injected at the instant it frees from x,
+        ELPC w1 then FeMBB w2, by events scheduled before or after x began."""
+        h = Harness(star(), service=service)
+        x = frame(1, 0, total=11_250, flow="x")
+        if not before:
+            h.net.inject(x, 0)
+        h.engine.schedule(90 * US, EventKind.TRAFFIC_ARRIVAL,
+                          frame(1, 0, total=1000, flow="w1", cls=SliceClass.ELPC))
+        h.engine.schedule(90 * US, EventKind.TRAFFIC_ARRIVAL,
+                          frame(1, 0, total=1000, flow="w2", cls=SliceClass.FEMBB))
+        if before:
+            h.net.inject(x, 0)
+        h.engine.run_until(10**9)
+        return order(h)
+
+    @pytest.mark.parametrize("service", SERVICES.values(), ids=SERVICES)
+    def test_an_enqueue_before_the_departure_place_finds_the_transmitter_busy(self, service):
+        # Both queue, and x's departure picks by WDRR: FeMBB first.
+        assert self.pair_at_the_free_instant(service, before=True) == [
+            ("x", 140 * US), ("w2", 148 * US), ("w1", 156 * US)]
+
+    @pytest.mark.parametrize("service", SERVICES.values(), ids=SERVICES)
+    def test_an_enqueue_after_the_departure_place_finds_the_transmitter_free(self, service):
+        # w1 starts at once, and w2 queues behind it.
+        assert self.pair_at_the_free_instant(service, before=False) == [
+            ("x", 140 * US), ("w1", 148 * US), ("w2", 156 * US)]
+
+
+class TestFrameRelease:
+    def test_no_channel_keeps_a_delivered_frame(self):
+        # Frames cross the core both ways, queue on the access links, and
+        # meet a lossy backbone link; every one of them is settled.
+        topo = star()
+        topo.links[1].loss_prob = 0.3
+        h = Harness(topo)
+        for i in range(40):
+            src, dst = (3, 4) if i % 2 else (4, 3)
+            h.engine.schedule(i * US, EventKind.TRAFFIC_ARRIVAL, frame(src, dst, total=1000))
+        h.engine.run_until(10**9)
+        assert h.delivered and h.dropped
+        assert len(h.delivered) + len(h.dropped) == 40
+        referrers = gc.get_referrers(*[f for f, _at in h.delivered])
+        assert not [r for r in referrers if isinstance(r, Channel)]
+        channels = [topo.channel(link.id, src) for link in topo.links for src in (link.a, link.b)]
+        assert all(chan.frame is None and chan.free_at == -1 for chan in channels)
+
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+
+
+def contended_scenario(seed):
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return scenario_from_dict(inputs.contended_scenario(seed))
+
+
+class TestAgainstTheEagerOracle:
+    """With its own arrival rule, the eager oracle gives the same reports on
+    the bundled scenarios and the benchmark's contended scenario: on these
+    inputs the declared tie rule moves nothing but the event count.
+
+    `wearables.scn` runs to the benchmark's 8.4 s fleet horizon, and
+    `contended` to 10 s, past its outage and recovery; both run whole in the
+    benchmark.
+    """
+
+    @pytest.mark.parametrize("name, t_end", [
+        ("ambulance.scn", None), ("ambulance_single.scn", None), ("surgery.scn", None),
+        ("surgery_degraded.scn", None), ("ward.scn", None), ("wearables.scn", 8400 * MS)])
+    def test_bundled_scenarios(self, scenario_dir, name, t_end):
+        scn = load_scenario(scenario_dir / name)
+        lazy = run_scenario(scn, t_end=t_end)
+        eager = run_with(EagerNetworkService, scn, t_end=t_end)
+        assert outcome(lazy) == outcome(eager)
+        assert lazy.sim.engine.processed < eager.sim.engine.processed
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_contended(self, seed):
+        scn = contended_scenario(seed)
+        lazy = run_scenario(scn, t_end=10 * SEC)
+        assert lazy.report["slices"]["FeMBB"]["dropped_queue"] > 0
+        assert lazy.report["slices"]["FeMBB"]["dropped_fault"] > 0
+        assert outcome(lazy) == outcome(run_with(EagerNetworkService, scn, t_end=10 * SEC))

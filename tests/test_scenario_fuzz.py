@@ -8,11 +8,13 @@ then sets one field of such a scenario to an extreme value.
 """
 
 import copy
+import functools
 import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eager_network import EagerNetworkService, outcome, run_with
 from twinslice.engine import MS
 from twinslice.metrics import to_json_bytes
 from twinslice.scenario import ScenarioError, scenario_from_dict
@@ -157,6 +159,26 @@ class TestGeneratedScenarios:
         assert list(report) == list(base)
         for key in base:
             assert to_json_bytes(report[key]) == to_json_bytes(base[key]), key
+
+
+class TestLazyDeparturesAgainstTheEagerOracle:
+    @given(small_scenarios(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_only_the_event_count_differs(self, doc, lossy):
+        # The eager oracle under the package's arrival rule pushes a departure
+        # for every hop; the package pushes one only for a loss draw, a queued
+        # frame or a cut. Reports, per-flow ledgers and histograms must agree.
+        if lossy:
+            for link in doc["links"][::2]:
+                link["loss"] = 0.05
+        try:
+            scn = scenario_from_dict(copy.deepcopy(doc))
+        except ScenarioError:
+            return
+        lazy = Simulation(scn).run()
+        eager = run_with(functools.partial(EagerNetworkService, reserve_arrival=True), scn)
+        assert outcome(lazy) == outcome(eager)
+        assert lazy.sim.engine.processed <= eager.sim.engine.processed
 
 
 # --- extreme magnitudes --------------------------------------------------------

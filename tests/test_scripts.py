@@ -22,8 +22,10 @@ def run_script(name, *args):
 @pytest.mark.parametrize("name, args, header", [
     ("queueing_validation.py", ["--frames", 2000, "--rho", 0.5],
      "mu = 100000 frames/s, 2000 frames per point, seed 2026"),
+    ("queueing_validation.py", ["--frames", 2000, "--priority", 0.3, 0.4],
+     "strict priority: loads 0.30 and 0.40, 2000 frames, seed 2026"),
     ("fairness_demo.py", ["--pops", 900], " class weight        bytes    share   target"),
-], ids=["queueing_validation", "fairness_demo"])
+], ids=["queueing_validation", "queueing_validation_priority", "fairness_demo"])
 def test_script_runs(name, args, header):
     done = run_script(name, *args)
     assert done.returncode == 0, done.stderr
@@ -34,7 +36,7 @@ def test_run_all_summarizes_each_scenario(scenario_dir, tmp_path):
     shutil.copy(scenario_dir / "surgery.scn", tmp_path)
     done = run_script("run_all.py", "--expect-violations", "--dir", tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("surgery.scn: ok exit=0 events=38001 ")
+    assert done.stdout.startswith("surgery.scn: ok exit=0 events=22001 ")
 
 
 def test_gc_phases_counts_full_collections_per_phase():

@@ -163,6 +163,22 @@ class TestRunDiscipline:
         assert (row["sent"], row["delivered"], row["in_flight"]) == (1001, 1000, 1)
         assert row["verdict"] == "met"
 
+    @pytest.mark.parametrize("cut", ["link:1", "node:2"])
+    @pytest.mark.parametrize("t_end", [90_880, 500_000])
+    def test_a_frame_cut_before_the_horizon_is_dropped_not_in_flight(self, cut, t_end):
+        # One 1,136 B frame leaves device 2 at 0 and serializes until 90.88 us
+        # on the 100 Mb/s link 1; it would arrive 1 ms later, past the horizon.
+        # A fault cuts it mid-service, so it drops at its departure instant,
+        # the horizon included, though no frame ever queued on that channel.
+        doc = hierarchy_doc(
+            twins=[], stack={"setup_latency": 0},
+            faults=[{"target": cut, "t_fail": "10us", "t_recover": "20us"}],
+            workloads=[{"kind": "telemedicine_stream", "id": "cam", "src": 2, "dst": 1,
+                        "bitrate": "1mbps", "frame_size": 1000}])
+        doc["links"][1]["prop_delay"] = "1ms"
+        row = run_scenario(build(doc), t_end=t_end).report["slices"]["FeMBB"]
+        assert (row["sent"], row["dropped_fault"], row["in_flight"]) == (1, 1, 0)
+
     def test_duplicate_flow_id_rejected(self):
         # Loading rejects every flow-id clash, so a duplicate here is a bug.
         sim = Simulation(build(hierarchy_doc()))
