@@ -110,17 +110,17 @@ def _emit(result: RunResult, formats: list[str], out: Optional[str], stem: str,
         print(f"wrote {target}", file=sys.stderr)
 
 
-def _sweep_summary(scn, seeds: list[int], reports: list[dict]) -> dict:
+def _sweep_summary(scn, seeds: list[int], runs: list[dict]) -> dict:
     """Aggregate slice metrics across seeds: mean, min, max per metric.
 
-    With a single seed the summary collapses to that report's values.
-    Non-numeric columns (slice name, verdict) are excluded; verdicts are
-    tallied instead.
+    `runs` holds each seed's report "slices" section. With a single seed the
+    summary collapses to that report's values. Non-numeric columns (slice
+    name, verdict) are excluded; verdicts are tallied instead.
     """
     slices: dict = {}
     verdicts: dict = {}
-    for name in reports[0]["slices"]:
-        rows = [rep["slices"][name] for rep in reports]
+    for name in runs[0]:
+        rows = [run[name] for run in runs]
         agg = {}
         for key, first in rows[0].items():
             if not isinstance(first, (int, float)) or isinstance(first, bool):
@@ -139,7 +139,7 @@ def _sweep_summary(scn, seeds: list[int], reports: list[dict]) -> dict:
     return {
         "scenario": {"name": scn.name, "digest": scn.digest},
         "seeds": seeds,
-        "runs": len(reports),
+        "runs": len(runs),
         "slices": slices,
         "verdicts": verdicts,
     }
@@ -187,7 +187,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     stem = Path(args.scenario).stem
     out = args.out if args.out is not None else scn.out
     worst = 0
-    reports = []
+    runs = []
     for seed in seeds:
         started = time.perf_counter()
         result = run_scenario(scn, seed=seed, t_end=t_end)
@@ -201,8 +201,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"seed {seed}: {verdict} events={events} report={digest}")
         print(f"seed {seed} finished in {elapsed:.3f}s wall", file=sys.stderr)
         worst = max(worst, result.exit_code)
-        reports.append(result.report)
-    summary = to_json_bytes(_sweep_summary(scn, seeds, reports))
+        runs.append(result.report["slices"])  # all that the summary reads
+        del result, report  # so that a sweep holds one run at a time
+    summary = to_json_bytes(_sweep_summary(scn, seeds, runs))
     if out is not None:
         target = Path(out) / f"{stem}.summary.json"
         target.write_bytes(summary)

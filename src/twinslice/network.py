@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from .engine import Engine, EventKind, RngStream, SEC
@@ -100,8 +101,9 @@ class StackProfile:
     # None = derive per flow as 2 RTTs of the path (4x one-way propagation).
     setup_latency_ns: Optional[int] = None
 
-    @property
+    @cached_property
     def overhead(self) -> int:
+        """Header bytes of every frame, summed once per profile."""
         return self.alp + self.session + self.security + self.transport_bytes + self.network + self.phy
 
     def serialize_overhead(self, payload_bytes: int) -> int:
@@ -128,6 +130,7 @@ class Frame:
     created_at: int
     hops: Optional[list[Channel]] = None  # None until injected, and once cut in service
     idx: int = 0
+    epoch: int = 0  # the Topology.epoch that `hops` was routed in
     content: Any = None  # a (callee, arg) pair the simulator fires on delivery
 
 
@@ -171,6 +174,9 @@ class Topology:
         return self._channels[(link_id, src)]
 
     def bump_epoch(self) -> None:
+        """Call after every write to what `_usable` reads (`Link.up`, `Node.up`,
+        `Node.attached_edge`): the route cache and frames in flight trust a
+        route for as long as the epoch it was computed in holds."""
         self.epoch += 1
 
     def set_attachment(self, device_id: int, edge_id: Optional[int]) -> None:
@@ -293,20 +299,22 @@ class NetworkService:
             return
         frame.hops = hops
         frame.idx = 0
+        frame.epoch = self.topology.epoch
         self._enqueue(hops[0], frame, now)
 
     def _serving(self, chan: Channel, now: int) -> bool:
         """Whether chan's transmitter is busy at `now`: the current event sorts
         before the departure place. `now` is the caller's, as a fault applied
-        between runs is at a time of its own."""
+        between runs is at a time of its own. `_enqueue` inlines the negation."""
         return now < chan.free_at or (now == chan.free_at and self.engine.seq_now < chan.dep_seq)
 
     def _enqueue(self, chan: Channel, frame: Frame, now: int) -> None:
         if not chan.link.up:
             self.on_drop(frame, "fault", now)
             return
-        if not self._serving(chan, now):
-            # Idle transmitter: serve immediately without queueing.
+        free_at = chan.free_at
+        if now > free_at or (now == free_at and self.engine.seq_now >= chan.dep_seq):
+            # Idle transmitter (not `_serving`): serve immediately without queueing.
             self._begin(chan, frame, now)
             return
         if not chan.queue.push(frame):
@@ -323,7 +331,7 @@ class NetworkService:
     def _begin(self, chan: Channel, frame: Frame, now: int) -> None:
         link = chan.link
         seq = self.engine.reserve(2)  # the departure's place, then the arrival's
-        done = now + tx_ticks(frame.total_bytes, link.rate_bps)
+        done = now - (-frame.total_bytes * 8 * SEC // link.rate_bps)  # now + tx_ticks(...)
         chan.frame = frame
         chan.free_at = done
         chan.dep_seq = seq
@@ -358,14 +366,17 @@ class NetworkService:
 
     @staticmethod
     def _release(chan: Channel) -> None:
-        """The transmitter is done with its frame: keep no reference to it."""
+        """The transmitter is done with its frame: keep no reference to it.
+        `_on_arrival` inlines it."""
         chan.frame = None
         chan.free_at = chan.dep_seq = -1
 
     def _on_arrival(self, flight: tuple[Channel, Frame, int], now: int) -> None:
         chan, frame, failures = flight
         if chan.frame is frame:
-            self._release(chan)  # it was served without a departure event
+            # Served without a departure event: `_release` it.
+            chan.frame = None
+            chan.free_at = chan.dep_seq = -1
         hops = frame.hops
         if hops is None:
             return  # cut in service, and dropped at its departure instant
@@ -374,23 +385,27 @@ class NetworkService:
             self.on_drop(frame, "fault", now)
             return
         here = chan.dst
-        if not self.topology.nodes[here].up:
+        topology = self.topology
+        if not topology.nodes[here].up:
             self.on_drop(frame, "fault", now)
             return
-        frame.idx += 1
-        if frame.idx >= len(hops):
+        idx = frame.idx = frame.idx + 1
+        if idx >= len(hops):
             self.on_deliver(frame, now)
             return
-        nxt = hops[frame.idx]
-        if not self.topology._usable(nxt.link, nxt.src, nxt.dst):
+        nxt = hops[idx]
+        # A route is usable in the epoch it was routed in, and every write to
+        # what `_usable` reads bumps the epoch: only a moved epoch re-checks.
+        if frame.epoch != topology.epoch and not topology._usable(nxt.link, nxt.src, nxt.dst):
             # Planned hop became unusable: reroute from the current node.
             try:
-                rest = self.topology.route(here, frame.flow.dst)
+                rest = topology.route(here, frame.flow.dst)
             except Unreachable:
                 self.on_drop(frame, "fault", now)
                 return
             frame.hops = rest
             frame.idx = 0
+            frame.epoch = topology.epoch
             nxt = rest[0]
         self._enqueue(nxt, frame, now)
 

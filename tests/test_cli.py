@@ -1,12 +1,16 @@
 """Command line behavior: exit codes, report emission, seed sweeps."""
 
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
+import weakref
 
 import pytest
 import yaml
 
+import twinslice.cli
 import twinslice.sim
 from twinslice.cli import main
 from twinslice.engine import MS
@@ -413,6 +417,46 @@ class TestSweep:
         assert (outdir / "clean.seed2.json").exists()
         summary = json.loads((outdir / "clean.summary.json").read_bytes())
         assert summary["runs"] == 2
+
+    @pytest.fixture
+    def fleet_scn(self, tmp_path, monkeypatch):
+        """300 wearables, each with its own twin. Every run starts after a full
+        collection, so only what the sweep still references is live, and
+        records how many earlier runs that is."""
+        path = tmp_path / "fleet.scn"
+        path.write_text(yaml.safe_dump(with_fleet(n_devices=300)))
+        runs, live = [], []
+
+        def run(scn, seed=None, t_end=None):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in runs))
+            result = run_scenario(scn, seed=seed, t_end=t_end)
+            runs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(twinslice.cli, "run_scenario", run)
+        return path, live
+
+    def test_a_run_is_released_before_the_next_seed_builds(self, fleet_scn, capsys):
+        path, live = fleet_scn
+        assert main(["sweep", str(path), "--seeds", "1,2,3", "--until", "20ms"]) == 0
+        assert live == [0, 0, 0]
+
+    def test_memory_does_not_grow_with_the_seed_count(self, fleet_scn, capsys):
+        # A sweep once kept each seed's full report, and the previous seed's
+        # run while the next one built and ran.
+        path, _live = fleet_scn
+
+        def peak(seeds):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", str(path), "--seeds", seeds, "--until", "20ms"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak("1")
+        assert peak("1,2,3,4,5") < 1.2 * one
 
     def test_out_renders_each_report_once(self, scenario_dir, tmp_path, capsys, monkeypatch):
         # With --out, each seed's JSON was once rendered twice: for the file

@@ -90,6 +90,14 @@ class TestStackProfile:
         with pytest.raises(ValueError):
             StackProfile().serialize_overhead(-1)
 
+    def test_overhead_is_summed_once_and_is_not_a_field(self):
+        p = StackProfile()
+        before = repr(p)
+        assert p.overhead == 136
+        assert vars(p)["overhead"] == 136  # kept after the first read
+        assert repr(p) == before
+        assert p == StackProfile() and hash(p) == hash(StackProfile())
+
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError):
             StackProfile.with_transport("smoke-signals")
@@ -446,9 +454,79 @@ class TestTransport:
         h.net.inject(frame(3, 0, total=1000), 0)  # plans 3->1->0
         h.net.fail_link(topo.links[0], 100)  # planned uplink 1->0 dies mid-first-hop
         h.engine.run_until(10**9)
-        # At node 1 the frame replans to 1->3->2->0 and still gets through.
+        # At node 1 the frame replans to 1->3->2->0 and still gets through,
+        # carrying the epoch of its new route.
         assert len(h.delivered) == 1
         assert not h.dropped
+        assert h.delivered[0][0].epoch == topo.epoch == 1
+
+
+class TestRouteEpoch:
+    """A frame re-checks its planned next hop only when the topology's epoch
+    has moved since its route was computed."""
+
+    @pytest.fixture
+    def usable_calls(self, monkeypatch):
+        calls = []
+        usable = Topology._usable
+
+        def counting(topo, link, a, b):
+            calls.append((link.id, a, b))
+            return usable(topo, link, a, b)
+
+        monkeypatch.setattr(Topology, "_usable", counting)
+        return calls
+
+    @pytest.mark.parametrize("change", ["fail_link", "recover_link", "fail_node", "recover_node",
+                                        "set_attachment"])
+    def test_every_write_to_what_usable_reads_moves_the_epoch(self, change):
+        topo = star()
+        h = Harness(topo)
+        before = topo.epoch
+        if change == "set_attachment":
+            topo.set_attachment(3, None)
+        elif change.endswith("link"):
+            getattr(h.net, change)(topo.links[0], 0)
+        else:
+            getattr(h.net, change)(topo.nodes[1], 0)
+        assert topo.epoch > before
+
+    # A 1000 B frame from device 3 to device 4 crosses four hops: 3->1 until
+    # 90 us, 1->0 until 148 us, 0->2 until 206 us and 2->4 until 296 us.
+
+    def test_a_static_topology_checks_no_hop_after_injection(self, usable_calls):
+        topo = star()
+        h = Harness(topo)
+        h.net.fail_link(topo.links[1], 0)  # the epoch moves before the frame is routed
+        h.net.recover_link(topo.links[1], 0)
+        h.net.inject(frame(3, 4, total=1000), 0)
+        usable_calls.clear()  # routing at injection checks links
+        h.engine.run_until(10**9)
+        assert [at for _f, at in h.delivered] == [296_000]
+        assert usable_calls == []
+
+    def test_a_fault_that_recovered_still_sends_the_frame_through_the_check(self, usable_calls):
+        topo = star()
+        h = Harness(topo)
+        h.net.inject(frame(3, 4, total=1000), 0)
+        usable_calls.clear()
+        h.net.fail_link(topo.links[0], 10_000)  # the next hop, 1->0
+        h.net.recover_link(topo.links[0], 20_000)
+        h.engine.run_until(10**9)
+        # Usable again, so the frame keeps its route; each later hop is checked.
+        assert [at for _f, at in h.delivered] == [296_000]
+        assert not h.dropped
+        assert usable_calls == [(0, 1, 0), (1, 0, 2), (3, 2, 4)]
+
+    def test_a_device_that_detaches_mid_flight_drops_the_frame_at_the_edge(self):
+        topo = star()
+        h = Harness(topo)
+        h.net.inject(frame(3, 4, total=1000), 0)
+        h.engine.run_until(150_000)  # crossing 0->2
+        topo.set_attachment(4, None)
+        h.engine.run_until(10**9)
+        assert not h.delivered
+        assert [(c, t) for _f, c, t in h.dropped] == [("fault", 206_000)]
 
 
 class TestIdleChannels:
