@@ -7,6 +7,7 @@ reproducible regardless of wall-clock scheduling or hash ordering.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 from enum import IntEnum
@@ -146,14 +147,65 @@ class RngStream:
         return int(self.gen.integers(low, high))
 
 
+# SeedSequence.generate_state's output mix, from numpy/random/bit_generator.pyx.
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox_key(pool: list[int]) -> np.ndarray:
+    """`SeedSequence.generate_state(2, np.uint64)` for a sequence with this 4-word pool.
+
+    Two 64-bit words take four 32-bit draws, one from each pool word in
+    order; each pair joins low word first.
+    """
+    words = []
+    hash_const = _INIT_B
+    for w in pool:
+        w ^= hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        w = (w * hash_const) & _MASK32
+        words.append(w ^ (w >> 16))
+    lo0, hi0, lo1, hi1 = words
+    return np.array([lo0 | hi0 << 32, lo1 | hi1 << 32], dtype=np.uint64)
+
+
+@functools.cache
+def _key_holder() -> type:
+    """The seed sequence class that answers Philox's one request with a key derived in advance.
+
+    It is built on the first fork, which imports numpy.random as the
+    first `np.random` lookup would; importing this module does not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"answers only Philox's (2, uint64), not ({n_words}, {dtype})")
+            return self.key
+
+    return PhiloxKey
+
+
 def fork_rng(master_seed: int, label: str) -> RngStream:
     """Derive the stream identified by label from the master seed.
 
     The label is hashed with a stable digest (process-independent, unlike
     builtin hash) and folded into the seed sequence of a Philox generator.
     Identical (master_seed, label) pairs yield identical draw sequences.
+
+    The stream is exactly `Philox(SeedSequence([master_seed, *words]))`,
+    words being the digest's four little-endian 32-bit words. It is built
+    from the same entropy as a uint32 array, the seed's one word (two from
+    2**32 on) first, and the key is derived from the pool here, which skips
+    the general paths of both constructors.
     """
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    ss = np.random.SeedSequence([master_seed, *words])
-    return RngStream(np.random.Generator(np.random.Philox(ss)))
+    head = master_seed.to_bytes(4 if master_seed <= _MASK32 else 8, "little")
+    ss = np.random.SeedSequence(np.frombuffer(head + digest, dtype="<u4"))
+    key = _philox_key(ss.pool.tolist())
+    return RngStream(np.random.Generator(np.random.Philox(_key_holder()(key))))

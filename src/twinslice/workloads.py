@@ -10,6 +10,7 @@ same packets the slice contracts meter.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Callable, Optional
 
@@ -325,6 +326,14 @@ class WearableFleetGen(Source):
 
     Member i's emissions carry arg i; its schedule offset is recovered from
     the clock as now - start, so an event needs no per-member state.
+
+    A periodic fleet keeps its members' next emissions in a FIFO of
+    (fire_at, seq, member), each seq reserved from the engine at the moment
+    `_again` would schedule that emission, and puts only the FIFO's head on
+    the heap. Every member has the same period and start phases do not fall
+    with the member index, so entries join in (fire_at, seq) order and each
+    emission fires at the place its own heap event would take. Poisson gaps
+    are not in that order, so a Poisson member keeps its own heap event.
     """
 
     kind = EventKind.SYNC_DUE
@@ -335,16 +344,35 @@ class WearableFleetGen(Source):
         for i, (device, twin_id) in enumerate(spec.members):
             self._flow(f"{spec.id}.{i}", SliceClass.UMMTC, device, sim.twins[twin_id].host, demand,
                        spec.payload_bytes)
+        self._due: deque[tuple[int, int, int]] = deque()
+        self._fire_head = self.fire_head
 
     def schedule_start(self) -> None:
         n = len(self.flows)
+        period = self.spec.period_ns
         for i, flow in enumerate(self.flows):
             if not flow.admitted:
                 continue
-            phase = (i * self.spec.period_ns) // n if self.spec.stagger else 0
             if self.spec.poisson:
-                phase = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
-            self._again(i, phase)
+                self._again(i, self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(period))
+            else:
+                self._queue(i, (i * period) // n if self.spec.stagger else 0)
+        self._push_head()
+
+    def _queue(self, i: int, offset: int) -> None:
+        """`_again` for a periodic member: take the same place, in the FIFO."""
+        if offset < self._duration():
+            self._due.append((self.spec.start + offset, self.sim.engine.reserve(1), i))
+
+    def _push_head(self) -> None:
+        if self._due:
+            fire_at, seq, i = self._due[0]
+            self.sim.engine.schedule_at(fire_at, seq, self.kind, (self._fire_head, i))
+
+    def fire_head(self, i: int, now: int) -> None:
+        self._due.popleft()
+        self.sync_emit(i, now)
+        self._push_head()
 
     def sync_emit(self, i: int, now: int) -> None:
         flow = self.flows[i]
@@ -353,9 +381,9 @@ class WearableFleetGen(Source):
         self.sim.send(flow, self.spec.payload_bytes, now, vitals)
         if self.spec.poisson:
             gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
+            self._again(i, now - self.spec.start + gap)
         else:
-            gap = self.spec.period_ns
-        self._again(i, now - self.spec.start + gap)
+            self._queue(i, now - self.spec.start + self.spec.period_ns)
 
     def report(self) -> dict:
         return {

@@ -1,5 +1,8 @@
 """Event loop ordering, clock discipline, and seeded stream independence."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,3 +215,44 @@ class TestRngStreams:
         s = fork_rng(11, "coin")
         assert not any(s.bernoulli(0.0) for _ in range(100))
         assert all(s.bernoulli(1.0) for _ in range(100))
+
+
+def reference_generator(seed, label):
+    """The stream's definition: Philox keyed by SeedSequence([seed, *label words])."""
+    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *words])))
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+LABELS = ["", "network", "arrivals:fleet.17", "vitals:bett_ü", "生命徴候:☂"]
+
+
+class TestForkMatchesSeedSequence:
+    """fork_rng derives Philox's key itself; it must equal the SeedSequence route bit for bit."""
+
+    def assert_same(self, seed, label):
+        want = reference_generator(seed, label)
+        got = fork_rng(seed, label).gen
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert got.random(8).tolist() == want.random(8).tolist()
+        assert got.normal(75, 4, 4).tolist() == want.normal(75, 4, 4).tolist()
+        assert got.integers(0, 2**63, 4).tolist() == want.integers(0, 2**63, 4).tolist()
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("label", LABELS)
+    def test_edge_seeds(self, seed, label):
+        self.assert_same(seed, label)
+
+    @given(st.integers(0, 2**64 - 1), st.sampled_from(LABELS) | st.text(max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_seeds(self, seed, label):
+        self.assert_same(seed, label)
+
+    def test_the_key_holder_answers_only_philox(self):
+        holder = fork_rng(3, "x").gen.bit_generator.seed_seq
+        assert holder.generate_state(2, np.uint64).dtype == np.uint64
+        with pytest.raises(ValueError):
+            holder.generate_state(4, np.uint32)
+        with pytest.raises(ValueError):
+            holder.generate_state(2, np.uint32)

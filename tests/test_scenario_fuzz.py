@@ -14,6 +14,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eager_fleet import run_with_eager_fleet, same_run
 from eager_network import EagerNetworkService, outcome, run_with
 from twinslice.engine import MS
 from twinslice.metrics import to_json_bytes
@@ -179,6 +180,19 @@ class TestLazyDeparturesAgainstTheEagerOracle:
         eager = run_with(functools.partial(EagerNetworkService, reserve_arrival=True), scn)
         assert outcome(lazy) == outcome(eager)
         assert lazy.sim.engine.processed <= eager.sim.engine.processed
+
+
+class TestFleetFifoAgainstTheEagerFleet:
+    @given(small_scenarios())
+    @settings(max_examples=80, deadline=None)
+    def test_the_same_bytes_and_events(self, doc):
+        # A periodic fleet's FIFO must fire each emission at the place its own
+        # heap event would take, among all five sources, faults and twins.
+        try:
+            scn = scenario_from_dict(copy.deepcopy(doc))
+        except ScenarioError:
+            return
+        assert same_run(Simulation(scn).run(), run_with_eager_fleet(scn))
 
 
 # --- extreme magnitudes --------------------------------------------------------

@@ -1,11 +1,18 @@
 """Workload generator arithmetic plus end-to-end emission behavior."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twinslice.scenario import TwinSpec, scenario_from_dict
+import twinslice.sim
+from eager_fleet import run_with_eager_fleet, same_run
+from twinslice.engine import MS, Engine
+from twinslice.scenario import ScenarioError, TwinSpec, scenario_from_dict
 from twinslice.sim import run_scenario
+from twinslice.slices import AdmissionDecision
 from twinslice.twins import Twin
 from twinslice.workloads import (
     DEFAULT_HANDOVER_GAP,
@@ -22,9 +29,9 @@ from twinslice.workloads import (
 )
 
 
-def small_run(workloads, *, t_end="2s", seed=1, nodes=(), links=(), twins=(), faults=()):
+def small_doc(workloads, *, t_end="2s", seed=1, nodes=(), links=(), twins=(), faults=()):
     """Core + one edge by default; extra elements appended by the caller."""
-    data = {
+    return {
         "name": "wl",
         "run": {"t_end": t_end, "master_seed": seed, "formats": ["json"]},
         "nodes": [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}, *nodes],
@@ -33,7 +40,10 @@ def small_run(workloads, *, t_end="2s", seed=1, nodes=(), links=(), twins=(), fa
         "workloads": list(workloads),
         "faults": list(faults),
     }
-    return run_scenario(scenario_from_dict(data))
+
+
+def small_run(workloads, **fabric):
+    return run_scenario(scenario_from_dict(small_doc(workloads, **fabric)))
 
 
 def on_edge_1(*twin_ids):
@@ -219,6 +229,93 @@ class TestWearableFleet:
         emitted = a.report["workloads"]["fl"]["frames_emitted"]
         assert emitted == b.report["workloads"]["fl"]["frames_emitted"]
         assert emitted > 0
+
+
+def pending_after_scheduling(workloads):
+    """The engine's heap size once a run has scheduled its first events; none is processed."""
+    seen = []
+
+    def note_pending(engine, t_end):
+        seen.append(engine.pending())
+        return 0
+
+    with mock.patch.object(Engine, "run_until", note_pending):
+        small_run(workloads)
+    return seen[0]
+
+
+# A second edge, and an edge twin whose aggregation and pushes interleave with the fleets.
+FLEET_FABRIC = dict(
+    nodes=[{"id": 2, "kind": "edge"}],
+    links=[{"id": 1, "ends": [2, 0], "rate": "1gbps", "prop_delay": "10us"}],
+    twins=[{"id": "ward", "level": "global_edge", "host": 1, "children": "auto",
+            "policy": {"heart_rate": "mean"}},
+           {"id": "hub", "level": "global_core", "host": 0, "policy": {"heart_rate": "max"}}],
+)
+
+
+@st.composite
+def fleet_runs(draw):
+    """Up to two fleets sharing edge 1, and the members of the first that admission refuses."""
+    t_end = draw(st.integers(1, 12)) * MS
+
+    def fleet(fid):
+        item = {
+            "kind": "wearable_fleet", "id": fid, "twin_prefix": fid,
+            "edges": draw(st.sampled_from([[1], [1, 2], [2, 1]])),
+            "n_devices": draw(st.integers(1, 12)), "period": draw(st.integers(300_000, 3 * MS)),
+            "payload": 40, "stagger": draw(st.booleans()), "poisson": draw(st.integers(0, 5)) == 0,
+            "metrics": [{"name": "heart_rate", "mean": 70, "sd": 3}],
+            # 40 bytes a period needs well over 1 kb/s: a slow access link refuses every member.
+            "link": {"rate": draw(st.sampled_from(["100mbps"] * 5 + ["1kbps"]))},
+            "start": draw(st.integers(0, t_end)),
+        }
+        if draw(st.booleans()):
+            item["duration"] = draw(st.integers(1, t_end))
+        return item
+
+    fleets = [fleet("fa")] + ([fleet("fb")] if draw(st.booleans()) else [])
+    refused = draw(st.sets(st.integers(0, 11)).map(lambda ks: {f"fa.{k}" for k in ks}))
+    doc = small_doc(fleets, t_end=t_end, seed=draw(st.integers(0, 3)), **FLEET_FABRIC)
+    return doc, refused
+
+
+def refusing(ids):
+    """Patch admission to refuse the flows in `ids` for capacity."""
+    admit = twinslice.sim.admit
+
+    def admit_or_refuse(flow, *args):
+        if flow.id in ids:
+            return AdmissionDecision(flow.id, False, "capacity")
+        return admit(flow, *args)
+
+    return mock.patch.object(twinslice.sim, "admit", admit_or_refuse)
+
+
+class TestPeriodicFleetFifo:
+    """A periodic fleet keeps its members in a FIFO with one heap entry; it
+    must give the bytes and the event count of one heap event per member."""
+
+    @pytest.mark.parametrize("stagger", [True, False])
+    def test_a_periodic_fleet_holds_one_heap_entry_whatever_its_size(self, stagger):
+        big, small = ([fleet_item(stagger, n=n)] for n in (400, 4))
+        assert pending_after_scheduling(big) == pending_after_scheduling(small)
+
+    def test_a_poisson_fleet_holds_one_heap_entry_per_member(self):
+        # A 1 ms mean gap puts every member's first emission inside the 1 s duration.
+        poisson = [dict(fleet_item(True, n=n, period="1ms"), poisson=True) for n in (400, 4)]
+        assert pending_after_scheduling(poisson[:1]) - pending_after_scheduling(poisson[1:]) == 396
+
+    @given(fleet_runs())
+    @settings(max_examples=120, deadline=None)
+    def test_the_same_bytes_and_events_as_one_heap_event_per_member(self, drawn):
+        doc, refused = drawn
+        try:
+            scn = scenario_from_dict(doc)
+        except ScenarioError:
+            return
+        with refusing(refused):
+            assert same_run(run_scenario(scn), run_with_eager_fleet(scn))
 
 
 BEACON_TWIN = [{"id": "imp", "level": "individual", "host": 1, "entity": 2,
