@@ -4,7 +4,8 @@ Delay samples are integer nanoseconds. Histogram bins are log-spaced from
 1 us up past 2**63 ns with 20 bins per decade, plus one underflow bin below
 1 us, so every delay has a bin of bounded relative width, percentile queries
 are O(bins) and reports stay compact at any sample volume. Exact running
-count/sum/min/max are kept alongside the bins.
+count, sum and max are kept alongside the bins. Each flow keeps one ledger;
+a slice's totals are the merge of its flows' ledgers, built at report time.
 
 JSON reports are rendered by `to_json_bytes`, one flat recursive pass that
 returns each container's text as one string. Its bytes are exactly those of
@@ -46,30 +47,31 @@ class EmptyHistogram(Exception):
 class DelayHistogram:
     """Sparse log-binned histogram with exact running moments."""
 
-    __slots__ = ("count", "total", "min_value", "max_value", "_bins")
+    __slots__ = ("count", "total", "max_value", "_bins")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0
-        self.min_value = 0
         self.max_value = 0
         self._bins: dict[int, int] = {}
 
     def add(self, sample: int) -> None:
         if sample < 0:
             raise NegativeDelay(f"delay sample {sample} ns is negative")
-        if self.count == 0:
-            self.min_value = sample
+        if sample > self.max_value:
             self.max_value = sample
-        else:
-            if sample < self.min_value:
-                self.min_value = sample
-            if sample > self.max_value:
-                self.max_value = sample
         self.count += 1
         self.total += sample
         key = bisect_right(EDGES, sample)
         self._bins[key] = self._bins.get(key, 0) + 1
+
+    def merge(self, other: DelayHistogram) -> None:
+        """Add other's samples, exactly as if each had been added here."""
+        self.count += other.count
+        self.total += other.total
+        self.max_value = max(self.max_value, other.max_value)
+        for key, n in other._bins.items():
+            self._bins[key] = self._bins.get(key, 0) + n
 
     @property
     def mean(self) -> float:
@@ -92,15 +94,9 @@ class DelayHistogram:
         return self.max_value
 
 
-def bin_width_at(sample: int) -> int:
-    """Width of the histogram bin containing sample (underflow width = 1 us)."""
-    key = bisect_right(EDGES, sample)
-    return EDGES[key] - EDGES[key - 1] if key else EDGES[0]
-
-
 @dataclass
 class TrafficStats:
-    """Counters plus delay histogram for one flow or one slice."""
+    """Counters plus delay histogram for one flow, or merged for one slice."""
 
     sent: int = 0
     delivered: int = 0
@@ -120,6 +116,17 @@ class TrafficStats:
             self.dropped_fault += 1
         else:
             raise ValueError(f"unknown drop cause {cause!r}")
+
+    def merge(self, other: TrafficStats) -> None:
+        """Add other's counts and delays to this ledger."""
+        self.sent += other.sent
+        self.delivered += other.delivered
+        self.dropped_loss += other.dropped_loss
+        self.dropped_queue += other.dropped_queue
+        self.dropped_fault += other.dropped_fault
+        self.payload_bits += other.payload_bits
+        self.energy_nj += other.energy_nj
+        self.hist.merge(other.hist)
 
     @property
     def in_flight(self) -> int:

@@ -144,6 +144,13 @@ def _int(value: Any, path: str, errors: list[str], lo: Optional[int] = None,
     return None
 
 
+def _bool(value: Any, path: str, errors: list[str]) -> Optional[bool]:
+    if not isinstance(value, bool):
+        errors.append(f"{path}: must be true or false")
+        return None
+    return value
+
+
 def _signed(value: Optional[int], path: str, errors: list[str], positive: bool) -> Optional[int]:
     """The sign rule of a parsed quantity: > 0 if positive, else >= 0."""
     if value is not None and (value <= 0 if positive else value < 0):
@@ -363,6 +370,7 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
     # --- faults -------------------------------------------------------------
     faults = _parse_faults(data.get("faults", []), nodes, links, errors)
 
+    _resolve_children(twins)
     _validate_cross(nodes, links, twins, workloads, errors)
     _resolve_twins(twins, errors)
     _check_flow_ids(twins, workloads, errors)
@@ -437,7 +445,7 @@ def _parse_nodes(raw: Any, errors: list[str]) -> list[NodeSpec]:
         if kind not in _NODE_KINDS:
             errors.append(f"{path}.kind: must be one of {_NODE_KINDS}")
             continue
-        mobile = bool(item.get("mobile", False))
+        mobile = _bool(item.get("mobile", False), f"{path}.mobile", errors)
         if mobile and kind != "device":
             errors.append(f"{path}: only devices can be mobile")
         nodes.append(NodeSpec(nid, kind, mobile))
@@ -612,7 +620,7 @@ def _parse_workloads(
         duration = None
         if "duration" in item:
             duration = _quantity(item["duration"], parse_duration, f"{path}.duration", errors)
-        preadmit = bool(item.get("preadmit", False))
+        preadmit = _bool(item.get("preadmit", False), f"{path}.preadmit", errors)
 
         spec: Any = None
         if kind == "telemedicine_stream":
@@ -729,7 +737,9 @@ def _parse_fleet(item: dict, wid: str, nodes: list[NodeSpec], links: list[LinkSp
     edges = _edge_list(item.get("edges"), node_by_id, f"{path}.edges", errors)
     n = _int(item.get("n_devices"), f"{path}.n_devices", errors, 1, "an integer >= 1")
     period = _signed(period, f"{path}.period", errors, positive=True)
-    if item.get("poisson") and period is not None and period >= HORIZON_LIMIT:  # a float mean gap
+    stagger = _bool(item.get("stagger", True), f"{path}.stagger", errors)
+    poisson = _bool(item.get("poisson", False), f"{path}.poisson", errors)
+    if poisson and period is not None and period >= HORIZON_LIMIT:  # a float mean gap
         errors.append(f"{path}.period: a Poisson fleet's period must be below 2**63 ns")
         period = None
     payload = _int(item.get("payload"), f"{path}.payload", errors, 1, _BYTE_COUNT)
@@ -749,13 +759,12 @@ def _parse_fleet(item: dict, wid: str, nodes: list[NodeSpec], links: list[LinkSp
     if clash is not None:
         errors.append(f"{path}.twin_prefix: member twin {clash!r} duplicates an existing twin id")
     if (not vitals or clash is not None
-            or None in (period, edges, n, payload, link_rate, link_prop, link_cap)):
+            or None in (period, edges, n, payload, link_rate, link_prop, link_cap, stagger, poisson)):
         return None
 
     spec = WearableFleetSpec(
-        id=wid, edges=edges, period_ns=period, payload_bytes=payload,
-        stagger=bool(item.get("stagger", True)), poisson=bool(item.get("poisson", False)),
-        twin_prefix=prefix, vitals=vitals, alerts=alerts,
+        id=wid, edges=edges, period_ns=period, payload_bytes=payload, stagger=stagger,
+        poisson=poisson, twin_prefix=prefix, vitals=vitals, alerts=alerts,
     )
     # Expansion: one device node, one access link, and one individual twin per
     # member, appended after the explicit ids so those stay dense and stable.
@@ -851,6 +860,7 @@ def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[Tw
             errors.append(f"nodes[{n.id}]: static device has multiple access links; mark it mobile")
 
     twin_by_id = {t.id: t for t in twins}
+    parent_of: dict[str, str] = {}  # a twin is listed as a child once, by its one parent
     edge_twins = [t for t in twins if t.level == "global_edge"]
     core_twins = [t for t in twins if t.level == "global_core"]
     if len(core_twins) > 1:
@@ -870,19 +880,23 @@ def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[Tw
             ent = node_by_id.get(t.entity)
             if ent is None or ent.kind != "device":
                 errors.append(f"twins.{t.id}.entity: must reference a device node")
-        if isinstance(t.children, list):
-            for child_id in t.children:
-                child = twin_by_id.get(child_id)
-                if child is None:
-                    errors.append(f"twins.{t.id}.children: unknown twin {child_id!r}")
-                elif t.level == "global_edge" and (child.level != "individual" or child.host != t.host):
-                    errors.append(f"twins.{t.id}.children: {child_id!r} must be an individual twin on the same edge")
-                elif t.level == "global_core" and child.level != "global_edge":
-                    errors.append(f"twins.{t.id}.children: {child_id!r} must be a global_edge twin")
-            if t.level == "individual" and t.children:
-                errors.append(f"twins.{t.id}.children: individual twins have no children")
-            if t.level == "global_core" and sorted(t.children) != sorted(e.id for e in edge_twins):
-                errors.append(f"twins.{t.id}.children: must be exactly the global_edge twins")
+        if t.level == "individual" and t.children:
+            errors.append(f"twins.{t.id}.children: individual twins have no children")
+            continue
+        for child_id in t.children:
+            child = twin_by_id.get(child_id)
+            if child is None:
+                errors.append(f"twins.{t.id}.children: unknown twin {child_id!r}")
+            elif t.level == "global_edge" and (child.level != "individual" or child.host != t.host):
+                errors.append(f"twins.{t.id}.children: {child_id!r} must be an individual twin on the same edge")
+            elif t.level == "global_core" and child.level != "global_edge":
+                errors.append(f"twins.{t.id}.children: {child_id!r} must be a global_edge twin")
+            elif child_id in parent_of:
+                errors.append(f"twins.{t.id}.children: {child_id!r} is already a child of {parent_of[child_id]!r}")
+            else:
+                parent_of[child_id] = t.id
+        if t.level == "global_core" and sorted(t.children) != sorted(e.id for e in edge_twins):
+            errors.append(f"twins.{t.id}.children: must be exactly the global_edge twins")
 
     for wl in workloads:
         if isinstance(wl, AmbulanceRunSpec):
@@ -925,14 +939,8 @@ def _check_flow_ids(twins: list[TwinSpec], workloads: list[WorkloadSpec], errors
             first[flow_id] = path
 
 
-def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
-    """Resolve `children: auto` and fill in every period and phase.
-
-    An edge twin aggregates at the slowest sync period of its children and
-    pushes at its aggregation period; the core aggregates at the slowest
-    edge push. Default phases stagger one cycle: edges aggregate at 1/4 and
-    push at 1/2, the core aggregates at 3/4.
-    """
+def _resolve_children(twins: list[TwinSpec]) -> None:
+    """Resolve `children: auto`: the individuals on an edge twin's edge, the core's edge twins."""
     on_edge: dict[int, list[str]] = {}
     for t in twins:
         if t.level == "individual":
@@ -943,6 +951,15 @@ def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
             t.children = ([] if t.level == "individual" else list(edge_ids)
                           if t.level == "global_core" else sorted(on_edge.get(t.host, [])))
 
+
+def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
+    """Fill in every period and phase.
+
+    An edge twin aggregates at the slowest sync period of its children and
+    pushes at its aggregation period; the core aggregates at the slowest
+    edge push. Default phases stagger one cycle: edges aggregate at 1/4 and
+    push at 1/2, the core aggregates at 3/4.
+    """
     # Deriving from a document with errors would mostly echo them (a fleet
     # that failed to expand leaves its edge twin without children).
     consistent = not errors

@@ -87,7 +87,6 @@ class Simulation:
         self.core_host = core.id
 
         self.flows: dict[str, Flow] = {}
-        self.slice_stats: dict[SliceClass, TrafficStats] = {cls: TrafficStats() for cls in SLICE_ORDER}
         self.admitted_demand: dict[int, int] = {}
         self.admission_decisions: list[AdmissionDecision] = []
 
@@ -128,8 +127,6 @@ class Simulation:
         # Loading rejects every clash among workload and derived flow ids.
         assert flow.id not in self.flows, f"duplicate flow id {flow.id!r}"
         self.flows[flow.id] = flow
-        flow.stats = TrafficStats()
-        flow.slice_stats = self.slice_stats[flow.slice_cls]
         try:
             hops = self.topology.route(flow.src, flow.dst)
         except Unreachable:
@@ -158,9 +155,8 @@ class Simulation:
         assert flow.admitted, f"flow {flow.id} emitted without admission"
         frame = Frame(flow, payload_bytes, self.stack.serialize_overhead(payload_bytes), now,
                       content=content)
-        for stats in (flow.stats, flow.slice_stats):
-            stats.sent += 1
-            stats.energy_nj += energy_nj
+        flow.stats.sent += 1
+        flow.stats.energy_nj += energy_nj
         if inject is None:
             inject = self._net_inject
         if flow.setup_latency_ns > 0:
@@ -214,13 +210,10 @@ class Simulation:
     # --- delivery and drops ---------------------------------------------------
 
     def _on_deliver(self, frame: Frame, now: int) -> None:
-        flow = frame.flow
-        delay = now - frame.created_at
-        bits = frame.payload_bytes * 8
-        for stats in (flow.stats, flow.slice_stats):
-            stats.delivered += 1
-            stats.hist.add(delay)
-            stats.payload_bits += bits
+        stats = frame.flow.stats
+        stats.delivered += 1
+        stats.hist.add(now - frame.created_at)
+        stats.payload_bits += frame.payload_bytes * 8
         if frame.content is not None:
             _call(frame.content, now)
 
@@ -236,8 +229,7 @@ class Simulation:
         child.parent.apply_sync(deltas, now, child.id)
 
     def _on_drop(self, frame: Frame, cause: str, now: int) -> None:
-        for stats in (frame.flow.stats, frame.flow.slice_stats):
-            stats.record_drop(cause)
+        frame.flow.stats.record_drop(cause)
 
     def _escalate(self, twin: Twin, fired: list[AlertRule], now: int) -> None:
         """Propagate fired alerts one level up the hierarchy.
@@ -329,9 +321,8 @@ class RunResult:
         self.violated = any(v.startswith("violated") for v in verdicts)
         self.exit_code = 1 if self.violated else 0
 
-    def _slice_row(self, cls: SliceClass) -> dict:
+    def _slice_row(self, cls: SliceClass, stats: TrafficStats) -> dict:
         sim = self.sim
-        stats = sim.slice_stats[cls]
         throughput = stats.payload_bits * SEC / sim.t_end
         verdict = check_sla(stats, sim.contracts[cls], cls, throughput)
         hist = stats.hist
@@ -357,9 +348,10 @@ class RunResult:
     def _build_report(self) -> dict:
         sim = self.sim
         scn = sim.scenario
-        slices = {}
-        for cls in SLICE_ORDER:
-            slices[cls.value] = self._slice_row(cls)
+        totals = {cls: TrafficStats() for cls in SLICE_ORDER}
+        for flow in sim.flows.values():
+            totals[flow.slice_cls].merge(flow.stats)
+        slices = {cls.value: self._slice_row(cls, totals[cls]) for cls in SLICE_ORDER}
 
         rejected = [
             {"flow": d.flow_id, "reason": d.reason}

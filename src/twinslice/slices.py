@@ -8,15 +8,15 @@ weights 8 (FeMBB) : 4 (LDHMC) : 2 (umMTC) : 1 (ELPC), FIFO within a class.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .engine import MS, SEC
+from .metrics import TrafficStats
 
 if TYPE_CHECKING:
     from .network import Frame
-    from .metrics import TrafficStats
 
 
 class SliceClass(Enum):
@@ -72,9 +72,7 @@ class Flow:
     preadmitted: bool = False  # operator-pinned: bypasses admission checks
     setup_latency_ns: int = 0
     frame_payload: int = 0  # nominal payload bytes, used for the admission delay check
-    # Its ledgers, set at admission: its own, and a reference to its slice's.
-    stats: Optional[TrafficStats] = None
-    slice_stats: Optional[TrafficStats] = None
+    stats: TrafficStats = field(default_factory=TrafficStats)  # its one ledger
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ class LinkQueue:
 STREAMING_SLICES = (SliceClass.FEMBB,)
 
 
-def check_sla(stats: "TrafficStats", contract: QosContract, slice_cls: SliceClass,
+def check_sla(stats: TrafficStats, contract: QosContract, slice_cls: SliceClass,
               throughput_bps: float) -> str:
     """Compare measured slice stats against the contract.
 

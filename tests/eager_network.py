@@ -164,6 +164,6 @@ def outcome(result):
     for flow_id, flow in result.sim.flows.items():
         stats, hist = flow.stats, flow.stats.hist
         ledgers[flow_id] = ([getattr(stats, name) for name in LEDGER],
-                            (hist.count, hist.total, hist.min_value, hist.max_value,
+                            (hist.count, hist.total, hist.max_value,
                              sorted(hist._bins.items())))
     return to_json_bytes(report), result.csv_bytes(), ledgers

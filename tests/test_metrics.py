@@ -5,6 +5,7 @@ import enum
 import json
 import math
 import tracemalloc
+from bisect import bisect_right
 from collections import OrderedDict
 
 import pytest
@@ -17,11 +18,16 @@ from twinslice.metrics import (
     EmptyHistogram,
     NegativeDelay,
     TrafficStats,
-    bin_width_at,
     fmt6,
     to_json_bytes,
 )
 from twinslice.engine import MS, US
+
+
+def bin_width_at(sample):
+    """Width of the histogram bin holding sample; the underflow bin is 1 us wide."""
+    key = bisect_right(EDGES, sample)
+    return EDGES[key] - EDGES[key - 1] if key else EDGES[0]
 
 
 def exact_percentile(samples, p):
@@ -63,8 +69,7 @@ class TestHistogram:
             got = h.percentile(p)
             assert got >= 5 * US
             assert got - 5 * US <= bin_width_at(5 * US)
-        assert h.min_value == h.max_value == 5 * US
-        assert h.mean == 5 * US
+        assert h.mean == h.max_value == 5 * US
 
     def test_underflow_bin_reports_its_edge(self):
         h = DelayHistogram()
@@ -104,7 +109,6 @@ class TestHistogram:
             h.add(v)
         assert h.count == len(vals)
         assert h.total == sum(vals)
-        assert h.min_value == min(vals)
         assert h.max_value == max(vals)
         assert h.mean == sum(vals) / len(vals)
 
@@ -133,7 +137,34 @@ class TestHistogram:
         got = h.percentile(p)
         assert got >= want
         assert got - want <= bin_width_at(want)
-        assert h.min_value <= h.mean <= h.max_value
+        assert h.mean <= h.max_value
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=200),
+           st.integers(min_value=0, max_value=200))
+    @example([], 0)
+    @example([5, 7], 0)
+    @example([5, 7], 2)
+    @settings(max_examples=150, deadline=None)
+    def test_merge_of_a_split_equals_one_histogram(self, samples, cut):
+        """Split the samples anywhere, empty sides included; merged, the
+        halves answer every query as one histogram fed them all does."""
+        cut = min(cut, len(samples))
+        whole, left, right = DelayHistogram(), DelayHistogram(), DelayHistogram()
+        for s in samples:
+            whole.add(s)
+        for s in samples[:cut]:
+            left.add(s)
+        for s in samples[cut:]:
+            right.add(s)
+        left.merge(right)
+        assert (left.count, left.total, left.max_value, left.mean) == (
+            whole.count, whole.total, whole.max_value, whole.mean)
+        for p in (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0):
+            if samples:
+                assert left.percentile(p) == whole.percentile(p)
+            else:
+                with pytest.raises(EmptyHistogram):
+                    left.percentile(p)
 
 
 class TestTrafficStats:
@@ -146,6 +177,23 @@ class TestTrafficStats:
         assert t.in_flight == 1
         with pytest.raises(ValueError):
             t.record_drop("gremlins")
+
+    def test_merge_adds_every_count(self):
+        a, b = TrafficStats(), TrafficStats()
+        a.sent, a.delivered, a.payload_bits, a.energy_nj = 5, 2, 80, 7
+        b.sent, b.delivered, b.payload_bits, b.energy_nj = 4, 1, 16, 3
+        for cause in ("loss", "queue"):
+            a.record_drop(cause)
+        for cause in ("fault", "loss"):
+            b.record_drop(cause)
+        a.hist.add(10)
+        a.hist.add(30)
+        b.hist.add(20)
+        a.merge(b)
+        assert (a.sent, a.delivered, a.payload_bits, a.energy_nj) == (9, 3, 96, 10)
+        assert (a.dropped_loss, a.dropped_queue, a.dropped_fault, a.in_flight) == (2, 1, 1, 2)
+        assert (a.hist.count, a.hist.total, a.hist.max_value) == (3, 60, 30)
+        assert (b.sent, b.hist.count) == (4, 1)  # the merged ledger is left as it was
 
     def test_reliability(self):
         t = TrafficStats()

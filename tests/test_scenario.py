@@ -493,6 +493,71 @@ class TestTwinTiming:
         assert twins["ward"].aggregation_period == twins["hub"].aggregation_period == 100 * MS
 
 
+class TestTwinParents:
+    """A twin appears at most once across all children lists, so it has one parent."""
+
+    def doc(self, *edges):
+        doc = TestFleetExpansion().doc(n=3)
+        doc["twins"] = [*edges, {"id": "hub", "level": "global_core", "host": 0,
+                                 "policy": {"hr": "mean"}}]
+        return doc
+
+    def edge(self, twin_id, **over):
+        return {"id": twin_id, "level": "global_edge", "host": 1, "policy": {"hr": "sum"}, **over}
+
+    def test_a_child_listed_twice(self):
+        # A child listed twice was summed twice and counted twice in
+        # last_aggregation_children.
+        assert errors_of(self.doc(self.edge("ward", children=["w_0", "w_1", "w_0"]))) == [
+            "twins.ward.children: 'w_0' is already a child of 'ward'"]
+
+    def test_two_edge_twins_on_one_edge(self):
+        # Both aggregated the same members, and the later one silently became
+        # their only parent, so member alerts escalated to it alone.
+        assert errors_of(self.doc(self.edge("ward_a"), self.edge("ward_b"))) == [
+            f"twins.ward_b.children: 'w_{i}' is already a child of 'ward_a'" for i in range(3)]
+        assert errors_of(self.doc(self.edge("ward_a", children=["w_0"]),
+                                  self.edge("ward_b", children=["w_1", "w_0"]))) == [
+            "twins.ward_b.children: 'w_0' is already a child of 'ward_a'"]
+
+    def test_disjoint_children_load(self):
+        scn = scenario_from_dict(self.doc(self.edge("ward_a", children=["w_0", "w_2"]),
+                                          self.edge("ward_b", children=["w_1"])))
+        assert [t.children for t in scn.twins if t.level != "individual"] == [
+            ["w_0", "w_2"], ["w_1"], ["ward_a", "ward_b"]]
+
+
+class TestFlags:
+    """A flag is a YAML boolean: the string "false" once loaded as true."""
+
+    VALUES = ["false", "no", 0, 1, None]
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_node_mobile(self, value):
+        doc = base_doc()
+        doc["nodes"][2]["mobile"] = value
+        assert errors_of(doc) == ["nodes[2].mobile: must be true or false"]
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_workload_preadmit(self, value):
+        doc = TestFlowIds().doc(TestFlowIds().stream("s"))
+        doc["workloads"][0]["preadmit"] = value
+        assert errors_of(doc) == ["workloads[0].preadmit: must be true or false"]
+
+    @pytest.mark.parametrize("field", ["stagger", "poisson"])
+    @pytest.mark.parametrize("value", VALUES)
+    def test_fleet_flags(self, field, value):
+        doc = TestFleetExpansion().doc()
+        doc["workloads"][0][field] = value
+        assert errors_of(doc) == [f"workloads[0].{field}: must be true or false"]
+
+    def test_booleans_load(self):
+        doc = TestFleetExpansion().doc()
+        doc["workloads"][0].update(stagger=False, poisson=True, preadmit=True)
+        spec = scenario_from_dict(doc).workloads[0]
+        assert (spec.stagger, spec.poisson, spec.preadmit) == (False, True, True)
+
+
 def twin_doc(**twin):
     """base_doc plus one individual twin on the device; `twin` edits its fields."""
     spec = {"id": "pt", "level": "individual", "host": 1, "entity": 2}

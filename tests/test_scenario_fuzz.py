@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from eager_fleet import run_with_eager_fleet, same_run
 from eager_network import EagerNetworkService, outcome, run_with
-from twinslice.engine import MS
-from twinslice.metrics import to_json_bytes
+from twinslice.engine import MS, SEC
+from twinslice.metrics import fmt6, to_json_bytes
 from twinslice.scenario import ScenarioError, scenario_from_dict
 from twinslice.sim import Simulation
+from twinslice.slices import SLICE_ORDER
 from twinslice.workloads import AmbulanceRunSpec
 
 NODES = [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}, {"id": 2, "kind": "edge"},
@@ -120,14 +121,20 @@ class TestGeneratedScenarios:
             assert row["in_flight"] >= 0, name
         flows = result.sim.flows.values()
         per_flow = {flow.id: flow.stats for flow in flows}
-        # Each slice's ledger is the sum of the ledgers of its flows.
-        for cls, stats in result.sim.slice_stats.items():
+        # Each slice's report row sums the ledgers of its flows.
+        for cls in SLICE_ORDER:
+            row = result.report["slices"][cls.value]
             own = [flow.stats for flow in flows if flow.slice_cls is cls]
             for name in ("sent", "delivered", "dropped_loss", "dropped_queue", "dropped_fault",
-                         "payload_bits", "energy_nj"):
-                assert getattr(stats, name) == sum(getattr(s, name) for s in own), (cls, name)
-            assert stats.hist.count == sum(s.hist.count for s in own), cls
-            assert stats.hist.total == sum(s.hist.total for s in own), cls
+                         "energy_nj"):
+                assert row[name] == sum(getattr(s, name) for s in own), (cls, name)
+            count = sum(s.hist.count for s in own)
+            assert count == row["delivered"], cls
+            assert row["mean_delay_ns"] == (fmt6(sum(s.hist.total for s in own) / count)
+                                            if count else 0.0), cls
+            assert row["max_ns"] == max((s.hist.max_value for s in own), default=0), cls
+            assert row["throughput_bps"] == fmt6(
+                sum(s.payload_bits for s in own) * SEC / result.sim.t_end), cls
         assert all(stats.in_flight >= 0 for stats in per_flow.values())
         wl = result.report["workloads"]
         assert wl["cam"]["frames_emitted"] == per_flow["cam"].sent
