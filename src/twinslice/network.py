@@ -23,15 +23,16 @@ class Unreachable(Exception):
 
 
 class NodeKind(Enum):
-    DEVICE = "device"
-    EDGE = "edge"
     CORE = "core"
+    EDGE = "edge"
+    DEVICE = "device"
 
 
 @dataclass
 class Node:
     id: int
     kind: NodeKind
+    mobile: bool = False  # as loaded: only a mobile device may hand over between edges
     up: bool = True
     # Devices forward only through the edge they are attached to; None while
     # detached (mid-handover). Meaningless for edge and core nodes.

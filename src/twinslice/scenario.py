@@ -17,6 +17,7 @@ import math
 import re
 from contextlib import suppress
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
@@ -25,9 +26,9 @@ import yaml
 
 from .engine import SEC, SEED_LIMIT
 from .metrics import HORIZON_LIMIT
-from .network import DEFAULT_QUEUE_CAP, TRANSPORT_BYTES, StackProfile
+from .network import DEFAULT_QUEUE_CAP, TRANSPORT_BYTES, Link, Node, NodeKind, StackProfile
 from .slices import DEFAULT_UTILIZATION_CAP, QosContract, SliceClass, default_contracts
-from .twins import parse_reducer
+from .twins import TwinLevel, parse_reducer
 from .workloads import (
     DEFAULT_HANDOVER_GAP,
     AmbulanceRunSpec,
@@ -172,11 +173,19 @@ def _node_id(value: Any, node_by_id: dict, path: str, errors: list[str]) -> Opti
     return None
 
 
+def _member(value: Any, vocab: type[Enum], path: str, errors: list[str]) -> Any:
+    """The member of `vocab` whose value is `value`, or None and one error naming every value."""
+    with suppress(ValueError):
+        return vocab(value)
+    errors.append(f"{path}: must be one of {tuple(m.value for m in vocab)}")
+    return None
+
+
 def _edge_list(value: Any, node_by_id: dict, path: str, errors: list[str]) -> Optional[list[int]]:
     if not isinstance(value, list) or not value:
         errors.append(f"{path}: must be a non-empty list of edge node ids")
         return None
-    bad = [e for e in value if not (_is_int(e) and e in node_by_id and node_by_id[e].kind == "edge")]
+    bad = [e for e in value if not (_is_int(e) and e in node_by_id and node_by_id[e].kind is NodeKind.EDGE)]
     for e in bad:
         errors.append(f"{path}: {e} is not an edge node")
     return None if bad else list(value)
@@ -215,24 +224,6 @@ _BYTE_COUNT = "a positive integer byte count"
 
 
 @dataclass
-class NodeSpec:
-    id: int
-    kind: str
-    mobile: bool = False
-
-
-@dataclass
-class LinkSpec:
-    id: int
-    a: int
-    b: int
-    rate_bps: int
-    prop_delay_ns: int
-    loss_prob: float = 0.0
-    queue_cap: int = DEFAULT_QUEUE_CAP
-
-
-@dataclass
 class TwinSpec:
     """One twin as loaded.
 
@@ -243,7 +234,7 @@ class TwinSpec:
     """
 
     id: str
-    level: str  # individual | global_edge | global_core
+    level: TwinLevel
     host: int
     entity: Optional[int] = None
     children: Any = "auto"
@@ -267,16 +258,14 @@ class Scenario:
     out: Optional[str]
     stack: StackProfile
     utilization_cap: float
-    nodes: list[NodeSpec]
-    links: list[LinkSpec]
+    nodes: list[Node]
+    links: list[Link]
     contracts: dict[SliceClass, QosContract]
     twins: list[TwinSpec]
     workloads: list[WorkloadSpec]
     faults: list[FaultSpec]
 
 
-_NODE_KINDS = ("core", "edge", "device")
-_TWIN_LEVELS = ("individual", "global_edge", "global_core")  # children before parents
 _TWIN_TIMING = ("sync_period", "sync_phase", "aggregation_period", "aggregation_phase")
 _WORKLOAD_KINDS = (
     "telemedicine_stream",
@@ -285,7 +274,6 @@ _WORKLOAD_KINDS = (
     "wearable_fleet",
     "implant_beacon",
 )
-_SLICE_BY_NAME = {cls.value: cls for cls in SliceClass}
 # The field that sets a workload's emission period when it is derived by rounding.
 _PERIOD_SOURCE = {"telemedicine_stream": "bitrate", "surgery_loop": "cmd_rate",
                   "ambulance_run": "telemetry_rate"}
@@ -354,9 +342,9 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
     # --- contracts ----------------------------------------------------------
     contracts = default_contracts()
     for key, cfg in _mapping(data.get("contracts"), "contracts", errors).items():
-        cls = _SLICE_BY_NAME.get(str(key))
+        cls = next((c for c in SliceClass if c.value == str(key)), None)
         if cls is None:
-            errors.append(f"contracts.{key}: unknown slice (expected one of {sorted(_SLICE_BY_NAME)})")
+            errors.append(f"contracts.{key}: unknown slice (expected one of {sorted(c.value for c in SliceClass)})")
             continue
         path = f"contracts.{key}"
         _apply_contract(contracts[cls], _mapping(cfg, path, errors), path, errors)
@@ -398,7 +386,7 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
 
 def _parse_stack(cfg: dict, errors: list[str]) -> StackProfile:
     transport = cfg.get("transport", "quic")
-    if transport not in TRANSPORT_BYTES:
+    if not isinstance(transport, str) or transport not in TRANSPORT_BYTES:  # a list would not hash
         errors.append(f"stack.transport: must be one of {sorted(TRANSPORT_BYTES)}")
         transport = "quic"
     fields = {}
@@ -435,33 +423,32 @@ def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[st
             errors.append(f"{path}.{key}: unknown contract field")
 
 
-def _parse_nodes(raw: Any, errors: list[str]) -> list[NodeSpec]:
-    nodes: list[NodeSpec] = []
+def _parse_nodes(raw: Any, errors: list[str]) -> list[Node]:
+    nodes: list[Node] = []
     for _, path, item in _items(raw, "nodes", errors):
         nid = _int(item.get("id"), f"{path}.id", errors)
         if nid is None:
             continue
-        kind = item.get("kind")
-        if kind not in _NODE_KINDS:
-            errors.append(f"{path}.kind: must be one of {_NODE_KINDS}")
+        kind = _member(item.get("kind"), NodeKind, f"{path}.kind", errors)
+        if kind is None:
             continue
         mobile = _bool(item.get("mobile", False), f"{path}.mobile", errors)
-        if mobile and kind != "device":
+        if mobile and kind is not NodeKind.DEVICE:
             errors.append(f"{path}: only devices can be mobile")
-        nodes.append(NodeSpec(nid, kind, mobile))
+        nodes.append(Node(nid, kind, mobile))
     if not isinstance(raw, list):
         return nodes  # the section error says it all
     ids = [n.id for n in nodes]
     if ids != list(range(len(ids))):
         errors.append("nodes: ids must be unique and dense from 0, in order")
-    kinds = [n.kind for n in nodes]
-    if kinds.count("core") != 1:
-        errors.append(f"nodes: exactly one core node required, found {kinds.count('core')}")
+    cores = [n.kind for n in nodes].count(NodeKind.CORE)
+    if cores != 1:
+        errors.append(f"nodes: exactly one core node required, found {cores}")
     return nodes
 
 
-def _parse_links(raw: Any, nodes: list[NodeSpec], errors: list[str]) -> list[LinkSpec]:
-    links: list[LinkSpec] = []
+def _parse_links(raw: Any, nodes: list[Node], errors: list[str]) -> list[Link]:
+    links: list[Link] = []
     node_kind = {n.id: n.kind for n in nodes}
     for _, path, item in _items(raw, "links", errors):
         lid = _int(item.get("id"), f"{path}.id", errors)
@@ -478,7 +465,7 @@ def _parse_links(raw: Any, nodes: list[NodeSpec], errors: list[str]) -> list[Lin
         if None in known or a == b:
             continue
         kinds = {node_kind[a], node_kind[b]}
-        if "device" in kinds and kinds != {"device", "edge"}:
+        if NodeKind.DEVICE in kinds and kinds != {NodeKind.DEVICE, NodeKind.EDGE}:
             errors.append(f"{path}: devices attach only to edge nodes")
         rate = parse_rate(item.get("rate"), f"{path}.rate", errors)
         prop = parse_duration(item.get("prop_delay", 0), f"{path}.prop_delay", errors)
@@ -492,7 +479,7 @@ def _parse_links(raw: Any, nodes: list[NodeSpec], errors: list[str]) -> list[Lin
         prop = _signed(prop, f"{path}.prop_delay", errors, positive=False)
         if rate is None or prop is None:
             continue
-        links.append(LinkSpec(lid, a, b, rate, prop, float(loss), cap))
+        links.append(Link(lid, a, b, rate, prop, float(loss), cap))
     ids = [l.id for l in links]
     if ids != list(range(len(ids))):
         errors.append("links: ids must be unique and dense from 0, in order")
@@ -547,9 +534,8 @@ def _parse_twins(raw: Any, errors: list[str]) -> list[TwinSpec]:
             errors.append(f"{path}.id: duplicate twin id {tid!r}")
             continue
         seen.add(tid)
-        level = item.get("level")
-        if level not in _TWIN_LEVELS:
-            errors.append(f"{path}.level: must be one of {_TWIN_LEVELS}")
+        level = _member(item.get("level"), TwinLevel, f"{path}.level", errors)
+        if level is None:
             continue
         host = _int(item.get("host"), f"{path}.host", errors, what="a node id")
         if host is None:
@@ -579,24 +565,18 @@ def _parse_twins(raw: Any, errors: list[str]) -> list[TwinSpec]:
                 spec.policy[str(metric)] = str(reducer)
         spec.vitals = _parse_vitals(item.get("metrics"), f"{path}.metrics", errors)
         spec.alerts = _parse_alerts(item.get("alerts"), f"{path}.alerts", errors)
-        if level == "individual" and spec.entity is None:
+        if level is TwinLevel.INDIVIDUAL and spec.entity is None:
             errors.append(f"{path}: individual twins must bind an entity device")
-        if level != "individual" and not spec.policy:
+        if level is not TwinLevel.INDIVIDUAL and not spec.policy:
             errors.append(f"{path}: global twins need an aggregation policy")
         twins.append(spec)
     return twins
 
 
-def _next_ids(nodes: list[NodeSpec], links: list[LinkSpec]) -> tuple[int, int]:
-    nid = max((n.id for n in nodes), default=-1) + 1
-    lid = max((l.id for l in links), default=-1) + 1
-    return nid, lid
-
-
 def _parse_workloads(
     raw: Any,
-    nodes: list[NodeSpec],
-    links: list[LinkSpec],
+    nodes: list[Node],
+    links: list[Link],
     twins: list[TwinSpec],
     errors: list[str],
 ) -> list[WorkloadSpec]:
@@ -671,7 +651,7 @@ def _check_device_twin(item: dict, node_by_id: dict, twin_by_id: dict, fed: set[
     device = _node_id(item.get("device"), node_by_id, f"{path}.device", errors)
     twin_id = item.get("twin")
     ok = device is not None
-    if ok and node_by_id[device].kind != "device":
+    if ok and node_by_id[device].kind is not NodeKind.DEVICE:
         errors.append(f"{path}.device: node {device} is not a device")
         ok = False
     elif ok and want_mobile and not node_by_id[device].mobile:
@@ -682,7 +662,7 @@ def _check_device_twin(item: dict, node_by_id: dict, twin_by_id: dict, fed: set[
         ok = False
     else:
         twin = twin_by_id[twin_id]
-        if twin.level != "individual":
+        if twin.level is not TwinLevel.INDIVIDUAL:
             errors.append(f"{path}.twin: {twin_id!r} must be an individual twin")
             ok = False
         elif not twin.vitals:
@@ -730,7 +710,7 @@ def _parse_ambulance(item: dict, wid: str, node_by_id: dict, twin_by_id: dict, f
     return None
 
 
-def _parse_fleet(item: dict, wid: str, nodes: list[NodeSpec], links: list[LinkSpec],
+def _parse_fleet(item: dict, wid: str, nodes: list[Node], links: list[Link],
                  twins: list[TwinSpec], node_by_id: dict, path: str,
                  errors: list[str]) -> Optional[WearableFleetSpec]:
     period = parse_duration(item.get("period"), f"{path}.period", errors)
@@ -768,15 +748,16 @@ def _parse_fleet(item: dict, wid: str, nodes: list[NodeSpec], links: list[LinkSp
     )
     # Expansion: one device node, one access link, and one individual twin per
     # member, appended after the explicit ids so those stay dense and stable.
-    nid, lid = _next_ids(nodes, links)
+    nid = max((n.id for n in nodes), default=-1) + 1
+    lid = max((l.id for l in links), default=-1) + 1
     for i in range(n):
         edge = spec.edges[i % len(spec.edges)]
-        nodes.append(NodeSpec(nid, "device"))
-        links.append(LinkSpec(lid, nid, edge, link_rate, link_prop, 0.0, link_cap))
+        nodes.append(Node(nid, NodeKind.DEVICE))
+        links.append(Link(lid, nid, edge, link_rate, link_prop, 0.0, link_cap))
         twin_id = f"{spec.twin_prefix}_{i}"
         twins.append(TwinSpec(
-            id=twin_id, level="individual", host=edge, entity=nid,
-            sync_period=period, vitals=vitals, alerts=list(alerts),
+            id=twin_id, level=TwinLevel.INDIVIDUAL, host=edge, entity=nid,
+            sync_period=period, vitals=vitals, alerts=alerts,
         ))
         spec.members.append((nid, twin_id))
         nid += 1
@@ -803,7 +784,7 @@ def _parse_beacon(item: dict, wid: str, node_by_id: dict, twin_by_id: dict, fed:
     )
 
 
-def _parse_faults(raw: Any, nodes: list[NodeSpec], links: list[LinkSpec],
+def _parse_faults(raw: Any, nodes: list[Node], links: list[Link],
                   errors: list[str]) -> list[FaultSpec]:
     out: list[FaultSpec] = []
     node_ids = {n.id for n in nodes}
@@ -831,7 +812,7 @@ def _parse_faults(raw: Any, nodes: list[NodeSpec], links: list[LinkSpec],
     return out
 
 
-def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[TwinSpec],
+def _validate_cross(nodes: list[Node], links: list[Link], twins: list[TwinSpec],
                     workloads: list[WorkloadSpec], errors: list[str]) -> None:
     """Checks that need the fully expanded document."""
     node_by_id = {n.id: n for n in nodes}
@@ -856,13 +837,13 @@ def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[Tw
             errors.append(f"topology: graph is disconnected (unreachable nodes {missing})")
 
     for n in nodes:
-        if n.kind == "device" and not n.mobile and len(adj.get(n.id, ())) > 1:
+        if n.kind is NodeKind.DEVICE and not n.mobile and len(adj.get(n.id, ())) > 1:
             errors.append(f"nodes[{n.id}]: static device has multiple access links; mark it mobile")
 
     twin_by_id = {t.id: t for t in twins}
     parent_of: dict[str, str] = {}  # a twin is listed as a child once, by its one parent
-    edge_twins = [t for t in twins if t.level == "global_edge"]
-    core_twins = [t for t in twins if t.level == "global_core"]
+    edge_twins = [t for t in twins if t.level is TwinLevel.GLOBAL_EDGE]
+    core_twins = [t for t in twins if t.level is TwinLevel.GLOBAL_CORE]
     if len(core_twins) > 1:
         errors.append("twins: at most one global_core twin is allowed")
     if edge_twins and not core_twins:
@@ -872,30 +853,30 @@ def _validate_cross(nodes: list[NodeSpec], links: list[LinkSpec], twins: list[Tw
         if host is None:
             errors.append(f"twins.{t.id}.host: unknown node {t.host}")
             continue
-        if t.level in ("individual", "global_edge") and host.kind != "edge":
-            errors.append(f"twins.{t.id}: {t.level} twins must be hosted on an edge node")
-        if t.level == "global_core" and host.kind != "core":
+        if t.level is not TwinLevel.GLOBAL_CORE and host.kind is not NodeKind.EDGE:
+            errors.append(f"twins.{t.id}: {t.level.value} twins must be hosted on an edge node")
+        if t.level is TwinLevel.GLOBAL_CORE and host.kind is not NodeKind.CORE:
             errors.append(f"twins.{t.id}: global_core twins must be hosted on the core node")
-        if t.level == "individual" and t.entity is not None:
+        if t.level is TwinLevel.INDIVIDUAL and t.entity is not None:
             ent = node_by_id.get(t.entity)
-            if ent is None or ent.kind != "device":
+            if ent is None or ent.kind is not NodeKind.DEVICE:
                 errors.append(f"twins.{t.id}.entity: must reference a device node")
-        if t.level == "individual" and t.children:
+        if t.level is TwinLevel.INDIVIDUAL and t.children:
             errors.append(f"twins.{t.id}.children: individual twins have no children")
             continue
         for child_id in t.children:
             child = twin_by_id.get(child_id)
             if child is None:
                 errors.append(f"twins.{t.id}.children: unknown twin {child_id!r}")
-            elif t.level == "global_edge" and (child.level != "individual" or child.host != t.host):
+            elif t.level is TwinLevel.GLOBAL_EDGE and (child.level is not TwinLevel.INDIVIDUAL or child.host != t.host):
                 errors.append(f"twins.{t.id}.children: {child_id!r} must be an individual twin on the same edge")
-            elif t.level == "global_core" and child.level != "global_edge":
+            elif t.level is TwinLevel.GLOBAL_CORE and child.level is not TwinLevel.GLOBAL_EDGE:
                 errors.append(f"twins.{t.id}.children: {child_id!r} must be a global_edge twin")
             elif child_id in parent_of:
                 errors.append(f"twins.{t.id}.children: {child_id!r} is already a child of {parent_of[child_id]!r}")
             else:
                 parent_of[child_id] = t.id
-        if t.level == "global_core" and sorted(t.children) != sorted(e.id for e in edge_twins):
+        if t.level is TwinLevel.GLOBAL_CORE and sorted(t.children) != sorted(e.id for e in edge_twins):
             errors.append(f"twins.{t.id}.children: must be exactly the global_edge twins")
 
     for wl in workloads:
@@ -927,7 +908,7 @@ def _check_flow_ids(twins: list[TwinSpec], workloads: list[WorkloadSpec], errors
             opened.append((f"{wl.id}.ack", path))
     has_parent = {child for t in twins for child in t.children}
     for t in twins:
-        if t.level == "global_edge":
+        if t.level is TwinLevel.GLOBAL_EDGE:
             opened.append((f"twinsync.{t.id}", f"twins.{t.id}"))
         if t.alerts and t.id in has_parent:
             opened.append((f"alerts.{t.id}", f"twins.{t.id}"))
@@ -943,13 +924,13 @@ def _resolve_children(twins: list[TwinSpec]) -> None:
     """Resolve `children: auto`: the individuals on an edge twin's edge, the core's edge twins."""
     on_edge: dict[int, list[str]] = {}
     for t in twins:
-        if t.level == "individual":
+        if t.level is TwinLevel.INDIVIDUAL:
             on_edge.setdefault(t.host, []).append(t.id)
-    edge_ids = sorted(t.id for t in twins if t.level == "global_edge")
+    edge_ids = sorted(t.id for t in twins if t.level is TwinLevel.GLOBAL_EDGE)
     for t in twins:
         if t.children == "auto":
-            t.children = ([] if t.level == "individual" else list(edge_ids)
-                          if t.level == "global_core" else sorted(on_edge.get(t.host, [])))
+            t.children = ([] if t.level is TwinLevel.INDIVIDUAL else list(edge_ids)
+                          if t.level is TwinLevel.GLOBAL_CORE else sorted(on_edge.get(t.host, [])))
 
 
 def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
@@ -964,17 +945,15 @@ def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
     # that failed to expand leaves its edge twin without children).
     consistent = not errors
     twin_by_id = {t.id: t for t in twins}
-    for level in _TWIN_LEVELS:
-        for t in twins:
-            if t.level != level:
-                continue
+    for level in TwinLevel:  # children before parents
+        for t in (twin for twin in twins if twin.level is level):
             # A given period must be positive and a given phase non-negative.
             checked = [_signed(getattr(t, key), f"twins.{t.id}.{key}", errors,
                                positive=key.endswith("period"))
                        for key in _TWIN_TIMING if getattr(t, key) is not None]
             if None in checked or not consistent:
                 continue
-            if level == "individual":
+            if level is TwinLevel.INDIVIDUAL:
                 t.sync_period = t.sync_period or 0
                 t.sync_phase = t.sync_phase or 0
                 t.aggregation_period = t.aggregation_phase = 0
@@ -989,7 +968,7 @@ def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
                                   "set it explicitly")
                     continue
                 t.aggregation_period = max(periods)
-            if level == "global_edge":
+            if level is TwinLevel.GLOBAL_EDGE:
                 if t.aggregation_phase is None:
                     t.aggregation_phase = t.aggregation_period // 4
                 if t.sync_period is None:

@@ -32,6 +32,7 @@ from .slices import (
     SliceClass,
     admit,
     check_sla,
+    periodic_demand,
 )
 from .twins import AlertRule, Delta, Twin, TwinLevel
 from .workloads import GENERATORS, Source
@@ -67,10 +68,11 @@ class Simulation:
         self.engine = Engine()
         self._streams: dict[str, RngStream] = {}
 
+        # Fresh records: a run never writes `up`, `failures` or `attached_edge` into its scenario.
         self.topology = Topology(
-            [Node(s.id, NodeKind(s.kind)) for s in scenario.nodes],
-            [Link(s.id, s.a, s.b, s.rate_bps, s.prop_delay_ns, s.loss_prob, s.queue_cap)
-             for s in scenario.links],
+            [Node(n.id, n.kind, n.mobile) for n in scenario.nodes],
+            [Link(l.id, l.a, l.b, l.rate_bps, l.prop_delay_ns, l.loss_prob, l.queue_cap)
+             for l in scenario.links],
         )
         self.net = NetworkService(self.engine, self.topology, self.stream, self._on_deliver,
                                   self._on_drop)
@@ -83,8 +85,7 @@ class Simulation:
         self.stack = scenario.stack
         self.contracts = scenario.contracts
 
-        core = next(n for n in scenario.nodes if n.kind == "core")
-        self.core_host = core.id
+        self.core_host = next(n.id for n in scenario.nodes if n.kind is NodeKind.CORE)
 
         self.flows: dict[str, Flow] = {}
         self.admitted_demand: dict[int, int] = {}
@@ -301,7 +302,7 @@ class Simulation:
 
     def _make_push_flow(self, twin: Twin) -> Flow:
         est_payload = SYNC_HEADER_BYTES + DELTA_BYTES * max(1, len(twin.policy))
-        demand = max(1, round(est_payload * 8 * SEC / twin.sync_period))
+        demand = periodic_demand(est_payload, twin.sync_period)
         flow = Flow(
             id=f"twinsync.{twin.id}", slice_cls=SliceClass.UMMTC,
             src=twin.host, dst=self.core_host, demand_bps=demand,

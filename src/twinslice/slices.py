@@ -75,6 +75,11 @@ class Flow:
     stats: TrafficStats = field(default_factory=TrafficStats)  # its one ledger
 
 
+def periodic_demand(payload_bytes: int, period_ns: int) -> int:
+    """The rate in b/s of one payload per period, at least 1: a periodic flow's demand."""
+    return max(1, round(payload_bytes * 8 * SEC / period_ns))
+
+
 @dataclass(frozen=True)
 class AdmissionDecision:
     flow_id: str

@@ -24,7 +24,7 @@ class TwinSyncError(Exception):
     """A malformed aggregation policy: an unknown reducer or a non-finite threshold."""
 
 
-class TwinLevel(Enum):
+class TwinLevel(Enum):  # children before parents: loading resolves twin timing in this order
     INDIVIDUAL = "individual"
     GLOBAL_EDGE = "global_edge"
     GLOBAL_CORE = "global_core"
@@ -92,7 +92,7 @@ class Twin:
 
     def __init__(self, spec: TwinSpec) -> None:
         self.id = spec.id
-        self.level = TwinLevel(spec.level)
+        self.level = spec.level
         self.host = spec.host
         self.entity = spec.entity
         self.sync_period = spec.sync_period

@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional
 from .engine import EventKind, SEC
 from .metrics import DelayHistogram
 from .network import Frame
-from .slices import Flow, SliceClass
+from .slices import Flow, SliceClass, periodic_demand
 
 DEFAULT_HANDOVER_GAP = 10_000_000  # 10 ms
 
@@ -340,7 +340,7 @@ class WearableFleetGen(Source):
 
     def __init__(self, sim: Any, spec: WearableFleetSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
-        demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
+        demand = periodic_demand(spec.payload_bytes, spec.period_ns)
         for i, (device, twin_id) in enumerate(spec.members):
             self._flow(f"{spec.id}.{i}", SliceClass.UMMTC, device, sim.twins[twin_id].host, demand,
                        spec.payload_bytes)
@@ -402,7 +402,7 @@ class BeaconGen(Source):
     def __init__(self, sim: Any, spec: ImplantBeaconSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
         self.twin = sim.twins[spec.twin_id]
-        demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
+        demand = periodic_demand(spec.payload_bytes, spec.period_ns)
         self.flow = self._flow(spec.id, SliceClass.ELPC, spec.device, self.twin.host, demand,
                                spec.payload_bytes)
         self.halted = False

@@ -282,6 +282,24 @@ def test_vitals_past_the_magnitude_bound_fail_validate_and_run(scenario_dir, tmp
     assert captured.err.splitlines() == [error, f"1 error(s) in {p}"]
 
 
+@pytest.mark.parametrize("transport", [["quic"], {"quic": 27}])
+def test_a_transport_that_is_not_a_name_fails_every_command(transport, tmp_path, capsys):
+    # A list or a mapping once crashed validate, run and sweep with
+    # "TypeError: unhashable type" in the transport lookup.
+    doc = yaml.safe_load(CLEAN)
+    doc["stack"] = {"transport": transport}
+    p = tmp_path / "transport.scn"
+    p.write_text(yaml.safe_dump(doc))
+    error = "error: stack.transport: must be one of ['quic', 'udp']"
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().out.splitlines() == [error, "1 error(s)"]
+    for argv in (["run", str(p)], ["sweep", str(p), "--seeds", "1,2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [error, f"1 error(s) in {p}"]
+
+
 @pytest.mark.parametrize("speed", [".nan", ".inf"])
 def test_non_finite_ambulance_speed_fails_validate_and_run(speed, scenario_dir, tmp_path, capsys):
     # NaN once passed validate and crashed run with a ValueError traceback;

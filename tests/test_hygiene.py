@@ -1,10 +1,15 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every attribute it stores is read somewhere in the package."""
+"""Source hygiene: every name a package module imports is used in it, every
+attribute it stores is read somewhere in the package, and node kinds, twin
+levels and slice names are compared as enum members only."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from twinslice.network import NodeKind
+from twinslice.slices import SliceClass
+from twinslice.twins import TwinLevel
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twinslice"
 
@@ -93,3 +98,35 @@ def test_the_attribute_scan_sees_fields_self_stores_and_reads_across_modules():
                "        self.f: int = 0\n        self.e += 1\n        s.g = 2\n"
                "    def get(self):\n        return self.f\n")
     assert write_only_attributes([fields, methods]) == ["b", "d", "e"]
+
+
+VOCABULARY = {m.value for enum in (NodeKind, TwinLevel, SliceClass) for m in enum}
+
+
+def vocabulary_literals(source: str) -> list[str]:
+    """String literals naming a node kind, twin level or slice that the module
+    compares with, or tests membership in (a tuple, list or set of literals).
+
+    The enums are the one list of these names: code that compares their
+    values as strings keeps a second copy.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                parts = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+                found += [p.value for p in parts if isinstance(p, ast.Constant)
+                          and isinstance(p.value, str) and p.value in VOCABULARY]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_vocabularies_are_compared_as_enum_members(path):
+    assert vocabulary_literals(path.read_text()) == []
+
+
+def test_the_vocabulary_scan_sees_comparisons_and_membership():
+    source = ("a = kind == 'edge'\nb = 'core' != kind\nc = kind in ('device', 'link')\n"
+              "d = level not in {'global_core'}\ne = cls in ['ERLLC']\nf = kind == 'link'\n"
+              "g = 'edge'\nh = {'umMTC': 1}\ni = f'{kind}' == 'core-ish'\n")
+    assert sorted(vocabulary_literals(source)) == ["ERLLC", "core", "device", "edge", "global_core"]

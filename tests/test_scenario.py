@@ -6,6 +6,7 @@ import math
 import pytest
 
 from twinslice.engine import MS
+from twinslice.network import NodeKind
 from twinslice.scenario import (
     Scenario,
     ScenarioError,
@@ -16,6 +17,7 @@ from twinslice.scenario import (
     scenario_from_dict,
 )
 from twinslice.slices import SliceClass
+from twinslice.twins import TwinLevel
 from twinslice.workloads import WearableFleetSpec
 
 
@@ -215,6 +217,50 @@ class TestContracts:
             "contracts.LDHMC.mobility_kmh: unknown contract field"]
 
 
+# Each field that names one of a fixed set of names: how to set it, and the
+# error a value outside the set gives. Node kinds, twin levels and slices are
+# the runtime's enums, whose member order these messages show.
+NAME_FIELDS = {
+    "node kind": (lambda doc, v: doc["nodes"][1].update(kind=v),
+                  "nodes[1].kind: must be one of ('core', 'edge', 'device')"),
+    "twin level": (lambda doc, v: doc.update(twins=[{"id": "w", "level": v, "host": 1,
+                                                     "policy": {"hr": "mean"}}]),
+                   "twins[0].level: must be one of ('individual', 'global_edge', 'global_core')"),
+    "workload kind": (lambda doc, v: doc.update(workloads=[{"kind": v}]),
+                      "workloads[0].kind: must be one of ('telemedicine_stream', 'surgery_loop', "
+                      "'ambulance_run', 'wearable_fleet', 'implant_beacon')"),
+    "transport": (lambda doc, v: doc.update(stack={"transport": v}),
+                  "stack.transport: must be one of ['quic', 'udp']"),
+}
+SLICE_ERROR = "unknown slice (expected one of ['ELPC', 'ERLLC', 'FeMBB', 'LDHMC', 'umMTC'])"
+
+
+class TestNameFields:
+    @pytest.mark.parametrize("value", ["cloud", ["edge"], {"edge": 1}, True, None],
+                             ids=["name", "list", "mapping", "boolean", "null"])
+    @pytest.mark.parametrize("field", sorted(NAME_FIELDS))
+    def test_a_value_outside_the_names_lists_them(self, field, value):
+        set_value, error = NAME_FIELDS[field]
+        doc = base_doc()
+        set_value(doc, value)
+        assert errors_of(doc)[0] == error
+
+    @pytest.mark.parametrize("key", ["XRLLC", "erllc", True, None, 7])
+    def test_an_unknown_slice_key_lists_the_slices(self, key):
+        assert errors_of(base_doc(contracts={key: {}})) == [f"contracts.{key}: {SLICE_ERROR}"]
+
+    @pytest.mark.parametrize("key", ["[ERLLC]", "{ERLLC: 1}"])
+    def test_a_slice_key_is_never_a_list_or_mapping(self, key, tmp_path):
+        # A YAML mapping key that is a list or a mapping does not hash, so the
+        # document fails to parse before any contract is read.
+        p = tmp_path / "key.scn"
+        p.write_text(f"contracts: {{{key}: {{}}}}\n")
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(p)
+        [error] = info.value.errors
+        assert error.startswith("not valid YAML: ") and "found unhashable key" in error
+
+
 class TestMagnitudes:
     """Every integer field, rate, energy and length is below 2**63; durations are not bounded."""
 
@@ -257,7 +303,7 @@ class TestFleetExpansion:
         scn = scenario_from_dict(self.doc())
         assert len(scn.nodes) == 3 + 5
         assert [n.id for n in scn.nodes] == list(range(8))  # appended dense
-        assert all(n.kind == "device" for n in scn.nodes[3:])
+        assert all(n.kind is NodeKind.DEVICE for n in scn.nodes[3:])
         assert len(scn.links) == 2 + 5
         assert [t.id for t in scn.twins] == [f"w_{i}" for i in range(5)]
         spec = scn.workloads[0]
@@ -267,7 +313,7 @@ class TestFleetExpansion:
     def test_member_twins_are_individual_on_their_edge(self):
         scn = scenario_from_dict(self.doc(n=2))
         for t in scn.twins:
-            assert t.level == "individual"
+            assert t.level is TwinLevel.INDIVIDUAL
             assert t.host == 1
             assert t.sync_period == 100 * MS
 
@@ -523,7 +569,7 @@ class TestTwinParents:
     def test_disjoint_children_load(self):
         scn = scenario_from_dict(self.doc(self.edge("ward_a", children=["w_0", "w_2"]),
                                           self.edge("ward_b", children=["w_1"])))
-        assert [t.children for t in scn.twins if t.level != "individual"] == [
+        assert [t.children for t in scn.twins if t.level is not TwinLevel.INDIVIDUAL] == [
             ["w_0", "w_2"], ["w_1"], ["ward_a", "ward_b"]]
 
 

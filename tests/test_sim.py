@@ -1,12 +1,14 @@
 """Simulation orchestration: wiring, admission outcomes, alert escalation."""
 
+import copy
+
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinslice.engine import SEC
-from twinslice.scenario import ScenarioError, scenario_from_dict
+from twinslice.scenario import ScenarioError, load_scenario, scenario_from_dict
 from twinslice.sim import Simulation, run_scenario
 from twinslice.slices import Flow, SliceClass
 
@@ -142,6 +144,17 @@ class TestRunDiscipline:
         sim.run()
         with pytest.raises(RuntimeError, match="runs once"):
             sim.run()
+
+    @pytest.mark.parametrize("name", ["ambulance.scn", "ambulance_single.scn"])
+    def test_a_run_never_writes_to_its_scenario(self, name, scenario_dir):
+        # The loaded nodes and links are the runtime's own record types, so the
+        # run must build from copies: ambulance.scn hands over twice and fails
+        # a node, ambulance_single.scn fails a link.
+        scn = load_scenario(scenario_dir / name)
+        before = copy.deepcopy((scn.nodes, scn.links, scn.twins))
+        topology = run_scenario(scn).sim.topology
+        assert (scn.nodes, scn.links, scn.twins) == before
+        assert (topology.nodes, topology.links) != (scn.nodes, scn.links)  # the run wrote its own
 
     def test_horizon_override_must_be_positive(self):
         with pytest.raises(ScenarioError):

@@ -19,7 +19,7 @@ from twinslice.twins import (
 
 
 def twin(level=TwinLevel.GLOBAL_EDGE, policy_spec=None, children=(), **kw):
-    return Twin(TwinSpec("t", level.value, host=1, children=children, policy=policy_spec or {}, **kw))
+    return Twin(TwinSpec("t", level, host=1, children=children, policy=policy_spec or {}, **kw))
 
 
 class TestApplySync:

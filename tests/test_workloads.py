@@ -13,7 +13,7 @@ from twinslice.engine import MS, Engine
 from twinslice.scenario import ScenarioError, TwinSpec, scenario_from_dict
 from twinslice.sim import run_scenario
 from twinslice.slices import AdmissionDecision
-from twinslice.twins import Twin
+from twinslice.twins import Twin, TwinLevel
 from twinslice.workloads import (
     DEFAULT_HANDOVER_GAP,
     GENERATORS,
@@ -48,7 +48,7 @@ def small_run(workloads, **fabric):
 
 def on_edge_1(*twin_ids):
     """A stand-in simulation holding individual twins hosted on edge 1."""
-    return SimpleNamespace(twins={t: Twin(TwinSpec(t, "individual", host=1, children=[]))
+    return SimpleNamespace(twins={t: Twin(TwinSpec(t, TwinLevel.INDIVIDUAL, host=1, children=[]))
                                   for t in twin_ids})
 
 
