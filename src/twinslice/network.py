@@ -96,7 +96,7 @@ class StackProfile:
     alp: int = 8
     session: int = 4
     security: int = 29
-    transport_bytes: int = 27  # quic; `with_transport` sets it by transport name
+    transport_bytes: int = 27  # quic; the loader sets it from TRANSPORT_BYTES
     network: int = 40
     phy: int = 28
     # None = derive per flow as 2 RTTs of the path (4x one-way propagation).
@@ -106,19 +106,6 @@ class StackProfile:
     def overhead(self) -> int:
         """Header bytes of every frame, summed once per profile."""
         return self.alp + self.session + self.security + self.transport_bytes + self.network + self.phy
-
-    def serialize_overhead(self, payload_bytes: int) -> int:
-        """Total on-wire frame size for a payload."""
-        if payload_bytes < 0:
-            raise ValueError("payload must be >= 0")
-        return payload_bytes + self.overhead
-
-    @classmethod
-    def with_transport(cls, transport: str, **kw: Any) -> "StackProfile":
-        if transport not in TRANSPORT_BYTES:
-            raise ValueError(f"unknown transport {transport!r}")
-        kw.setdefault("transport_bytes", TRANSPORT_BYTES[transport])
-        return cls(**kw)
 
 
 @dataclass(slots=True)
@@ -152,27 +139,25 @@ class Topology:
         self.nodes = nodes
         self.links = links
         self.epoch = 0
-        self._channels: dict[tuple[int, int], Channel] = {}
+        # Each node's outgoing channels as (peer id, link id, channel), sorted:
+        # the routing tie-break order. Link ids are unique, so no Channel is compared.
+        self._adj: list[list[tuple[int, int, Channel]]] = [[] for _ in nodes]
         for link in links:
-            self._channels[(link.id, link.a)] = Channel(link, link.a, link.b)
-            self._channels[(link.id, link.b)] = Channel(link, link.b, link.a)
-        # adjacency sorted by (peer id, link id): routing tie-break order
-        self._adj: dict[int, list[tuple[int, Link]]] = {n.id: [] for n in nodes}
-        for link in links:
-            self._adj[link.a].append((link.b, link))
-            self._adj[link.b].append((link.a, link))
-        for peers in self._adj.values():
-            peers.sort(key=lambda pl: (pl[0], pl[1].id))
+            self._adj[link.a].append((link.b, link.id, Channel(link, link.a, link.b)))
+            self._adj[link.b].append((link.a, link.id, Channel(link, link.b, link.a)))
+        for out in self._adj:
+            out.sort()
         self._route_cache: dict[tuple[int, int], tuple[int, list[Channel]]] = {}
         # Static devices start attached to their only edge.
+        device = NodeKind.DEVICE
         for node in nodes:
-            if node.kind is NodeKind.DEVICE and node.attached_edge is None:
-                edges = [p for p, _l in self._adj[node.id]]
-                if len(set(edges)) == 1:
-                    node.attached_edge = edges[0]
+            if node.kind is device and node.attached_edge is None:
+                edges = {peer for peer, _lid, _chan in self._adj[node.id]}
+                if len(edges) == 1:
+                    node.attached_edge = edges.pop()
 
     def channel(self, link_id: int, src: int) -> Channel:
-        return self._channels[(link_id, src)]
+        return next(chan for _peer, lid, chan in self._adj[src] if lid == link_id)
 
     def bump_epoch(self) -> None:
         """Call after every write to what `_usable` reads (`Link.up`, `Node.up`,
@@ -184,9 +169,11 @@ class Topology:
         self.nodes[device_id].attached_edge = edge_id
         self.bump_epoch()
 
-    def _usable(self, link: Link, a: int, b: int) -> bool:
-        if not link.up:
+    def _usable(self, chan: Channel) -> bool:
+        """Whether chan may carry traffic; both channels of a link give the same answer."""
+        if not chan.link.up:
             return False
+        a, b = chan.src, chan.dst
         na, nb = self.nodes[a], self.nodes[b]
         if not (na.up and nb.up):
             return False
@@ -214,11 +201,11 @@ class Topology:
         # One-hop fast path: a direct usable link is always a shortest route,
         # and the first match in the sorted adjacency is the same channel the
         # BFS tie-break would select. Keeps admission O(1) per device flow.
-        for peer, link in self._adj[src]:
+        for peer, _lid, chan in self._adj[src]:
             if peer > dst:
                 break
-            if peer == dst and self._usable(link, src, dst):
-                hops = [self._channels[(link.id, src)]]
+            if peer == dst and self._usable(chan):
+                hops = [chan]
                 self._route_cache[(src, dst)] = (self.epoch, hops)
                 return hops
         # BFS from dst so the distance field guides a greedy walk from src.
@@ -228,8 +215,8 @@ class Topology:
             nxt: list[int] = []
             for cur in frontier:
                 d = dist[cur]
-                for peer, link in self._adj[cur]:
-                    if peer not in dist and self._usable(link, peer, cur):
+                for peer, _lid, chan in self._adj[cur]:
+                    if peer not in dist and self._usable(chan):
                         dist[peer] = d + 1
                         nxt.append(peer)
             frontier = nxt
@@ -239,15 +226,13 @@ class Topology:
         cur = src
         while cur != dst:
             want = dist[cur] - 1
-            step = None
-            for peer, link in self._adj[cur]:  # already (peer, link id) sorted
-                if dist.get(peer, -2) == want and self._usable(link, cur, peer):
-                    step = (peer, link)
+            for peer, _lid, chan in self._adj[cur]:  # already (peer, link id) sorted
+                if dist.get(peer, -2) == want and self._usable(chan):
                     break
-            if step is None:  # pragma: no cover - guarded by dist reachability
+            else:  # pragma: no cover - guarded by dist reachability
                 raise Unreachable(f"no path {src} -> {dst}")
-            hops.append(self._channels[(step[1].id, cur)])
-            cur = step[0]
+            hops.append(chan)
+            cur = peer
         self._route_cache[(src, dst)] = (self.epoch, hops)
         return hops
 
@@ -397,7 +382,7 @@ class NetworkService:
         nxt = hops[idx]
         # A route is usable in the epoch it was routed in, and every write to
         # what `_usable` reads bumps the epoch: only a moved epoch re-checks.
-        if frame.epoch != topology.epoch and not topology._usable(nxt.link, nxt.src, nxt.dst):
+        if frame.epoch != topology.epoch and not topology._usable(nxt):
             # Planned hop became unusable: reroute from the current node.
             try:
                 rest = topology.route(here, frame.flow.dst)
@@ -431,8 +416,8 @@ class NetworkService:
         the node recovers first."""
         node.up = False
         self.topology.bump_epoch()
-        for _peer, link in self.topology._adj[node.id]:
-            self._cut(self.topology.channel(link.id, node.id), now)
+        for _peer, _lid, chan in self.topology._adj[node.id]:
+            self._cut(chan, now)
 
     def _cut(self, chan: Channel, now: int) -> int:
         """Mark the frame in service to drop at its departure; drop the queue now.

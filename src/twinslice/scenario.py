@@ -399,7 +399,8 @@ def _parse_stack(cfg: dict, errors: list[str]) -> StackProfile:
     setup_ns: Optional[int] = None
     if setup != "auto":
         setup_ns = parse_duration(setup, "stack.setup_latency", errors)
-    return StackProfile.with_transport(transport, setup_latency_ns=setup_ns, **fields)
+    fields.setdefault("transport_bytes", TRANSPORT_BYTES[transport])
+    return StackProfile(setup_latency_ns=setup_ns, **fields)
 
 
 def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[str]) -> None:
@@ -750,13 +751,14 @@ def _parse_fleet(item: dict, wid: str, nodes: list[Node], links: list[Link],
     # member, appended after the explicit ids so those stay dense and stable.
     nid = max((n.id for n in nodes), default=-1) + 1
     lid = max((l.id for l in links), default=-1) + 1
+    device, individual = NodeKind.DEVICE, TwinLevel.INDIVIDUAL  # read once, not per member
     for i in range(n):
         edge = spec.edges[i % len(spec.edges)]
-        nodes.append(Node(nid, NodeKind.DEVICE))
+        nodes.append(Node(nid, device))
         links.append(Link(lid, nid, edge, link_rate, link_prop, 0.0, link_cap))
         twin_id = f"{spec.twin_prefix}_{i}"
         twins.append(TwinSpec(
-            id=twin_id, level=TwinLevel.INDIVIDUAL, host=edge, entity=nid,
+            id=twin_id, level=individual, host=edge, entity=nid,
             sync_period=period, vitals=vitals, alerts=alerts,
         ))
         spec.members.append((nid, twin_id))
@@ -836,14 +838,18 @@ def _validate_cross(nodes: list[Node], links: list[Link], twins: list[TwinSpec],
             missing = sorted(set(node_by_id) - seen)
             errors.append(f"topology: graph is disconnected (unreachable nodes {missing})")
 
+    # Each member is read once: on CPython 3.11 reading one through its enum
+    # class costs over ten times a local, and these loops run per fleet member.
+    device, edge, core = NodeKind.DEVICE, NodeKind.EDGE, NodeKind.CORE
+    individual, global_edge, global_core = TwinLevel.INDIVIDUAL, TwinLevel.GLOBAL_EDGE, TwinLevel.GLOBAL_CORE
     for n in nodes:
-        if n.kind is NodeKind.DEVICE and not n.mobile and len(adj.get(n.id, ())) > 1:
+        if n.kind is device and not n.mobile and len(adj.get(n.id, ())) > 1:
             errors.append(f"nodes[{n.id}]: static device has multiple access links; mark it mobile")
 
     twin_by_id = {t.id: t for t in twins}
     parent_of: dict[str, str] = {}  # a twin is listed as a child once, by its one parent
-    edge_twins = [t for t in twins if t.level is TwinLevel.GLOBAL_EDGE]
-    core_twins = [t for t in twins if t.level is TwinLevel.GLOBAL_CORE]
+    edge_twins = [t for t in twins if t.level is global_edge]
+    core_twins = [t for t in twins if t.level is global_core]
     if len(core_twins) > 1:
         errors.append("twins: at most one global_core twin is allowed")
     if edge_twins and not core_twins:
@@ -853,39 +859,39 @@ def _validate_cross(nodes: list[Node], links: list[Link], twins: list[TwinSpec],
         if host is None:
             errors.append(f"twins.{t.id}.host: unknown node {t.host}")
             continue
-        if t.level is not TwinLevel.GLOBAL_CORE and host.kind is not NodeKind.EDGE:
+        if t.level is not global_core and host.kind is not edge:
             errors.append(f"twins.{t.id}: {t.level.value} twins must be hosted on an edge node")
-        if t.level is TwinLevel.GLOBAL_CORE and host.kind is not NodeKind.CORE:
+        if t.level is global_core and host.kind is not core:
             errors.append(f"twins.{t.id}: global_core twins must be hosted on the core node")
-        if t.level is TwinLevel.INDIVIDUAL and t.entity is not None:
+        if t.level is individual and t.entity is not None:
             ent = node_by_id.get(t.entity)
-            if ent is None or ent.kind is not NodeKind.DEVICE:
+            if ent is None or ent.kind is not device:
                 errors.append(f"twins.{t.id}.entity: must reference a device node")
-        if t.level is TwinLevel.INDIVIDUAL and t.children:
+        if t.level is individual and t.children:
             errors.append(f"twins.{t.id}.children: individual twins have no children")
             continue
         for child_id in t.children:
             child = twin_by_id.get(child_id)
             if child is None:
                 errors.append(f"twins.{t.id}.children: unknown twin {child_id!r}")
-            elif t.level is TwinLevel.GLOBAL_EDGE and (child.level is not TwinLevel.INDIVIDUAL or child.host != t.host):
+            elif t.level is global_edge and (child.level is not individual or child.host != t.host):
                 errors.append(f"twins.{t.id}.children: {child_id!r} must be an individual twin on the same edge")
-            elif t.level is TwinLevel.GLOBAL_CORE and child.level is not TwinLevel.GLOBAL_EDGE:
+            elif t.level is global_core and child.level is not global_edge:
                 errors.append(f"twins.{t.id}.children: {child_id!r} must be a global_edge twin")
             elif child_id in parent_of:
                 errors.append(f"twins.{t.id}.children: {child_id!r} is already a child of {parent_of[child_id]!r}")
             else:
                 parent_of[child_id] = t.id
-        if t.level is TwinLevel.GLOBAL_CORE and sorted(t.children) != sorted(e.id for e in edge_twins):
+        if t.level is global_core and sorted(t.children) != sorted(e.id for e in edge_twins):
             errors.append(f"twins.{t.id}.children: must be exactly the global_edge twins")
 
     for wl in workloads:
         if isinstance(wl, AmbulanceRunSpec):
             reachable = set(adj.get(wl.device, ()))
-            for edge in wl.edge_sequence:
-                if edge not in reachable:
+            for edge_id in wl.edge_sequence:
+                if edge_id not in reachable:
                     errors.append(
-                        f"workloads.{wl.id}: device {wl.device} has no access link to edge {edge}"
+                        f"workloads.{wl.id}: device {wl.device} has no access link to edge {edge_id}"
                     )
 
 
@@ -907,8 +913,9 @@ def _check_flow_ids(twins: list[TwinSpec], workloads: list[WorkloadSpec], errors
         if isinstance(wl, SurgeryLoopSpec):
             opened.append((f"{wl.id}.ack", path))
     has_parent = {child for t in twins for child in t.children}
+    global_edge = TwinLevel.GLOBAL_EDGE
     for t in twins:
-        if t.level is TwinLevel.GLOBAL_EDGE:
+        if t.level is global_edge:
             opened.append((f"twinsync.{t.id}", f"twins.{t.id}"))
         if t.alerts and t.id in has_parent:
             opened.append((f"alerts.{t.id}", f"twins.{t.id}"))
@@ -922,15 +929,16 @@ def _check_flow_ids(twins: list[TwinSpec], workloads: list[WorkloadSpec], errors
 
 def _resolve_children(twins: list[TwinSpec]) -> None:
     """Resolve `children: auto`: the individuals on an edge twin's edge, the core's edge twins."""
+    individual, global_edge, global_core = TwinLevel.INDIVIDUAL, TwinLevel.GLOBAL_EDGE, TwinLevel.GLOBAL_CORE
     on_edge: dict[int, list[str]] = {}
     for t in twins:
-        if t.level is TwinLevel.INDIVIDUAL:
+        if t.level is individual:
             on_edge.setdefault(t.host, []).append(t.id)
-    edge_ids = sorted(t.id for t in twins if t.level is TwinLevel.GLOBAL_EDGE)
+    edge_ids = sorted(t.id for t in twins if t.level is global_edge)
     for t in twins:
         if t.children == "auto":
-            t.children = ([] if t.level is TwinLevel.INDIVIDUAL else list(edge_ids)
-                          if t.level is TwinLevel.GLOBAL_CORE else sorted(on_edge.get(t.host, [])))
+            t.children = ([] if t.level is individual else list(edge_ids)
+                          if t.level is global_core else sorted(on_edge.get(t.host, [])))
 
 
 def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
@@ -945,6 +953,7 @@ def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
     # that failed to expand leaves its edge twin without children).
     consistent = not errors
     twin_by_id = {t.id: t for t in twins}
+    individual, global_edge = TwinLevel.INDIVIDUAL, TwinLevel.GLOBAL_EDGE
     for level in TwinLevel:  # children before parents
         for t in (twin for twin in twins if twin.level is level):
             # A given period must be positive and a given phase non-negative.
@@ -953,7 +962,7 @@ def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
                        for key in _TWIN_TIMING if getattr(t, key) is not None]
             if None in checked or not consistent:
                 continue
-            if level is TwinLevel.INDIVIDUAL:
+            if level is individual:
                 t.sync_period = t.sync_period or 0
                 t.sync_phase = t.sync_phase or 0
                 t.aggregation_period = t.aggregation_phase = 0
@@ -968,7 +977,7 @@ def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
                                   "set it explicitly")
                     continue
                 t.aggregation_period = max(periods)
-            if level is TwinLevel.GLOBAL_EDGE:
+            if level is global_edge:
                 if t.aggregation_phase is None:
                     t.aggregation_phase = t.aggregation_period // 4
                 if t.sync_period is None:

@@ -135,7 +135,7 @@ class Simulation:
             self.admission_decisions.append(decision)
             return decision
         flow.setup_latency_ns = setup_latency_for(self.stack, hops)
-        total = self.stack.serialize_overhead(flow.frame_payload)
+        total = flow.frame_payload + self.stack.overhead
         unloaded = unloaded_path_delay(hops, total)
         decision = admit(
             flow, [h.link for h in hops], unloaded,
@@ -154,7 +154,7 @@ class Simulation:
         source passes its own `inject`, which parks frames while detached.
         """
         assert flow.admitted, f"flow {flow.id} emitted without admission"
-        frame = Frame(flow, payload_bytes, self.stack.serialize_overhead(payload_bytes), now,
+        frame = Frame(flow, payload_bytes, payload_bytes + self.stack.overhead, now,
                       content=content)
         flow.stats.sent += 1
         flow.stats.energy_nj += energy_nj
@@ -301,7 +301,7 @@ class Simulation:
         return RunResult(self)
 
     def _make_push_flow(self, twin: Twin) -> Flow:
-        est_payload = SYNC_HEADER_BYTES + DELTA_BYTES * max(1, len(twin.policy))
+        est_payload = SYNC_HEADER_BYTES + DELTA_BYTES * len(twin.policy)
         demand = periodic_demand(est_payload, twin.sync_period)
         flow = Flow(
             id=f"twinsync.{twin.id}", slice_cls=SliceClass.UMMTC,

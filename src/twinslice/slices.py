@@ -28,13 +28,7 @@ class SliceClass(Enum):
 
 
 # Stable report ordering for the five classes.
-SLICE_ORDER = (
-    SliceClass.FEMBB,
-    SliceClass.ERLLC,
-    SliceClass.LDHMC,
-    SliceClass.UMMTC,
-    SliceClass.ELPC,
-)
+SLICE_ORDER = tuple(SliceClass)
 
 
 @dataclass
@@ -118,8 +112,8 @@ def admit(
     return AdmissionDecision(flow.id, True, "ok")
 
 
-WDRR_ORDER = (SliceClass.FEMBB, SliceClass.LDHMC, SliceClass.UMMTC, SliceClass.ELPC)
 WDRR_WEIGHTS = {SliceClass.FEMBB: 8, SliceClass.LDHMC: 4, SliceClass.UMMTC: 2, SliceClass.ELPC: 1}
+WDRR_ORDER = tuple(WDRR_WEIGHTS)
 QUANTUM_UNIT = 256  # bytes credited per weight unit per round
 
 # WDRR state is indexed by slot, a class's position in WDRR_ORDER, so the
@@ -224,9 +218,6 @@ class LinkQueue:
         return out
 
 
-STREAMING_SLICES = (SliceClass.FEMBB,)
-
-
 def check_sla(stats: TrafficStats, contract: QosContract, slice_cls: SliceClass,
               throughput_bps: float) -> str:
     """Compare measured slice stats against the contract.
@@ -247,10 +238,10 @@ def check_sla(stats: TrafficStats, contract: QosContract, slice_cls: SliceClass,
     if contract.max_loss is not None and settled > 0:
         if 1.0 - stats.delivered / settled > contract.max_loss:
             failed.append("loss")
-    if slice_cls in STREAMING_SLICES and contract.min_rate_bps > 0:
+    if slice_cls is SliceClass.FEMBB and contract.min_rate_bps > 0:
         if throughput_bps < contract.min_rate_bps:
             failed.append("rate")
-    if slice_cls is SliceClass.ELPC and contract.max_energy_per_msg_nj is not None and stats.sent:
+    if slice_cls is SliceClass.ELPC and contract.max_energy_per_msg_nj is not None:
         if stats.energy_nj / stats.sent > contract.max_energy_per_msg_nj:
             failed.append("energy")
     if failed:

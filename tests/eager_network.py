@@ -57,8 +57,7 @@ class EagerNetworkService:
             return
         if chan not in self.busy:
             self._begin(chan, frame, now)
-            return
-        if not chan.queue.push(frame):
+        elif not chan.queue.push(frame):
             self.on_drop(frame, "queue", now)
 
     def _begin(self, chan, frame, now):
@@ -104,7 +103,7 @@ class EagerNetworkService:
             self.on_deliver(frame, now)
             return
         nxt = frame.hops[frame.idx]
-        if not self.topology._usable(nxt.link, nxt.src, nxt.dst):
+        if not self.topology._usable(nxt):
             try:
                 rest = self.topology.route(here, frame.flow.dst)
             except Unreachable:
@@ -137,8 +136,8 @@ class EagerNetworkService:
     def fail_node(self, node, now):
         node.up = False
         self.topology.bump_epoch()
-        for _peer, link in self.topology._adj[node.id]:
-            self._fail_channel(self.topology.channel(link.id, node.id), now)
+        for _peer, _lid, chan in self.topology._adj[node.id]:
+            self._fail_channel(chan, now)
 
     def recover_node(self, node, now):
         node.up = True

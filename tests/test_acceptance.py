@@ -92,7 +92,7 @@ def test_ac02_unloaded_delay_is_exact(timed_run):
     sim = run.sim
     flow = sim.flows["surgery"]
     hops = sim.topology.route(flow.src, flow.dst)
-    wire_bytes = sim.stack.serialize_overhead(flow.frame_payload)
+    wire_bytes = flow.frame_payload + sim.stack.overhead
     expected = flow.setup_latency_ns + unloaded_path_delay(hops, wire_bytes)
     assert expected == 400_640  # 4 x (160ns tx + 20us prop) + 320us setup
 
@@ -222,7 +222,7 @@ def test_ac06_staleness_bound_is_tight(timed_run):
             continue
         flow = vitals_flows[twin.entity]
         hops = sim.topology.route(flow.src, flow.dst)
-        wire_bytes = sim.stack.serialize_overhead(flow.frame_payload)
+        wire_bytes = flow.frame_payload + sim.stack.overhead
         one_way = flow.setup_latency_ns + unloaded_path_delay(hops, wire_bytes)
         ages = twin.staleness_max
         assert ages, twin.id
