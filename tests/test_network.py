@@ -85,6 +85,27 @@ class TestStackProfile:
         assert p.transport_bytes == 8
         assert p.overhead == 117
 
+    def test_negative_payload_rejected(self):
+        # A frame's wire size is its payload plus the stack overhead, so the
+        # loader must keep every payload positive.
+        doc = {"run": {"t_end": "1s"},
+               "nodes": [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}],
+               "links": [{"id": 0, "ends": [1, 0], "rate": "1gbps"}],
+               "workloads": [{"kind": "wearable_fleet", "id": "fl", "edges": [1],
+                              "n_devices": 2, "period": "100ms", "payload": -1,
+                              "twin_prefix": "w",
+                              "metrics": [{"name": "hr", "mean": 70, "sd": 3}]}]}
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert [e for e in info.value.errors if e.startswith("workloads[0].payload:")]
+
+    def test_unknown_transport_rejected(self):
+        doc = {"run": {"t_end": "1s"}, "stack": {"transport": "smoke-signals"},
+               "nodes": [{"id": 0, "kind": "core"}]}
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert info.value.errors == ["stack.transport: must be one of ['quic', 'udp']"]
+
     def test_overhead_is_summed_once_and_is_not_a_field(self):
         p = StackProfile()
         before = repr(p)
