@@ -87,6 +87,15 @@ class Engine:
             raise SchedulePast(f"cannot schedule {kind.name} at {fire_at} < now {self.now}")
         heapq.heappush(self._heap, (fire_at, seq, self._handlers[kind], payload))
 
+    def reserve_then_schedule(self, fire_at: SimTime, kind: EventKind, payload: Any = None) -> int:
+        """`reserve(2)`, then `schedule_at` the second place; returns the first, left free."""
+        if fire_at < self.now:
+            raise SchedulePast(f"cannot schedule {kind.name} at {fire_at} < now {self.now}")
+        seq = self._seq
+        self._seq = seq + 2
+        heapq.heappush(self._heap, (fire_at, seq + 1, self._handlers[kind], payload))
+        return seq
+
     def pending(self) -> int:
         return len(self._heap)
 

@@ -69,6 +69,38 @@ class TestOrdering:
         eng.run_until(100)
         assert [p for _t, p in seen] == ["a", "b", "c", "d"]
 
+    def test_reserve_then_schedule_sorts_its_event_at_the_second_place(self):
+        # Same order as reserve(2) and schedule_at(first + 1), with the first left unused.
+        eng = Engine()
+        seen = collect(eng)
+        eng.schedule(50, EventKind.TRAFFIC_ARRIVAL, "a")
+        first = eng.reserve_then_schedule(50, EventKind.TRAFFIC_ARRIVAL, "c")
+        eng.schedule(50, EventKind.TRAFFIC_ARRIVAL, "d")
+        eng.run_until(100)
+        assert first == 1
+        assert [p for _t, p in seen] == ["a", "c", "d"]
+
+    def test_reserve_then_schedule_leaves_the_first_place_free(self):
+        eng = Engine()
+        seen = collect(eng)
+        first = eng.reserve_then_schedule(50, EventKind.TRAFFIC_ARRIVAL, "c")
+        eng.schedule(50, EventKind.TRAFFIC_ARRIVAL, "d")
+        eng.schedule_at(50, first, EventKind.TRAFFIC_ARRIVAL, "b")  # a later push at the free place
+        eng.schedule(40, EventKind.TRAFFIC_ARRIVAL, "a")
+        eng.run_until(100)
+        assert [p for _t, p in seen] == ["a", "b", "c", "d"]
+        assert eng.pending() == 0
+
+    def test_reserve_then_schedule_uses_the_handler_registered_for_its_kind(self):
+        eng = Engine()
+        log = []
+        eng.on(EventKind.FRAME_ARRIVAL, lambda p, now: log.append(("arrival", p, now)))
+        eng.on(EventKind.FRAME_DEPARTURE, lambda p, now: log.append(("departure", p, now)))
+        first = eng.reserve_then_schedule(7, EventKind.FRAME_ARRIVAL, "x")
+        eng.schedule_at(3, first, EventKind.FRAME_DEPARTURE, "x")
+        eng.run_until(10)
+        assert log == [("departure", "x", 3), ("arrival", "x", 7)]
+
     def test_seq_now_is_the_current_place_and_between_runs_the_last_one(self):
         eng = Engine()
         places = []
@@ -101,6 +133,15 @@ class TestClock:
         eng.schedule(10, EventKind.TRAFFIC_ARRIVAL)
         with pytest.raises(SchedulePast):
             eng.run_until(100)
+
+    def test_reserve_then_schedule_in_the_past_raises_and_reserves_nothing(self):
+        eng = Engine()
+        eng.on(EventKind.TRAFFIC_ARRIVAL,
+               lambda p, now: eng.reserve_then_schedule(now - 1, EventKind.TRAFFIC_ARRIVAL))
+        eng.schedule(10, EventKind.TRAFFIC_ARRIVAL)
+        with pytest.raises(SchedulePast):
+            eng.run_until(100)
+        assert eng.reserve(1) == 1 and eng.pending() == 0
 
     def test_schedule_at_now_is_allowed(self):
         eng = Engine()

@@ -1,16 +1,23 @@
 """Simulation orchestration: wiring, admission outcomes, alert escalation."""
 
 import copy
+from collections import Counter
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinslice.engine import SEC
+import twinslice.network
+import twinslice.sim
+import twinslice.slices
+import twinslice.workloads
+from twinslice.engine import SEC, EventKind
+from twinslice.network import NodeKind
 from twinslice.scenario import ScenarioError, load_scenario, scenario_from_dict
 from twinslice.sim import Simulation, run_scenario
 from twinslice.slices import Flow, SliceClass
+from twinslice.twins import TwinLevel
 
 
 def build(doc):
@@ -217,6 +224,43 @@ class TestRunDiscipline:
         row = res.report["slices"]["FeMBB"]
         assert row["sent"] == row["delivered"] > 0
         assert row["max_ns"] == 0  # zero hops, zero setup
+
+
+class CountingEnum:
+    """Stands in for an enum class in a module's namespace and counts its member reads."""
+
+    def __init__(self, enum, counts):
+        self._enum = enum
+        self._counts = counts
+
+    def __getattr__(self, name):
+        self._counts[f"{self._enum.__name__}.{name}"] += 1
+        return getattr(self._enum, name)
+
+
+class TestEventPathReadsNoMembers:
+    """On CPython 3.11 a member read through its enum class costs about 112 ns,
+    where a dict hit costs about 20: the run reads the members its event
+    paths use once, at import."""
+
+    def member_reads(self, scn, t_end, monkeypatch):
+        sim = Simulation(scn, t_end=t_end)
+        counts = Counter()
+        with monkeypatch.context() as patch:
+            for module in (twinslice.network, twinslice.sim, twinslice.slices, twinslice.workloads):
+                for enum in (EventKind, NodeKind, SliceClass, TwinLevel):
+                    if vars(module).get(enum.__name__) is enum:
+                        patch.setattr(module, enum.__name__, CountingEnum(enum, counts))
+            sim.run()
+        return counts
+
+    def test_a_runs_member_reads_do_not_grow_with_its_horizon(self, scenario_dir, monkeypatch):
+        # One read per hop and per emission gave 2,878 reads at 1 s and 11,218 at 4 s.
+        scn = load_scenario(scenario_dir / "ward.scn")
+        short = self.member_reads(scn, 1 * SEC, monkeypatch)
+        long = self.member_reads(scn, 4 * SEC, monkeypatch)
+        assert sum(short.values()) > 0  # the proxies are in place: the report reads a few
+        assert long == short
 
 
 def lossy_streams_doc(*names):
