@@ -5,11 +5,14 @@
 
 For each seed, a fresh process runs `perfbench/child.py`'s `measure` on the
 workload, untraced, exactly as the benchmark does. A `gc.callbacks` hook
-notes the start of every generation-2 collection, and each start is
-classified by the phase intervals that `measure` records: setup, run,
-report, after (past the last phase), or other (before the first phase or
-between two). One line per seed prints those counts with the run's
-`report_s` and `run_s` (reference seconds) and its peak RSS.
+notes the start and end of every collection. Each generation-2 collection
+is classified by its start and the phase intervals that `measure` records:
+setup, run, report, after (past the last phase), or other (before the first
+phase or between two). One line per seed prints those counts, then the
+milliseconds the same collections took per phase, then `young_ms`, the
+milliseconds of every generation-0 and generation-1 collection summed, and
+last the run's `report_s` and `run_s` (reference seconds) and its peak RSS.
+The milliseconds are raw host time, not scaled to the host's speed.
 
 A change that adds long-lived objects can move a full collection into a
 phase that a benchmark bound meters, while a direct timing shows nothing,
@@ -55,11 +58,18 @@ def one_seed(workload: str, seed: int) -> dict:
             made.append(self)
 
     child.Phases = KeptPhases
-    starts: list[float] = []
+    full: list[tuple[float, float]] = []  # (start, seconds) of each gen-2 collection
+    young = began = 0.0  # seconds in gen-0 and gen-1 collections; the current one's start
 
     def hook(stage: str, info: dict) -> None:
-        if stage == "start" and info["generation"] == 2:
-            starts.append(perf_counter())
+        nonlocal young, began
+        now = perf_counter()
+        if stage == "start":
+            began = now
+        elif info["generation"] == 2:
+            full.append((began, now - began))
+        else:
+            young += now - began
 
     with tempfile.TemporaryDirectory() as scratch:
         if workload == "contended":
@@ -70,9 +80,13 @@ def one_seed(workload: str, seed: int) -> dict:
         finally:
             gc.callbacks.remove(hook)
     counts = dict.fromkeys(COLUMNS, 0)
-    for t in starts:
-        counts[classify(t, made[0].intervals)] += 1
+    ms = dict.fromkeys(COLUMNS, 0.0)
+    for t, took in full:
+        phase = classify(t, made[0].intervals)
+        counts[phase] += 1
+        ms[phase] += took * 1e3
     return {"seed": seed, "error": record["error"], **counts,
+            "ms": ms, "young_ms": young * 1e3,
             "report_s": record["report_s"], "run_s": record["run_s"],
             "peak_rss_mb": record["peak_rss_mb"]}
 
@@ -87,9 +101,10 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(one_seed(args.workload, args.one)))
         return 0
 
-    print(f"workload {args.workload}: gen-2 collections per phase")
+    print(f"workload {args.workload}: gen-2 collections per phase, then their milliseconds")
     print(f"{'seed':>6} " + " ".join(f"{c:>6}" for c in COLUMNS)
-          + f" {'report_s':>9} {'run_s':>7} {'peak_rss_mb':>12}")
+          + " " + " ".join(f"{c + '_ms':>9}" for c in COLUMNS)
+          + f" {'young_ms':>9} {'report_s':>9} {'run_s':>7} {'peak_rss_mb':>12}")
     status = 0
     for seed in args.seeds:
         proc = subprocess.run([sys.executable, __file__, "--workload", args.workload,
@@ -102,7 +117,9 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
             continue
         print(f"{seed:>6} " + " ".join(f"{row[c]:>6}" for c in COLUMNS)
-              + f" {row['report_s']:>9.3f} {row['run_s']:>7.3f} {row['peak_rss_mb']:>12.1f}")
+              + " " + " ".join(f"{row['ms'][c]:>9.1f}" for c in COLUMNS)
+              + f" {row['young_ms']:>9.1f} {row['report_s']:>9.3f} {row['run_s']:>7.3f}"
+              + f" {row['peak_rss_mb']:>12.1f}")
     return status
 
 

@@ -1,7 +1,8 @@
 """Topology, protocol stack overhead, routing, and packet-level transmission.
 
 Links are full duplex: each declared link carries two independent channels
-(one per direction), each with its own scheduler queue and transmitter.
+(one per direction), each with its own scheduler queue and transmitter,
+built on first use: a channel when a route takes it, a queue when a frame waits.
 Transmission time is ceil(total_bytes * 8 / rate) in integer nanoseconds;
 propagation is added on top. Loss is Bernoulli per frame at the end of
 transmission, drawn from the "loss:<flow id>" stream of the frame's flow.
@@ -76,7 +77,7 @@ class Channel:
         self.link = link
         self.src = src
         self.dst = dst
-        self.queue = LinkQueue(link.queue_cap)
+        self.queue: Optional[LinkQueue] = None  # built when the first frame waits
         self.frame: Optional[Frame] = None
         self.free_at = -1
         self.dep_seq = -1
@@ -142,24 +143,44 @@ class Topology:
         self.nodes = nodes
         self.links = links
         self.epoch = 0
-        # Each node's outgoing channels as (peer id, link id, channel), sorted:
-        # the routing tie-break order. Link ids are unique, so no Channel is compared.
-        self._adj: list[list[tuple[int, int, Channel]]] = [[] for _ in nodes]
-        for link in links:
-            self._adj[link.a].append((link.b, link.id, Channel(link, link.a, link.b)))
-            self._adj[link.b].append((link.a, link.id, Channel(link, link.b, link.a)))
+        # Each node's outgoing channels as (peer id, link id, slot), sorted: the
+        # routing tie-break order. A slot is twice the link's position in `links`,
+        # plus 1 at its b end. Int-only tuples, which CPython's collector untracks.
+        self._adj: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
+        for pos, link in enumerate(links):
+            self._adj[link.a].append((link.b, link.id, 2 * pos))
+            self._adj[link.b].append((link.a, link.id, 2 * pos + 1))
         for out in self._adj:
             out.sort()
+        # Each slot's Channel once a route has taken it; None is idle and empty.
+        self._channels: list[Optional[Channel]] = [None] * (2 * len(links))
         self._route_cache: dict[tuple[int, int], tuple[int, list[Channel]]] = {}
         # Static devices start attached to their only edge.
         for node in nodes:
             if node.kind is _DEVICE and node.attached_edge is None:
-                edges = {peer for peer, _lid, _chan in self._adj[node.id]}
+                edges = {peer for peer, _lid, _slot in self._adj[node.id]}
                 if len(edges) == 1:
                     node.attached_edge = edges.pop()
 
+    def _channel(self, slot: int, src: int, dst: int) -> Channel:
+        chan = self._channels[slot]
+        if chan is None:
+            chan = self._channels[slot] = Channel(self.links[slot >> 1], src, dst)
+        return chan
+
     def channel(self, link_id: int, src: int) -> Channel:
-        return next(chan for _peer, lid, chan in self._adj[src] if lid == link_id)
+        """The channel of link `link_id` out of node `src`, built if no route took it yet."""
+        for peer, lid, slot in self._adj[src]:
+            if lid == link_id:
+                return self._channel(slot, src, peer)
+        raise ValueError(f"node {src} is not an end of link {link_id}")
+
+    def built(self, src: int, link_id: Optional[int] = None) -> list[Channel]:
+        """The channels out of node `src` (of link `link_id` only, if given) that a
+        route has taken; a channel never built is idle and empty."""
+        chans = self._channels
+        return [chans[slot] for _peer, lid, slot in self._adj[src]
+                if chans[slot] is not None and link_id in (None, lid)]
 
     def bump_epoch(self) -> None:
         """Call after every write to what `_usable` reads (`Link.up`, `Node.up`,
@@ -171,11 +192,11 @@ class Topology:
         self.nodes[device_id].attached_edge = edge_id
         self.bump_epoch()
 
-    def _usable(self, chan: Channel) -> bool:
-        """Whether chan may carry traffic; both channels of a link give the same answer."""
-        if not chan.link.up:
+    def _usable(self, link: Link) -> bool:
+        """Whether link may carry traffic, in either direction."""
+        if not link.up:
             return False
-        a, b = chan.src, chan.dst
+        a, b = link.a, link.b
         na, nb = self.nodes[a], self.nodes[b]
         if not (na.up and nb.up):
             return False
@@ -203,11 +224,11 @@ class Topology:
         # One-hop fast path: a direct usable link is always a shortest route,
         # and the first match in the sorted adjacency is the same channel the
         # BFS tie-break would select. Keeps admission O(1) per device flow.
-        for peer, _lid, chan in self._adj[src]:
+        for peer, _lid, slot in self._adj[src]:
             if peer > dst:
                 break
-            if peer == dst and self._usable(chan):
-                hops = [chan]
+            if peer == dst and self._usable(self.links[slot >> 1]):
+                hops = [self._channel(slot, src, peer)]
                 self._route_cache[(src, dst)] = (self.epoch, hops)
                 return hops
         # BFS from dst so the distance field guides a greedy walk from src.
@@ -217,8 +238,8 @@ class Topology:
             nxt: list[int] = []
             for cur in frontier:
                 d = dist[cur]
-                for peer, _lid, chan in self._adj[cur]:
-                    if peer not in dist and self._usable(chan):
+                for peer, _lid, slot in self._adj[cur]:
+                    if peer not in dist and self._usable(self.links[slot >> 1]):
                         dist[peer] = d + 1
                         nxt.append(peer)
             frontier = nxt
@@ -228,12 +249,12 @@ class Topology:
         cur = src
         while cur != dst:
             want = dist[cur] - 1
-            for peer, _lid, chan in self._adj[cur]:  # already (peer, link id) sorted
-                if dist.get(peer, -2) == want and self._usable(chan):
+            for peer, _lid, slot in self._adj[cur]:  # already (peer, link id) sorted
+                if dist.get(peer, -2) == want and self._usable(self.links[slot >> 1]):
                     break
             else:  # pragma: no cover - guarded by dist reachability
                 raise Unreachable(f"no path {src} -> {dst}")
-            hops.append(chan)
+            hops.append(self._channel(slot, cur, peer))
             cur = peer
         self._route_cache[(src, dst)] = (self.epoch, hops)
         return hops
@@ -314,9 +335,11 @@ class NetworkService:
                 return
             chan.dep_seq = self.engine.reserve_then_schedule(
                 done + link.prop_delay_ns, _FRAME_ARRIVAL, (chan, frame, link.failures))
-            if chan.queue.occupancy:
+            if chan.queue is not None and chan.queue.occupancy:
                 self._depart(chan)  # the departure serves the queue
             return
+        if chan.queue is None:
+            chan.queue = LinkQueue(link.queue_cap)
         if not chan.queue.push(frame):
             self.on_drop(frame, "queue", now)
             return
@@ -345,7 +368,7 @@ class NetworkService:
             else:
                 self.engine.schedule_at(now + link.prop_delay_ns, seq + 1, _FRAME_ARRIVAL,
                                         (chan, frame, link.failures))
-        if link.up:
+        if link.up and chan.queue is not None:
             nxt = chan.queue.pop()
             if nxt is not None:
                 self._enqueue(chan, nxt, now)  # released above, so it starts at once
@@ -375,7 +398,7 @@ class NetworkService:
         nxt = hops[idx]
         # A route is usable in the epoch it was routed in, and every write to
         # what `_usable` reads bumps the epoch: only a moved epoch re-checks.
-        if frame.epoch != topology.epoch and not topology._usable(nxt):
+        if frame.epoch != topology.epoch and not topology._usable(nxt.link):
             # Planned hop became unusable: reroute from the current node.
             try:
                 rest = topology.route(here, frame.flow.dst)
@@ -397,7 +420,8 @@ class NetworkService:
         link.up = False
         link.failures += 1
         self.topology.bump_epoch()
-        return sum(self._cut(self.topology.channel(link.id, src), now) for src in (link.a, link.b))
+        return sum(self._cut(chan, now) for src in (link.a, link.b)
+                   for chan in self.topology.built(src, link.id))
 
     def recover_link(self, link: Link, now: int) -> None:
         link.up = True
@@ -409,7 +433,7 @@ class NetworkService:
         the node recovers first."""
         node.up = False
         self.topology.bump_epoch()
-        for _peer, _lid, chan in self.topology._adj[node.id]:
+        for chan in self.topology.built(node.id):
             self._cut(chan, now)
 
     def _cut(self, chan: Channel, now: int) -> int:
@@ -418,7 +442,7 @@ class NetworkService:
         if self._serving(chan, now):
             chan.cut = True
             self._depart(chan)
-        frames = chan.queue.drain()
+        frames = chan.queue.drain() if chan.queue is not None else []
         for frame in frames:
             self.on_drop(frame, "fault", now)
         return len(frames)

@@ -93,7 +93,7 @@ class Simulation:
 
         self.flows: dict[str, Flow] = {}
         self.admitted_demand: dict[int, int] = {}
-        self.admission_decisions: list[AdmissionDecision] = []
+        self.refused: list[AdmissionDecision] = []  # every flow in `flows` is admitted or here
 
         self.twins = self._build_twins(scenario.twins)
 
@@ -136,7 +136,7 @@ class Simulation:
             hops = self.topology.route(flow.src, flow.dst)
         except Unreachable:
             decision = AdmissionDecision(flow.id, False, "unreachable")
-            self.admission_decisions.append(decision)
+            self.refused.append(decision)
             return decision
         flow.setup_latency_ns = setup_latency_for(self.stack, hops)
         total = flow.frame_payload + self.stack.overhead
@@ -146,7 +146,8 @@ class Simulation:
             self.contracts[flow.slice_cls], self.admitted_demand,
             self.scenario.utilization_cap,
         )
-        self.admission_decisions.append(decision)
+        if not decision.accepted:
+            self.refused.append(decision)
         return decision
 
     def send(self, flow: Flow, payload_bytes: int, now: int, content: Optional[tuple] = None,
@@ -357,10 +358,7 @@ class RunResult:
             totals[flow.slice_cls].merge(flow.stats)
         slices = {cls.value: self._slice_row(cls, totals[cls]) for cls in SLICE_ORDER}
 
-        rejected = [
-            {"flow": d.flow_id, "reason": d.reason}
-            for d in sim.admission_decisions if not d.accepted
-        ]
+        rejected = [{"flow": d.flow_id, "reason": d.reason} for d in sim.refused]
         twins = {}
         for twin_id in sorted(sim.twins):
             twin = sim.twins[twin_id]
@@ -399,8 +397,8 @@ class RunResult:
             },
             "slices": slices,
             "flows": {
-                "total": len(sim.admission_decisions),
-                "admitted": sum(1 for d in sim.admission_decisions if d.accepted),
+                "total": len(sim.flows),
+                "admitted": sum(1 for flow in sim.flows.values() if flow.admitted),
                 "rejected": rejected,
             },
             "twins": twins,

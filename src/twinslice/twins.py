@@ -99,10 +99,11 @@ class Twin:
         self.sync_phase = spec.sync_phase
         self.aggregation_period = spec.aggregation_period
         self.aggregation_phase = spec.aggregation_phase
-        self.children: list[str] = list(spec.children)
+        # Tuples: a twin without children or rules shares the one empty tuple.
+        self.children: tuple[str, ...] = tuple(spec.children)
         self.vitals = spec.vitals
         self.policy: dict[str, Reducer] = {m: parse_reducer(r) for m, r in sorted(spec.policy.items())}
-        self.alert_rules = [AlertRule(metric, threshold) for metric, threshold in spec.alerts]
+        self.alert_rules = tuple(AlertRule(metric, threshold) for metric, threshold in spec.alerts)
         self.parent: Optional[Twin] = None
         self.state: dict[str, MetricSample] = {}
         self.child_cache: dict[str, dict[str, MetricSample]] = {}

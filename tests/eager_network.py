@@ -19,6 +19,7 @@ import twinslice.sim
 from twinslice.engine import EventKind
 from twinslice.metrics import to_json_bytes
 from twinslice.network import Unreachable, tx_ticks
+from twinslice.slices import LinkQueue
 
 
 class EagerNetworkService:
@@ -57,8 +58,16 @@ class EagerNetworkService:
             return
         if chan not in self.busy:
             self._begin(chan, frame, now)
-        elif not chan.queue.push(frame):
+        elif not self._queue(chan).push(frame):
             self.on_drop(frame, "queue", now)
+
+    @staticmethod
+    def _queue(chan):
+        """The channel's queue, built on first touch: this oracle builds every
+        channel and queue that a fault or a frame reaches."""
+        if chan.queue is None:
+            chan.queue = LinkQueue(chan.link.queue_cap)
+        return chan.queue
 
     def _begin(self, chan, frame, now):
         self.busy[chan] = frame
@@ -85,7 +94,7 @@ class EagerNetworkService:
             self.engine.schedule(now + link.prop_delay_ns, EventKind.FRAME_ARRIVAL,
                                  (chan, frame, link.failures))
         if link.up:
-            nxt = chan.queue.pop()
+            nxt = self._queue(chan).pop()
             if nxt is not None:
                 self._begin(chan, nxt, now)
 
@@ -103,7 +112,7 @@ class EagerNetworkService:
             self.on_deliver(frame, now)
             return
         nxt = frame.hops[frame.idx]
-        if not self.topology._usable(nxt):
+        if not self.topology._usable(nxt.link):
             try:
                 rest = self.topology.route(here, frame.flow.dst)
             except Unreachable:
@@ -117,7 +126,7 @@ class EagerNetworkService:
     def _fail_channel(self, chan, now):
         if chan in self.busy:
             self.cut.add(chan)
-        dropped = chan.queue.drain()
+        dropped = self._queue(chan).drain()
         for frame in dropped:
             self.on_drop(frame, "fault", now)
         return len(dropped)
@@ -136,8 +145,8 @@ class EagerNetworkService:
     def fail_node(self, node, now):
         node.up = False
         self.topology.bump_epoch()
-        for _peer, _lid, chan in self.topology._adj[node.id]:
-            self._fail_channel(chan, now)
+        for _peer, lid, _slot in self.topology._adj[node.id]:
+            self._fail_channel(self.topology.channel(lid, node.id), now)
 
     def recover_node(self, node, now):
         node.up = True

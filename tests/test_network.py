@@ -262,8 +262,8 @@ class TestRouting:
            st.lists(st.none() | st.integers(0, 4), min_size=2, max_size=2))
     @settings(max_examples=200, deadline=None)
     def test_both_channels_of_a_link_are_usable_alike(self, links_up, nodes_up, attached):
-        # The BFS checks the channel it holds, which points away from the
-        # node it expands: that is sound only while usability is symmetric.
+        # Routing asks one question per link, whichever end it expands from:
+        # that is sound only while the answer holds for both directions.
         topo = star()
         for link, up in zip(topo.links, links_up):
             link.up = up
@@ -271,10 +271,17 @@ class TestRouting:
             node.up = up
         for device, edge in zip((3, 4), attached):
             topo.set_attachment(device, edge)
+
+        def may_send(src, dst):
+            node = topo.nodes[src]
+            return node.up and (node.kind is not NodeKind.DEVICE or node.attached_edge == dst)
+
         for link in topo.links:
             there, back = topo.channel(link.id, link.a), topo.channel(link.id, link.b)
-            assert (there.src, there.dst) == (back.dst, back.src)
-            assert topo._usable(there) == topo._usable(back)
+            assert (there.src, there.dst) == (back.dst, back.src) == (link.a, link.b)
+            for chan in (there, back):
+                want = link.up and may_send(chan.src, chan.dst) and may_send(chan.dst, chan.src)
+                assert topo._usable(chan.link) == want
 
 
 class TestTransport:
@@ -494,9 +501,9 @@ class TestRouteEpoch:
         calls = []
         usable = Topology._usable
 
-        def counting(topo, chan):
-            calls.append((chan.link.id, chan.src, chan.dst))
-            return usable(topo, chan)
+        def counting(topo, link):
+            calls.append(link.id)
+            return usable(topo, link)
 
         monkeypatch.setattr(Topology, "_usable", counting)
         return calls
@@ -540,7 +547,7 @@ class TestRouteEpoch:
         # Usable again, so the frame keeps its route; each later hop is checked.
         assert [at for _f, at in h.delivered] == [296_000]
         assert not h.dropped
-        assert usable_calls == [(0, 1, 0), (1, 0, 2), (3, 2, 4)]
+        assert usable_calls == [0, 1, 3]  # the links of hops 1->0, 0->2 and 2->4
 
     def test_a_device_that_detaches_mid_flight_drops_the_frame_at_the_edge(self):
         topo = star()
@@ -590,6 +597,95 @@ class TestIdleChannels:
         h.engine.run_until(10**9)
         assert not h.dropped
         assert len(h.delivered) == 1
+
+
+def small_fleet(n_devices=200):
+    """A wearable fleet over edges 1 and 2, and a spare edge 3 that no route takes."""
+    return scenario_from_dict({
+        "run": {"t_end": "2500ms"},
+        "nodes": [{"id": 0, "kind": "core"}] + [{"id": i, "kind": "edge"} for i in (1, 2, 3)],
+        "links": [{"id": i - 1, "ends": [i, 0], "rate": "10gbps", "prop_delay": "50us"}
+                  for i in (1, 2, 3)],
+        "twins": [{"id": "district_a", "level": "global_edge", "host": 1,
+                   "policy": {"hr": "mean"}},
+                  {"id": "district_b", "level": "global_edge", "host": 2,
+                   "policy": {"hr": "mean"}},
+                  {"id": "city", "level": "global_core", "host": 0, "policy": {"hr": "mean"}}],
+        "workloads": [{"kind": "wearable_fleet", "id": "fl", "edges": [1, 2],
+                       "n_devices": n_devices, "period": "1s", "stagger": True, "payload": 120,
+                       "twin_prefix": "w", "link": {"rate": "100mbps", "prop_delay": "2us"},
+                       "metrics": [{"name": "hr", "mean": 72, "sd": 6}]}],
+    })
+
+
+class TestLazyChannels:
+    """A channel is built the first time a route takes it, and its queue the
+    first time a frame waits on it."""
+
+    def built(self, topo):
+        return [chan for chan in topo._channels if chan is not None]
+
+    def test_a_fleet_builds_one_channel_per_direction_its_routes_use(self):
+        result = run_scenario(small_fleet())
+        sim, topo = result.sim, result.sim.topology
+        admitted = [flow for flow in sim.flows.values() if flow.admitted]
+        assert len(admitted) == len(sim.flows) == 200 + 2  # members, then two twin syncs
+        assert result.report["slices"]["umMTC"]["delivered"] > 400
+        # 200 uplinks and two edge-to-core channels of the 2 * 203 there are.
+        built = self.built(topo)
+        edge_of = {n.id: n.attached_edge for n in topo.nodes if n.kind is NodeKind.DEVICE}
+        assert sorted((c.src, c.dst) for c in built) == sorted(
+            [(1, 0), (2, 0)] + list(edge_of.items()))
+        assert len(topo._channels) == 2 * 203
+        # Every admitted route holds the one built channel of each of its hops.
+        used = {id(hop) for flow in admitted for hop in topo.route(flow.src, flow.dst)}
+        assert used == {id(chan) for chan in built}
+        assert self.built(topo) == built  # routing again built nothing
+        # Every transmitter was idle when its frames came, so no queue exists.
+        assert all(chan.queue is None for chan in built)
+
+    def test_a_queue_is_built_when_the_first_frame_waits(self):
+        topo = star()
+        h = Harness(topo)
+        h.net.inject(frame(3, 1, total=1000), 0)
+        chan = topo.channel(2, 3)
+        assert chan.queue is None  # served at once
+        h.net.inject(frame(3, 1, total=1000), 10)  # the transmitter is busy: it waits
+        assert chan.queue is not None and chan.queue.occupancy == 1
+        assert all(c.queue is None for c in self.built(topo) if c is not chan)
+        h.engine.run_until(10**9)
+        assert [at for _f, at in h.delivered] == [90_000, 170_000]
+
+    @pytest.mark.parametrize("fault", ["link", "node"])
+    def test_a_fault_on_channels_never_built_drops_builds_and_pushes_nothing(self, fault):
+        sim = run_scenario(small_fleet(20)).sim  # admitted, routed and run to its horizon
+        net, topo, engine = sim.net, sim.topology, sim.engine
+        before, pending, now = list(topo._channels), engine.pending(), engine.now
+        spare, edge = topo.links[2], topo.nodes[3]
+        assert len(self.built(topo)) == 22 and before[4] is before[5] is None  # the spare's slots
+        if fault == "link":
+            assert net.fail_link(spare, now) == 0
+            net.recover_link(spare, now + 10)
+        else:
+            net.fail_node(edge, now)
+            net.recover_node(edge, now + 10)
+        assert topo._channels == before and engine.pending() == pending
+        # After recovery the spare link carries frames as an untouched one does.
+        probe, delivered = frame(3, 0, total=1000), []
+        net.on_deliver = lambda f, at: f is probe and delivered.append(at - now)
+        net.inject(probe, now + 20)
+        engine.run_until(now + 10 * MS)
+        assert delivered == [20 + tx_ticks(1000, 10**10) + 50 * US]
+        assert [(c.src, c.dst) for c in topo._channels[4:6] if c is not None] == [(3, 0)]
+
+    def test_a_channel_out_of_a_node_that_is_not_an_end_is_refused(self):
+        topo = star()
+        with pytest.raises(ValueError, match="node 0 is not an end of link 2"):
+            topo.channel(2, 0)
+        with pytest.raises(ValueError, match="node 3 is not an end of link 7"):
+            topo.channel(7, 3)
+        assert self.built(topo) == []
+        assert (topo.channel(2, 3).src, topo.channel(2, 1).src) == (3, 1)
 
 
 class TestConservation:

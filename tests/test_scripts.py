@@ -43,7 +43,14 @@ def test_gc_phases_counts_full_collections_per_phase():
     done = run_script("gc_phases.py", "--workload", "sweep", "--seeds", 1)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[:2] == ["workload sweep: gen-2 collections per phase",
-                         "  seed  setup    run report  after  other  report_s   run_s  peak_rss_mb"]
-    seed, *counts = lines[2].split()[:6]
+    assert lines[:2] == [
+        "workload sweep: gen-2 collections per phase, then their milliseconds",
+        "  seed  setup    run report  after  other  setup_ms    run_ms report_ms  after_ms"
+        "  other_ms  young_ms  report_s   run_s  peak_rss_mb"]
+    seed, *cells = lines[2].split()
+    counts, ms, (young, report_s, run_s, rss) = cells[:5], cells[5:10], cells[10:]
     assert seed == "1" and all(c.isdigit() for c in counts)
+    # A phase without a full collection spent no time in one.
+    assert all(float(m) >= 0 and (c != "0" or float(m) == 0) for c, m in zip(counts, ms))
+    assert float(young) > 0  # a sweep of 12 runs makes young collections
+    assert float(report_s) > 0 and float(run_s) > 0 and float(rss) > 0

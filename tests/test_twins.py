@@ -88,7 +88,8 @@ class TestBuild:
         t = twin(TwinLevel.INDIVIDUAL, {"hr": "max"}, entity=3, alerts=[("hr", 120.0)])
         assert (t.level, t.host, t.entity, t.parent) == (TwinLevel.INDIVIDUAL, 1, 3, None)
         assert t.policy["hr"]([3.0, -1.0, 2.0]) == 3.0  # the max reducer
-        assert t.alert_rules == [AlertRule("hr", 120.0)]
+        assert t.alert_rules == (AlertRule("hr", 120.0),)
+        assert t.children == ()
         assert (t.push_flow, t.alert_flow) == (None, None)
 
 
