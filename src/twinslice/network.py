@@ -29,15 +29,11 @@ class NodeKind(Enum):
     DEVICE = "device"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
     kind: NodeKind
-    mobile: bool = False  # as loaded: only a mobile device may hand over between edges
-    up: bool = True
-    # Devices forward only through the edge they are attached to; None while
-    # detached (mid-handover). Meaningless for edge and core nodes.
-    attached_edge: Optional[int] = None
+    mobile: bool = False  # only a mobile device may hand over between edges
 
 
 DEFAULT_QUEUE_CAP = 1024
@@ -46,7 +42,7 @@ _DEVICE, _FRAME_ARRIVAL = NodeKind.DEVICE, EventKind.FRAME_ARRIVAL
 _FRAME_DEPARTURE = EventKind.FRAME_DEPARTURE
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     id: int
     a: int
@@ -55,8 +51,6 @@ class Link:
     prop_delay_ns: int
     loss_prob: float = 0.0
     queue_cap: int = DEFAULT_QUEUE_CAP
-    up: bool = True
-    failures: int = 0  # times it went down: a frame in flight compares it on arrival
 
 
 class Channel:
@@ -132,24 +126,33 @@ def tx_ticks(total_bytes: int, rate_bps: int) -> int:
 
 
 class Topology:
-    """Node/link graph with deterministic shortest-path routing.
+    """Node/link graph with deterministic shortest-path routing, and a run's state.
 
-    Expects a graph that passed scenario validation: node ids dense from 0,
-    one core node, links between known nodes, devices attached only to
-    edges, and every node reachable. It does not check these again.
+    Expects a graph that passed scenario validation: ids dense from 0 and in
+    order (`nodes[i].id == links[i].id == i`), one core node, links between
+    known nodes, devices attached only to edges, and every node reachable. It
+    does not check these again, and never writes the records, which every run
+    of a scenario shares. The run's state is in lists indexed by id: `node_up`,
+    `link_up`, `failures` (times a link went down: a frame in flight compares
+    it on arrival), and `attached` (the edge a device forwards through; None
+    while detached mid-handover, and for edges and the core).
     """
 
     def __init__(self, nodes: list[Node], links: list[Link]) -> None:
         self.nodes = nodes
         self.links = links
+        self.node_up = [True] * len(nodes)
+        self.link_up = [True] * len(links)
+        self.failures = [0] * len(links)
+        self.attached: list[Optional[int]] = [None] * len(nodes)
         self.epoch = 0
         # Each node's outgoing channels as (peer id, link id, slot), sorted: the
-        # routing tie-break order. A slot is twice the link's position in `links`,
-        # plus 1 at its b end. Int-only tuples, which CPython's collector untracks.
+        # routing tie-break order. A link's slots are 2 * id out of its a end and
+        # 2 * id + 1 out of its b end. Int-only tuples, which CPython's collector untracks.
         self._adj: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
-        for pos, link in enumerate(links):
-            self._adj[link.a].append((link.b, link.id, 2 * pos))
-            self._adj[link.b].append((link.a, link.id, 2 * pos + 1))
+        for link in links:
+            self._adj[link.a].append((link.b, link.id, 2 * link.id))
+            self._adj[link.b].append((link.a, link.id, 2 * link.id + 1))
         for out in self._adj:
             out.sort()
         # Each slot's Channel once a route has taken it; None is idle and empty.
@@ -157,10 +160,10 @@ class Topology:
         self._route_cache: dict[tuple[int, int], tuple[int, list[Channel]]] = {}
         # Static devices start attached to their only edge.
         for node in nodes:
-            if node.kind is _DEVICE and node.attached_edge is None:
+            if node.kind is _DEVICE:
                 edges = {peer for peer, _lid, _slot in self._adj[node.id]}
                 if len(edges) == 1:
-                    node.attached_edge = edges.pop()
+                    self.attached[node.id] = edges.pop()
 
     def _channel(self, slot: int, src: int, dst: int) -> Channel:
         chan = self._channels[slot]
@@ -175,36 +178,35 @@ class Topology:
                 return self._channel(slot, src, peer)
         raise ValueError(f"node {src} is not an end of link {link_id}")
 
-    def built(self, src: int, link_id: Optional[int] = None) -> list[Channel]:
-        """The channels out of node `src` (of link `link_id` only, if given) that a
-        route has taken; a channel never built is idle and empty."""
+    def built(self, src: int) -> list[Channel]:
+        """The channels out of node `src` that a route has taken; a channel
+        never built is idle and empty."""
         chans = self._channels
-        return [chans[slot] for _peer, lid, slot in self._adj[src]
-                if chans[slot] is not None and link_id in (None, lid)]
+        return [chans[slot] for _peer, _lid, slot in self._adj[src] if chans[slot] is not None]
 
     def bump_epoch(self) -> None:
-        """Call after every write to what `_usable` reads (`Link.up`, `Node.up`,
-        `Node.attached_edge`): the route cache and frames in flight trust a
-        route for as long as the epoch it was computed in holds."""
+        """Call after every write to what `_usable` reads (`link_up`, `node_up`,
+        `attached`): the route cache and frames in flight trust a route for as
+        long as the epoch it was computed in holds."""
         self.epoch += 1
 
     def set_attachment(self, device_id: int, edge_id: Optional[int]) -> None:
-        self.nodes[device_id].attached_edge = edge_id
+        self.attached[device_id] = edge_id
         self.bump_epoch()
 
     def _usable(self, link: Link) -> bool:
         """Whether link may carry traffic, in either direction."""
-        if not link.up:
+        if not self.link_up[link.id]:
             return False
         a, b = link.a, link.b
-        na, nb = self.nodes[a], self.nodes[b]
-        if not (na.up and nb.up):
+        if not (self.node_up[a] and self.node_up[b]):
             return False
         # A device/edge link carries traffic only while the device is attached
         # to that edge.
-        if na.kind is _DEVICE and na.attached_edge != b:
+        nodes, attached = self.nodes, self.attached
+        if nodes[a].kind is _DEVICE and attached[a] != b:
             return False
-        if nb.kind is _DEVICE and nb.attached_edge != a:
+        if nodes[b].kind is _DEVICE and attached[b] != a:
             return False
         return True
 
@@ -219,7 +221,7 @@ class Topology:
         cached = self._route_cache.get((src, dst))
         if cached is not None and cached[0] == self.epoch:
             return cached[1]
-        if not (self.nodes[src].up and self.nodes[dst].up):
+        if not (self.node_up[src] and self.node_up[dst]):
             raise Unreachable(f"no path {src} -> {dst}")
         # One-hop fast path: a direct usable link is always a shortest route,
         # and the first match in the sorted adjacency is the same channel the
@@ -319,7 +321,7 @@ class NetworkService:
 
     def _enqueue(self, chan: Channel, frame: Frame, now: int) -> None:
         link = chan.link
-        if not link.up:
+        if not self.topology.link_up[link.id]:
             self.on_drop(frame, "fault", now)
             return
         free_at = chan.free_at
@@ -334,7 +336,8 @@ class NetworkService:
                 self._depart(chan)  # loss is drawn at the departure instant
                 return
             chan.dep_seq = self.engine.reserve_then_schedule(
-                done + link.prop_delay_ns, _FRAME_ARRIVAL, (chan, frame, link.failures))
+                done + link.prop_delay_ns, _FRAME_ARRIVAL,
+                (chan, frame, self.topology.failures[link.id]))
             if chan.queue is not None and chan.queue.occupancy:
                 self._depart(chan)  # the departure serves the queue
             return
@@ -367,8 +370,8 @@ class NetworkService:
                 self.on_drop(frame, "loss", now)
             else:
                 self.engine.schedule_at(now + link.prop_delay_ns, seq + 1, _FRAME_ARRIVAL,
-                                        (chan, frame, link.failures))
-        if link.up and chan.queue is not None:
+                                        (chan, frame, self.topology.failures[link.id]))
+        if chan.queue is not None and self.topology.link_up[link.id]:
             nxt = chan.queue.pop()
             if nxt is not None:
                 self._enqueue(chan, nxt, now)  # released above, so it starts at once
@@ -382,13 +385,13 @@ class NetworkService:
         hops = frame.hops
         if hops is None:
             return  # cut in service, and dropped at its departure instant
-        if chan.link.failures != failures:
+        topology = self.topology
+        if topology.failures[chan.link.id] != failures:
             # The carrying link failed while the frame was in flight.
             self.on_drop(frame, "fault", now)
             return
         here = chan.dst
-        topology = self.topology
-        if not topology.nodes[here].up:
+        if not topology.node_up[here]:
             self.on_drop(frame, "fault", now)
             return
         idx = frame.idx = frame.idx + 1
@@ -417,21 +420,23 @@ class NetworkService:
         """Take a link down; queued frames drop, the in-service and in-flight
         frames drop at their departure/arrival instants, even if the link
         recovers first. Returns drop count."""
-        link.up = False
-        link.failures += 1
-        self.topology.bump_epoch()
-        return sum(self._cut(chan, now) for src in (link.a, link.b)
-                   for chan in self.topology.built(src, link.id))
+        topology = self.topology
+        topology.link_up[link.id] = False
+        topology.failures[link.id] += 1
+        topology.bump_epoch()
+        slot = 2 * link.id  # its channel out of its a end, then out of its b end
+        return sum(self._cut(chan, now) for chan in topology._channels[slot:slot + 2]
+                   if chan is not None)
 
     def recover_link(self, link: Link, now: int) -> None:
-        link.up = True
+        self.topology.link_up[link.id] = True
         self.topology.bump_epoch()
 
     def fail_node(self, node: Node, now: int) -> None:
         """Take a node down; frames queued on its outgoing channels drop, and
         each frame it is serializing drops at its departure instant, even if
         the node recovers first."""
-        node.up = False
+        self.topology.node_up[node.id] = False
         self.topology.bump_epoch()
         for chan in self.topology.built(node.id):
             self._cut(chan, now)
@@ -448,5 +453,5 @@ class NetworkService:
         return len(frames)
 
     def recover_node(self, node: Node, now: int) -> None:
-        node.up = True
+        self.topology.node_up[node.id] = True
         self.topology.bump_epoch()

@@ -16,9 +16,7 @@ from .metrics import HORIZON_LIMIT, TrafficStats, fmt6, to_csv_bytes, to_json_by
 from .network import (
     Frame,
     NetworkService,
-    Node,
     NodeKind,
-    Link,
     Topology,
     Unreachable,
     setup_latency_for,
@@ -72,12 +70,7 @@ class Simulation:
         self.engine = Engine()
         self._streams: dict[str, RngStream] = {}
 
-        # Fresh records: a run never writes `up`, `failures` or `attached_edge` into its scenario.
-        self.topology = Topology(
-            [Node(n.id, n.kind, n.mobile) for n in scenario.nodes],
-            [Link(l.id, l.a, l.b, l.rate_bps, l.prop_delay_ns, l.loss_prob, l.queue_cap)
-             for l in scenario.links],
-        )
+        self.topology = Topology(scenario.nodes, scenario.links)
         self.net = NetworkService(self.engine, self.topology, self.stream, self._on_deliver,
                                   self._on_drop)
         # Callees that events and frame contents carry, bound once so that
@@ -180,7 +173,7 @@ class Simulation:
     # --- event handlers ------------------------------------------------------
 
     def _on_aggregation_due(self, twin: Twin, now: int) -> None:
-        if self.topology.nodes[twin.host].up:
+        if self.topology.node_up[twin.host]:
             child_states = []
             if twin.level is _GLOBAL_EDGE:
                 # Co-hosted children are read directly; the host being up
@@ -191,14 +184,14 @@ class Simulation:
                 # children whose host edge is currently dark.
                 for child_id in twin.children:
                     child = self.twins[child_id]
-                    if self.topology.nodes[child.host].up:
+                    if self.topology.node_up[child.host]:
                         child_states.append(twin.child_cache.get(child_id, {}))
             twin.aggregate(child_states, now)
             self._escalate(twin, twin.check_alerts(), now)
         self.engine.schedule(now + twin.aggregation_period, _AGGREGATION_DUE, twin)
 
     def _twin_push(self, twin: Twin, now: int) -> None:
-        if self.topology.nodes[twin.host].up:
+        if self.topology.node_up[twin.host]:
             deltas = twin.pending_deltas(now)
             if deltas:
                 flow = twin.push_flow

@@ -283,7 +283,7 @@ class AmbulanceGen(Source):
 
     def inject(self, frame: Frame, now: int) -> None:
         """Hand a frame to the network, or park it on the vehicle while detached."""
-        if self.sim.topology.nodes[self.spec.device].attached_edge is None:
+        if self.sim.topology.attached[self.spec.device] is None:
             self.buffer.append(frame)
             self.buffered_total += 1
         else:
@@ -295,12 +295,12 @@ class AmbulanceGen(Source):
         target = self.spec.edge_sequence[k]
         if not attaching:
             # No-op when already there: an earlier deferral skipped ahead.
-            if self.sim.topology.nodes[self.spec.device].attached_edge != target:
+            if self.sim.topology.attached[self.spec.device] != target:
                 self.sim.topology.set_attachment(self.spec.device, None)
                 self.sim.engine.schedule(now + self.spec.handover_gap_ns, _HANDOVER,
                                          (self._handover, (k, True)))
             return
-        if not self.sim.topology.nodes[target].up:
+        if not self.sim.topology.node_up[target]:
             # Target edge is dark: defer to the next edge, extend the gap. A
             # retry at the same instant would never let the clock reach a recovery.
             self.deferred += 1

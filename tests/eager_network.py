@@ -53,7 +53,7 @@ class EagerNetworkService:
         self._enqueue(hops[0], frame, now)
 
     def _enqueue(self, chan, frame, now):
-        if not chan.link.up:
+        if not self.topology.link_up[chan.link.id]:
             self.on_drop(frame, "fault", now)
             return
         if chan not in self.busy:
@@ -82,6 +82,7 @@ class EagerNetworkService:
     def _on_departure(self, chan, now):
         frame = self.busy.pop(chan)
         link = chan.link
+        failures = self.topology.failures[link.id]
         if chan in self.cut:
             self.cut.discard(chan)
             self.on_drop(frame, "fault", now)
@@ -89,22 +90,22 @@ class EagerNetworkService:
             self.on_drop(frame, "loss", now)
         elif self.reserve_arrival:
             self.engine.schedule_at(now + link.prop_delay_ns, self.arrival_seq[chan],
-                                    EventKind.FRAME_ARRIVAL, (chan, frame, link.failures))
+                                    EventKind.FRAME_ARRIVAL, (chan, frame, failures))
         else:
             self.engine.schedule(now + link.prop_delay_ns, EventKind.FRAME_ARRIVAL,
-                                 (chan, frame, link.failures))
-        if link.up:
+                                 (chan, frame, failures))
+        if self.topology.link_up[link.id]:
             nxt = self._queue(chan).pop()
             if nxt is not None:
                 self._begin(chan, nxt, now)
 
     def _on_arrival(self, flight, now):
         chan, frame, failures = flight
-        if chan.link.failures != failures:
+        if self.topology.failures[chan.link.id] != failures:
             self.on_drop(frame, "fault", now)
             return
         here = chan.dst
-        if not self.topology.nodes[here].up:
+        if not self.topology.node_up[here]:
             self.on_drop(frame, "fault", now)
             return
         frame.idx += 1
@@ -132,24 +133,24 @@ class EagerNetworkService:
         return len(dropped)
 
     def fail_link(self, link, now):
-        link.up = False
-        link.failures += 1
+        self.topology.link_up[link.id] = False
+        self.topology.failures[link.id] += 1
         self.topology.bump_epoch()
         return sum(self._fail_channel(self.topology.channel(link.id, src), now)
                    for src in (link.a, link.b))
 
     def recover_link(self, link, now):
-        link.up = True
+        self.topology.link_up[link.id] = True
         self.topology.bump_epoch()
 
     def fail_node(self, node, now):
-        node.up = False
+        self.topology.node_up[node.id] = False
         self.topology.bump_epoch()
         for _peer, lid, _slot in self.topology._adj[node.id]:
             self._fail_channel(self.topology.channel(lid, node.id), now)
 
     def recover_node(self, node, now):
-        node.up = True
+        self.topology.node_up[node.id] = True
         self.topology.bump_epoch()
 
 

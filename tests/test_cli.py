@@ -15,7 +15,7 @@ import twinslice.sim
 from twinslice.cli import main
 from twinslice.engine import MS
 from twinslice.metrics import to_json_bytes
-from twinslice.scenario import load_scenario
+from twinslice.scenario import load_scenario, parse_duration
 from twinslice.sim import run_scenario
 
 CLEAN = """\
@@ -398,13 +398,26 @@ class TestSweep:
         assert summary["runs"] == 2
         assert summary["verdicts"]["ELPC"] == {"met": 2}
 
-    def test_identical_seeds_reproduce_identical_reports(self, clean_scn, capsys):
-        assert main(["sweep", str(clean_scn), "--seeds", "7,7"]) == 0
+    @pytest.mark.parametrize("name, until", [
+        ("clean", None), ("ambulance.scn", None), ("ambulance_single.scn", None),
+        ("ambulance_single.scn", "40500ms"), ("ambulance_single.scn", "20000040us")])
+    def test_identical_seeds_reproduce_identical_reports(self, name, until, clean_scn,
+                                                         scenario_dir, capsys):
+        # The seeds of a sweep share the loaded records: a run that left state
+        # in them or beside them (a node fault and handovers in ambulance.scn,
+        # a link fault in ambulance_single.scn) would show in the next seed's
+        # report, and against a run of a fresh load. Both faults recover before
+        # the scenario's horizon; cut at 40.5 s the run ends with its link down,
+        # and cut at 20.00004 s with a frame on the wire.
+        path = clean_scn if name == "clean" else scenario_dir / name
+        t_end = None if until is None else parse_duration(until)
+        fresh = run_scenario(load_scenario(path), seed=7, t_end=t_end)
+        horizon = [] if until is None else ["--until", until]
+        assert main(["sweep", str(path), "--seeds", "7,7", *horizon]) == fresh.exit_code
         out = capsys.readouterr().out
         digests = [line.rsplit("report=", 1)[1]
                    for line in out.splitlines() if line.startswith("seed 7:")]
-        assert len(digests) == 2
-        assert digests[0] == digests[1]
+        assert digests == [hashlib.sha256(fresh.json_bytes()).hexdigest()[:12]] * 2
 
     def test_single_seed_summary_collapses_to_report(self, clean_scn, capsys):
         assert main(["sweep", str(clean_scn), "--seeds", "9"]) == 0

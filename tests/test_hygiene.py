@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
-attribute it stores is read somewhere in the package, and node kinds, twin
-levels and slice names are compared as enum members only."""
+attribute it stores is read somewhere in the package, node kinds, twin
+levels and slice names are compared as enum members only, and only the
+loader builds node and link records."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,36 @@ def test_the_vocabulary_scan_sees_comparisons_and_membership():
               "d = level not in {'global_core'}\ne = cls in ['ERLLC']\nf = kind == 'link'\n"
               "g = 'edge'\nh = {'umMTC': 1}\ni = f'{kind}' == 'core-ish'\n")
     assert sorted(vocabulary_literals(source)) == ["ERLLC", "core", "device", "edge", "global_core"]
+
+
+RECORDS = {"Node", "Link"}
+
+
+def record_builds(source: str) -> list[str]:
+    """Calls that build a node or link record, by name or as a module attribute.
+
+    The loader builds each record once, and every run of the scenario reads
+    those records and keeps its own state in `Topology`: a record built
+    anywhere else is a second copy of a loaded fact.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RECORDS:
+                found.append(name)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "scenario.py"],
+                         ids=lambda p: p.name)
+def test_only_the_loader_builds_records(path):
+    assert record_builds(path.read_text()) == []
+
+
+def test_the_record_scan_sees_calls_by_name_and_attribute():
+    source = ("a = Node(0, kind)\nb = network.Link(0, 1, 2, 3, 4)\n"
+              "c = [Node(n.id, n.kind) for n in nodes]\nd = NodeKind('core')\ne = Link\n"
+              "f = isinstance(x, Node)\ng = make_link(1)\nh = build()(Link)\n")
+    assert record_builds(source) == ["Link", "Node", "Node"]

@@ -182,8 +182,8 @@ class TestTopologyValidation:
 
     def test_static_device_auto_attaches(self):
         topo = star()
-        assert topo.nodes[3].attached_edge == 1
-        assert topo.nodes[4].attached_edge == 2
+        assert topo.attached[3] == 1
+        assert topo.attached[4] == 2
 
 
 class TestRouting:
@@ -210,11 +210,11 @@ class TestRouting:
         topo = Topology(nodes, links)
         hops = topo.route(0, 3)
         assert [(h.src, h.dst) for h in hops] == [(0, 1), (1, 3)]
-        # Parallel links between one pair -> lowest link id.
+        # Parallel links between one pair -> lowest link id, from either end.
         nodes2 = mknodes("core", "edge")
-        links2 = [Link(5, 0, 1, 1, 0), Link(2, 0, 1, 1, 0)]
+        links2 = [Link(0, 1, 0, 1, 0), Link(1, 0, 1, 1, 0)]
         topo2 = Topology(nodes2, links2)
-        assert topo2.route(0, 1)[0].link.id == 2
+        assert topo2.route(0, 1)[0].link.id == topo2.route(1, 0)[0].link.id == 0
 
     def test_direct_link_matches_bfs_choice(self):
         # The one-hop fast path must pick what the BFS tie-break would.
@@ -236,7 +236,7 @@ class TestRouting:
             Link(2, 1, 3, 1, 0), Link(3, 2, 3, 1, 0),
         ]
         topo = Topology(nodes, links)
-        topo.nodes[1].up = False
+        topo.node_up[1] = False
         topo.bump_epoch()
         hops = topo.route(0, 3)
         assert [(h.src, h.dst) for h in hops] == [(0, 2), (2, 3)]
@@ -252,7 +252,7 @@ class TestRouting:
 
     def test_down_endpoint_raises(self):
         topo = star()
-        topo.nodes[0].up = False
+        topo.node_up[0] = False
         topo.bump_epoch()
         with pytest.raises(Unreachable):
             topo.route(1, 0)
@@ -265,22 +265,21 @@ class TestRouting:
         # Routing asks one question per link, whichever end it expands from:
         # that is sound only while the answer holds for both directions.
         topo = star()
-        for link, up in zip(topo.links, links_up):
-            link.up = up
-        for node, up in zip(topo.nodes, nodes_up):
-            node.up = up
+        topo.link_up[:] = links_up
+        topo.node_up[:] = nodes_up
         for device, edge in zip((3, 4), attached):
             topo.set_attachment(device, edge)
 
         def may_send(src, dst):
-            node = topo.nodes[src]
-            return node.up and (node.kind is not NodeKind.DEVICE or node.attached_edge == dst)
+            return topo.node_up[src] and (topo.nodes[src].kind is not NodeKind.DEVICE
+                                          or topo.attached[src] == dst)
 
         for link in topo.links:
             there, back = topo.channel(link.id, link.a), topo.channel(link.id, link.b)
             assert (there.src, there.dst) == (back.dst, back.src) == (link.a, link.b)
             for chan in (there, back):
-                want = link.up and may_send(chan.src, chan.dst) and may_send(chan.dst, chan.src)
+                want = (topo.link_up[link.id] and may_send(chan.src, chan.dst)
+                        and may_send(chan.dst, chan.src))
                 assert topo._usable(chan.link) == want
 
 
@@ -633,7 +632,7 @@ class TestLazyChannels:
         assert result.report["slices"]["umMTC"]["delivered"] > 400
         # 200 uplinks and two edge-to-core channels of the 2 * 203 there are.
         built = self.built(topo)
-        edge_of = {n.id: n.attached_edge for n in topo.nodes if n.kind is NodeKind.DEVICE}
+        edge_of = {n.id: topo.attached[n.id] for n in topo.nodes if n.kind is NodeKind.DEVICE}
         assert sorted((c.src, c.dst) for c in built) == sorted(
             [(1, 0), (2, 0)] + list(edge_of.items()))
         assert len(topo._channels) == 2 * 203

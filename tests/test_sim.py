@@ -154,14 +154,18 @@ class TestRunDiscipline:
 
     @pytest.mark.parametrize("name", ["ambulance.scn", "ambulance_single.scn"])
     def test_a_run_never_writes_to_its_scenario(self, name, scenario_dir):
-        # The loaded nodes and links are the runtime's own record types, so the
-        # run must build from copies: ambulance.scn hands over twice and fails
-        # a node, ambulance_single.scn fails a link.
+        # The run reads the loaded records and keeps its state in its Topology:
+        # ambulance.scn hands over twice and fails a node, ambulance_single.scn
+        # fails a link.
         scn = load_scenario(scenario_dir / name)
         before = copy.deepcopy((scn.nodes, scn.links, scn.twins))
         topology = run_scenario(scn).sim.topology
+        assert topology.nodes is scn.nodes and topology.links is scn.links
         assert (scn.nodes, scn.links, scn.twins) == before
-        assert (topology.nodes, topology.links) != (scn.nodes, scn.links)  # the run wrote its own
+        if name == "ambulance_single.scn":
+            assert topology.failures[1] == 1  # the run's state moved, not the records
+        with pytest.raises(AttributeError):
+            scn.nodes[0].up = False  # a record has no slot for run state
 
     def test_horizon_override_must_be_positive(self):
         with pytest.raises(ScenarioError):
