@@ -11,7 +11,7 @@ import functools
 import hashlib
 import heapq
 from enum import IntEnum
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -156,26 +156,65 @@ class RngStream:
         return int(self.gen.integers(low, high))
 
 
-# SeedSequence.generate_state's output mix, from numpy/random/bit_generator.pyx.
+# SeedSequence's mixing constants, from numpy/random/bit_generator.pyx.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
+# A Philox stream starts at counter zero; Philox copies the words, so one array serves every stream.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
+# Each mix below takes its words as ints or as uint32 arrays, one row per stream.
+
+
+def _mix_entropy(entropy: list) -> list:
+    """`SeedSequence.mix_entropy` into a 4-word pool, for 4 or more entropy words."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _output_mix(pool: list) -> list:
+    """`SeedSequence.generate_state(4, np.uint32)`'s output mix: one word from each pool word."""
+    words = []
+    hash_const = _INIT_B
+    for w in pool:
+        w = w ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        w = (w * hash_const) & _MASK32
+        words.append(w ^ (w >> 16))
+    return words
 
 
 def _philox_key(pool: list[int]) -> np.ndarray:
     """`SeedSequence.generate_state(2, np.uint64)` for a sequence with this 4-word pool.
 
-    Two 64-bit words take four 32-bit draws, one from each pool word in
-    order; each pair joins low word first.
+    Two 64-bit words take four 32-bit draws; each pair joins low word first.
     """
-    words = []
-    hash_const = _INIT_B
-    for w in pool:
-        w ^= hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        w = (w * hash_const) & _MASK32
-        words.append(w ^ (w >> 16))
-    lo0, hi0, lo1, hi1 = words
+    lo0, hi0, lo1, hi1 = _output_mix(pool)
     return np.array([lo0 | hi0 << 32, lo1 | hi1 << 32], dtype=np.uint64)
 
 
@@ -183,7 +222,7 @@ def _philox_key(pool: list[int]) -> np.ndarray:
 def _key_holder() -> type:
     """The seed sequence class that answers Philox's one request with a key derived in advance.
 
-    It is built on the first fork, which imports numpy.random as the
+    It is built on the first stream, which imports numpy.random as the
     first `np.random` lookup would; importing this module does not.
     """
     from numpy.random.bit_generator import ISeedSequence
@@ -200,6 +239,24 @@ def _key_holder() -> type:
     return PhiloxKey
 
 
+def keyed_stream(key: np.ndarray) -> RngStream:
+    """The stream of a Philox key from `fork_rng` or `fork_keys`, at counter zero.
+
+    A Philox stream is identified by its key alone.
+    """
+    return RngStream(np.random.Generator(np.random.Philox(_key_holder()(key),
+                                                          counter=_ZERO_COUNTER)))
+
+
+def _seed_words(master_seed: int) -> bytes:
+    """The seed's entropy words as little-endian bytes: one word, two from 2**32 on."""
+    return master_seed.to_bytes(4 if master_seed <= _MASK32 else 8, "little")
+
+
+def _digest(label: str) -> bytes:
+    return hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
+
+
 def fork_rng(master_seed: int, label: str) -> RngStream:
     """Derive the stream identified by label from the master seed.
 
@@ -213,8 +270,23 @@ def fork_rng(master_seed: int, label: str) -> RngStream:
     2**32 on) first, and the key is derived from the pool here, which skips
     the general paths of both constructors.
     """
-    digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
-    head = master_seed.to_bytes(4 if master_seed <= _MASK32 else 8, "little")
-    ss = np.random.SeedSequence(np.frombuffer(head + digest, dtype="<u4"))
-    key = _philox_key(ss.pool.tolist())
-    return RngStream(np.random.Generator(np.random.Philox(_key_holder()(key))))
+    entropy = np.frombuffer(_seed_words(master_seed) + _digest(label), dtype="<u4")
+    ss = np.random.SeedSequence(entropy)
+    return keyed_stream(_philox_key(ss.pool.tolist()))
+
+
+def fork_keys(master_seed: int, labels: Sequence[str]) -> np.ndarray:
+    """The Philox keys `fork_rng` derives for each label, as an (n, 2) uint64 array.
+
+    One blake2b per label, then both of `SeedSequence`'s mixes over uint32
+    columns, one row per label: its hash constants follow the number of
+    words mixed, which every label of one seed shares. This pays off for
+    a batch; a single label is faster through `fork_rng`.
+    """
+    n = len(labels)
+    digests = np.frombuffer(b"".join([_digest(label) for label in labels]), dtype="<u4")
+    seed = [np.full(n, word, dtype=np.uint32)
+            for word in np.frombuffer(_seed_words(master_seed), dtype="<u4").tolist()]
+    entropy = seed + list(np.ascontiguousarray(digests.reshape(n, 4).T, dtype=np.uint32))
+    lo0, hi0, lo1, hi1 = (w.astype(np.uint64) for w in _output_mix(_mix_entropy(entropy)))
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)

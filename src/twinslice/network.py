@@ -171,13 +171,6 @@ class Topology:
             chan = self._channels[slot] = Channel(self.links[slot >> 1], src, dst)
         return chan
 
-    def channel(self, link_id: int, src: int) -> Channel:
-        """The channel of link `link_id` out of node `src`, built if no route took it yet."""
-        for peer, lid, slot in self._adj[src]:
-            if lid == link_id:
-                return self._channel(slot, src, peer)
-        raise ValueError(f"node {src} is not an end of link {link_id}")
-
     def built(self, src: int) -> list[Channel]:
         """The channels out of node `src` that a route has taken; a channel
         never built is idle and empty."""

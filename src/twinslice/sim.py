@@ -9,9 +9,11 @@ clock and every float is either an exact ratio or quantized.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from .engine import SEED_LIMIT, Engine, EventKind, RngStream, SEC, fork_rng
+import numpy as np
+
+from .engine import SEED_LIMIT, Engine, EventKind, RngStream, SEC, fork_keys, fork_rng, keyed_stream
 from .metrics import HORIZON_LIMIT, TrafficStats, fmt6, to_csv_bytes, to_json_bytes
 from .network import (
     Frame,
@@ -69,6 +71,10 @@ class Simulation:
 
         self.engine = Engine()
         self._streams: dict[str, RngStream] = {}
+        # Declared batches of labels, as (prefix, names), whose keys are not derived yet;
+        # and the derived keys of streams not built yet.
+        self._batches: list[tuple[str, Callable[[], Iterable[str]]]] = []
+        self._keys: dict[str, np.ndarray] = {}
 
         self.topology = Topology(scenario.nodes, scenario.links)
         self.net = NetworkService(self.engine, self.topology, self.stream, self._on_deliver,
@@ -106,11 +112,36 @@ class Simulation:
     # --- construction -------------------------------------------------------
 
     def stream(self, label: str) -> RngStream:
+        """The stream of `label`, built on its first draw."""
         got = self._streams.get(label)
         if got is None:
-            got = fork_rng(self.master_seed, label)
+            key = self._keys.pop(label, None)
+            if key is None and self._batches:
+                key = self._derive(label)
+            got = fork_rng(self.master_seed, label) if key is None else keyed_stream(key)
             self._streams[label] = got
         return got
+
+    def declare_streams(self, prefix: str, names: Callable[[], Iterable[str]]) -> None:
+        """Declare the streams `prefix + name` for each name that `names()` gives.
+
+        The first miss on one of them derives all their keys in one pass
+        (`fork_keys`), and `names` is called only then; each stream is still
+        built on its first draw. A batch that is never drawn from costs nothing.
+        """
+        self._batches.append((prefix, names))
+
+    def _derive(self, label: str) -> Optional[np.ndarray]:
+        """Derive the keys of the declared batch that holds `label`; its key, or None."""
+        for batch in self._batches:
+            prefix, names = batch
+            if label.startswith(prefix):
+                labels = [prefix + name for name in names()]
+                if label in labels:
+                    self._batches.remove(batch)
+                    self._keys.update(zip(labels, fork_keys(self.master_seed, labels)))
+                    return self._keys.pop(label)
+        return None
 
     def _build_twins(self, specs: list[TwinSpec]) -> dict[str, Twin]:
         twins = {spec.id: Twin(spec) for spec in specs}

@@ -351,6 +351,16 @@ class WearableFleetGen(Source):
         self._due: deque[tuple[int, int, int]] = deque()
         self._fire_head = self.fire_head
 
+    def build(self) -> None:
+        """Admit the members, then declare their streams: one batch per label prefix."""
+        super().build()
+        self.sim.declare_streams("vitals:", lambda: [
+            twin_id for (_device, twin_id), flow in zip(self.spec.members, self.flows)
+            if flow.admitted])
+        if self.spec.poisson:
+            self.sim.declare_streams("arrivals:", lambda: [
+                flow.id for flow in self.flows if flow.admitted])
+
     def schedule_start(self) -> None:
         n = len(self.flows)
         period = self.spec.period_ns

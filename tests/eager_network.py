@@ -11,6 +11,7 @@ in the same-instant order when its serialization begins; this oracle, by
 default, places it when the frame departs. `reserve_arrival=True` switches
 the oracle to the package's rule, and then nothing else separates the two.
 Swap it in for `twinslice.sim.NetworkService` to run a whole scenario on it.
+`channel` finds a channel by its link and the end it leaves from.
 """
 
 from unittest import mock
@@ -20,6 +21,14 @@ from twinslice.engine import EventKind
 from twinslice.metrics import to_json_bytes
 from twinslice.network import Unreachable, tx_ticks
 from twinslice.slices import LinkQueue
+
+
+def channel(topology, link_id, src):
+    """The channel of link `link_id` out of node `src`, built if no route took it yet."""
+    for peer, lid, slot in topology._adj[src]:
+        if lid == link_id:
+            return topology._channel(slot, src, peer)
+    raise ValueError(f"node {src} is not an end of link {link_id}")
 
 
 class EagerNetworkService:
@@ -136,7 +145,7 @@ class EagerNetworkService:
         self.topology.link_up[link.id] = False
         self.topology.failures[link.id] += 1
         self.topology.bump_epoch()
-        return sum(self._fail_channel(self.topology.channel(link.id, src), now)
+        return sum(self._fail_channel(channel(self.topology, link.id, src), now)
                    for src in (link.a, link.b))
 
     def recover_link(self, link, now):
@@ -147,7 +156,7 @@ class EagerNetworkService:
         self.topology.node_up[node.id] = False
         self.topology.bump_epoch()
         for _peer, lid, _slot in self.topology._adj[node.id]:
-            self._fail_channel(self.topology.channel(lid, node.id), now)
+            self._fail_channel(channel(self.topology, lid, node.id), now)
 
     def recover_node(self, node, now):
         self.topology.node_up[node.id] = True

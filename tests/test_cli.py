@@ -4,8 +4,12 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 import yaml
@@ -385,6 +389,18 @@ class TestRun:
         capsys.readouterr()
         assert (cli_dir / "auto.json").exists()
         assert not scn_dir.exists()
+
+    def test_the_hash_seed_moves_no_byte(self, scenario_dir):
+        # String hashing, and with it set order, follows PYTHONHASHSEED; report bytes must not.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        argv = [sys.executable, "-m", "twinslice.cli", "run", str(scenario_dir / "ambulance.scn"),
+                "--format", "json"]
+        runs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+                for seed in ("0", "12345")]
+        (zero, err), (other, _err) = [run.communicate(timeout=60) for run in runs]
+        assert [run.returncode for run in runs] == [0, 0], err
+        assert zero.startswith(b"{") and zero == other
 
 
 class TestSweep:

@@ -1,13 +1,25 @@
 """Event loop ordering, clock discipline, and seeded stream independence."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinslice.engine import Engine, EventKind, SchedulePast, fork_rng
+import twinslice.sim
+from twinslice.engine import (
+    Engine,
+    EventKind,
+    RngStream,
+    SchedulePast,
+    fork_keys,
+    fork_rng,
+    keyed_stream,
+)
+from twinslice.scenario import scenario_from_dict
+from twinslice.sim import run_scenario
 
 
 def collect(engine, kind=EventKind.TRAFFIC_ARRIVAL):
@@ -297,3 +309,140 @@ class TestForkMatchesSeedSequence:
             holder.generate_state(4, np.uint32)
         with pytest.raises(ValueError):
             holder.generate_state(2, np.uint32)
+
+
+def batched(seed, label):
+    """`label`'s stream built from a batch of keys, in which it is neither first nor alone."""
+    labels = ["first", label, "last"]
+    return keyed_stream(fork_keys(seed, labels)[1])
+
+
+# The first draws that the golden report digests rest on, under CPython 3.11.7 and NumPy 2.4.6.
+# Each row: seed, label, draw, its first three results (floats as float.hex).
+CANARIES = [
+    (7, "vitals:canary", lambda s: s.normal(75, 4).hex(),
+     ["0x1.11a0cad3a121cp+6", "0x1.302dbb73ae8f0p+6", "0x1.3d086dd0cc3ddp+6"]),
+    (7, "arrivals:canary", lambda s: s.exponential_ticks(1_000_000), [2114360, 1547324, 478899]),
+    (7, "loss:canary", lambda s: s.bernoulli(0.5), [True, False, False]),
+    # A seed from 2**32 on enters SeedSequence as two words.
+    (2**32 + 7, "vitals:canary", lambda s: s.normal(75, 4).hex(),
+     ["0x1.25382317a79dap+6", "0x1.2c055c1eedb9dp+6", "0x1.245b56ec65be5p+6"]),
+]
+
+
+class TestStreamCanaries:
+    """A NumPy release that moves a draw fails here first, and names itself."""
+
+    @pytest.mark.parametrize("build", [fork_rng, batched], ids=["forked", "batched"])
+    @pytest.mark.parametrize("seed, label, draw, want", CANARIES,
+                             ids=[f"{seed}-{label}" for seed, label, _d, _w in CANARIES])
+    def test_first_draws(self, build, seed, label, draw, want):
+        stream = build(seed, label)
+        got = [draw(stream) for _ in want]
+        assert got == want, (
+            f"the first draws of ({seed}, {label!r}) moved under NumPy {np.__version__}; "
+            "the golden digests were pinned under NumPy 2.4.6 (see README, Determinism)")
+
+
+def reference_key(seed, label):
+    return reference_generator(seed, label).bit_generator.state["state"]["key"].tolist()
+
+
+class TestForkKeys:
+    """`fork_keys` derives a batch's keys in one pass; each must be `fork_rng`'s, bit for bit."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_seeds(self, seed):
+        assert fork_keys(seed, LABELS).tolist() == [reference_key(seed, l) for l in LABELS]
+
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.sampled_from(LABELS) | st.text(max_size=12), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_label_lists(self, seed, labels):
+        # Drawn lists repeat labels, hold "" and reach far past ASCII.
+        keys = fork_keys(seed, labels)
+        assert keys.dtype == np.uint64 and keys.shape == (len(labels), 2)
+        assert keys.tolist() == [reference_key(seed, label) for label in labels]
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_a_batched_stream_draws_what_fork_rng_draws(self, seed):
+        for label, key in zip(LABELS, fork_keys(seed, LABELS)):
+            got, want = keyed_stream(key).gen, fork_rng(seed, label).gen
+            assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+            assert got.random(4).tolist() == want.random(4).tolist()
+            assert got.normal(75, 4, 4).tolist() == want.normal(75, 4, 4).tolist()
+            assert got.exponential(3.0, 4).tolist() == want.exponential(3.0, 4).tolist()
+
+
+def fleet_doc(access_rate, poisson=False):
+    """Four wearables behind edge 1, and an implant beacon that draws from `vitals:imp`."""
+    vitals = [{"name": "heart_rate", "mean": 70, "sd": 3}]
+    return {
+        "run": {"t_end": "1s", "master_seed": 5},
+        "nodes": [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}, {"id": 2, "kind": "device"}],
+        "links": [{"id": 0, "ends": [1, 0], "rate": "1gbps", "prop_delay": "10us"},
+                  {"id": 1, "ends": [2, 1], "rate": "100mbps", "prop_delay": "10us"}],
+        "twins": [{"id": "imp", "level": "individual", "host": 1, "entity": 2, "metrics": vitals}],
+        "workloads": [
+            {"kind": "implant_beacon", "id": "bc", "device": 2, "twin": "imp", "period": "100ms",
+             "payload": 20, "energy_per_tx": "1uJ", "battery": "1J"},
+            # A member needs far over 1 kb/s: an access link that slow refuses every member.
+            {"kind": "wearable_fleet", "id": "fl", "edges": [1], "n_devices": 4, "period": "200ms",
+             "payload": 100, "poisson": poisson, "twin_prefix": "dev", "metrics": vitals,
+             "link": {"rate": access_rate}},
+        ],
+    }
+
+
+def counting_fork_keys():
+    calls = []
+
+    def fork_keys_counted(seed, labels):
+        calls.append(list(labels))
+        return fork_keys(seed, labels)
+
+    return calls, mock.patch.object(twinslice.sim, "fork_keys", fork_keys_counted)
+
+
+class TestFleetBatches:
+    """A fleet declares its members' labels, and the first draw from one derives the batch."""
+
+    @pytest.mark.parametrize("poisson", [False, True])
+    def test_each_batch_is_derived_once_on_its_first_draw(self, poisson):
+        calls, patch = counting_fork_keys()
+        run_until, before_run = Engine.run_until, []
+
+        def noting_run_until(engine, t_end):
+            before_run.extend(calls)
+            return run_until(engine, t_end)
+
+        with patch, mock.patch.object(Engine, "run_until", noting_run_until):
+            run_scenario(scenario_from_dict(fleet_doc("100mbps", poisson)))
+        vitals = [f"vitals:dev_{i}" for i in range(4)]
+        arrivals = [f"arrivals:fl.{i}" for i in range(4)]
+        # A Poisson member draws its first gap when the run is scheduled; vitals, on its first emission.
+        assert calls == ([arrivals, vitals] if poisson else [vitals])
+        assert before_run == calls[:-1]
+
+    def test_after_a_run_a_member_label_gives_the_stream_it_drew_from(self):
+        drawn = {}
+        normal = RngStream.normal
+
+        def noting(stream, mu, sigma):
+            drawn[id(stream)] = stream
+            return normal(stream, mu, sigma)
+
+        with mock.patch.object(RngStream, "normal", noting):
+            sim = run_scenario(scenario_from_dict(fleet_doc("100mbps"))).sim
+        streams = [sim.stream(f"vitals:{twin}") for twin in ("imp", "dev_0", "dev_1", "dev_2", "dev_3")]
+        assert sorted(map(id, streams)) == sorted(drawn)
+        assert all(drawn[id(stream)] is stream for stream in streams)
+
+    @pytest.mark.parametrize("poisson", [False, True])
+    def test_a_fleet_whose_members_are_all_refused_derives_no_keys(self, poisson):
+        calls, patch = counting_fork_keys()
+        with patch:
+            result = run_scenario(scenario_from_dict(fleet_doc("1kbps", poisson)))
+        assert result.report["workloads"]["fl"]["devices_admitted"] == 0
+        assert result.report["workloads"]["bc"]["transmissions"] > 0  # `vitals:imp` was drawn
+        assert calls == []

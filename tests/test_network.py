@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_network import EagerNetworkService, outcome, run_with
+from eager_network import EagerNetworkService, channel, outcome, run_with
 from twinslice.engine import Engine, EventKind, MS, SEC, US, fork_rng
 from twinslice.network import (
     Channel,
@@ -275,7 +275,7 @@ class TestRouting:
                                           or topo.attached[src] == dst)
 
         for link in topo.links:
-            there, back = topo.channel(link.id, link.a), topo.channel(link.id, link.b)
+            there, back = channel(topo, link.id, link.a), channel(topo, link.id, link.b)
             assert (there.src, there.dst) == (back.dst, back.src) == (link.a, link.b)
             for chan in (there, back):
                 want = (topo.link_up[link.id] and may_send(chan.src, chan.dst)
@@ -379,7 +379,7 @@ class TestTransport:
         h.engine.run_until(10**9)
         assert not h.delivered
         assert [(c, t) for _f, c, t in h.dropped] == [("fault", 161)] * 19 + [("fault", 8000)]
-        chan = h.net.topology.channel(0, 1)
+        chan = channel(h.net.topology, 0, 1)
         assert chan.frame is None
         assert not h.net._serving(chan, h.engine.now)
 
@@ -647,7 +647,7 @@ class TestLazyChannels:
         topo = star()
         h = Harness(topo)
         h.net.inject(frame(3, 1, total=1000), 0)
-        chan = topo.channel(2, 3)
+        chan = channel(topo, 2, 3)
         assert chan.queue is None  # served at once
         h.net.inject(frame(3, 1, total=1000), 10)  # the transmitter is busy: it waits
         assert chan.queue is not None and chan.queue.occupancy == 1
@@ -680,11 +680,11 @@ class TestLazyChannels:
     def test_a_channel_out_of_a_node_that_is_not_an_end_is_refused(self):
         topo = star()
         with pytest.raises(ValueError, match="node 0 is not an end of link 2"):
-            topo.channel(2, 0)
+            channel(topo, 2, 0)
         with pytest.raises(ValueError, match="node 3 is not an end of link 7"):
-            topo.channel(7, 3)
+            channel(topo, 7, 3)
         assert self.built(topo) == []
-        assert (topo.channel(2, 3).src, topo.channel(2, 1).src) == (3, 1)
+        assert (channel(topo, 2, 3).src, channel(topo, 2, 1).src) == (3, 1)
 
 
 class TestConservation:
@@ -785,7 +785,7 @@ class TestFrameRelease:
         assert len(h.delivered) + len(h.dropped) == 40
         referrers = gc.get_referrers(*[f for f, _at in h.delivered])
         assert not [r for r in referrers if isinstance(r, Channel)]
-        channels = [topo.channel(link.id, src) for link in topo.links for src in (link.a, link.b)]
+        channels = [channel(topo, link.id, src) for link in topo.links for src in (link.a, link.b)]
         assert all(chan.frame is None and chan.free_at == -1 for chan in channels)
 
 
