@@ -8,10 +8,11 @@ as in-family and only fail on usage or scenario errors.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
-from twinslice.scenario import ScenarioError, load_scenario
+from twinslice.scenario import ScenarioError, load_scenario, run_errors
 from twinslice.sim import run_scenario
 
 DEFAULT_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -23,6 +24,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None, help="override every master seed")
     ap.add_argument("--expect-violations", action="store_true")
     args = ap.parse_args()
+    # The override is checked before the first run prints; each file's own seed and horizon when it loads.
+    if args.seed is not None and (errors := run_errors(args.seed, None)):
+        for err in errors:
+            print(f"error: {err}", file=sys.stderr)
+        return 2
 
     paths = sorted(args.dir.glob("*.scn"))
     if not paths:

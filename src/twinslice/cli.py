@@ -16,9 +16,8 @@ import time
 from pathlib import Path
 from typing import Optional, TextIO
 
-from .engine import SEED_LIMIT
 from .metrics import fmt6, to_json_bytes
-from .scenario import SEED_ERROR, Scenario, ScenarioError, load_scenario, parse_duration
+from .scenario import Scenario, ScenarioError, load_scenario, parse_duration, run_errors
 from .sim import RunResult, run_scenario
 
 
@@ -181,9 +180,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not seeds:
         return _fail(["--seeds must name at least one seed"])
     # Every seed and the horizon are checked before the first run prints.
-    if not all(0 <= seed < SEED_LIMIT for seed in seeds):
-        return _fail([SEED_ERROR])
     t_end = _horizon(args.until)
+    errors = dict.fromkeys(e for seed in seeds for e in run_errors(seed, t_end))
+    if errors:
+        return _fail(list(errors))
     stem = Path(args.scenario).stem
     out = args.out if args.out is not None else scn.out
     worst = 0

@@ -28,7 +28,7 @@ from .engine import SEC, SEED_LIMIT
 from .metrics import HORIZON_LIMIT
 from .network import DEFAULT_QUEUE_CAP, TRANSPORT_BYTES, Link, Node, NodeKind, StackProfile
 from .slices import DEFAULT_UTILIZATION_CAP, QosContract, SliceClass, default_contracts
-from .twins import TwinLevel, parse_reducer
+from .twins import TwinLevel, TwinSyncError, parse_reducer
 from .workloads import (
     DEFAULT_HANDOVER_GAP,
     AmbulanceRunSpec,
@@ -42,10 +42,6 @@ from .workloads import (
 )
 
 
-# Given at load and by the Simulation's override check, for a horizon at or past
-# metrics.HORIZON_LIMIT and for a master seed outside [0, engine.SEED_LIMIT).
-HORIZON_ERROR = "run.t_end: must be below 2**63 ns"
-SEED_ERROR = "run.master_seed: must be an integer in [0, 2**64)"
 # Integer fields, rates, energies and lengths stay below it, so what a run derives stays a finite float.
 MAGNITUDE_LIMIT = 2**63
 
@@ -152,18 +148,31 @@ def _bool(value: Any, path: str, errors: list[str]) -> Optional[bool]:
     return value
 
 
-def _signed(value: Optional[int], path: str, errors: list[str], positive: bool) -> Optional[int]:
-    """The sign rule of a parsed quantity: > 0 if positive, else >= 0."""
-    if value is not None and (value <= 0 if positive else value < 0):
-        errors.append(f"{path}: must be positive" if positive else f"{path}: must be >= 0")
-        return None
-    return value
-
-
 def _quantity(value: Any, parse: Callable[..., Optional[int]], path: str,
               errors: list[str], positive: bool = True) -> Optional[int]:
-    """Parse a unit quantity and apply its sign rule."""
-    return _signed(parse(value, path, errors), path, errors, positive)
+    """Parse a unit quantity and apply its sign rule: > 0 if positive, else >= 0."""
+    number = parse(value, path, errors)
+    if number is not None and (number <= 0 if positive else number < 0):
+        errors.append(f"{path}: must be positive" if positive else f"{path}: must be >= 0")
+        return None
+    return number
+
+
+def run_errors(seed: Any, t_end: Optional[int]) -> list[str]:
+    """The run window's rules, for the file's values and for overrides alike.
+
+    The horizon is an integer in (0, 2**63) ns, so that no delay overruns
+    the histogram's last edge; a t_end of None is not checked. The master
+    seed is an integer in [0, 2**64), one 64-bit seed word.
+    """
+    errors = []
+    if t_end is not None and not (_is_int(t_end) and 0 < t_end < HORIZON_LIMIT):
+        errors.append("run.t_end: must be an integer number of ns" if not _is_int(t_end)
+                      else "run.t_end: must be positive" if t_end <= 0
+                      else "run.t_end: must be below 2**63 ns")
+    if not (_is_int(seed) and 0 <= seed < SEED_LIMIT):
+        errors.append("run.master_seed: must be an integer in [0, 2**64)")
+    return errors
 
 
 def _node_id(value: Any, node_by_id: dict, path: str, errors: list[str]) -> Optional[int]:
@@ -306,12 +315,9 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
     if not isinstance(run, dict):
         errors.append("run: section is required (with at least t_end)")
     else:
-        t_end = _quantity(run.get("t_end"), parse_duration, "run.t_end", errors) or 0
-        if t_end >= HORIZON_LIMIT:
-            errors.append(HORIZON_ERROR)
+        t_end = parse_duration(run.get("t_end"), "run.t_end", errors)
         master_seed = run.get("master_seed", 0)
-        if not (_is_int(master_seed) and 0 <= master_seed < SEED_LIMIT):
-            errors.append(SEED_ERROR)
+        errors += run_errors(master_seed, t_end)
         fmt = run.get("formats", ["json", "csv"])
         if fmt == "both":
             fmt = ["json", "csv"]
@@ -398,7 +404,7 @@ def _parse_stack(cfg: dict, errors: list[str]) -> StackProfile:
     setup = cfg.get("setup_latency", "auto")
     setup_ns: Optional[int] = None
     if setup != "auto":
-        setup_ns = parse_duration(setup, "stack.setup_latency", errors)
+        setup_ns = _quantity(setup, parse_duration, "stack.setup_latency", errors, positive=False)
     fields.setdefault("transport_bytes", TRANSPORT_BYTES[transport])
     return StackProfile(setup_latency_ns=setup_ns, **fields)
 
@@ -406,11 +412,12 @@ def _parse_stack(cfg: dict, errors: list[str]) -> StackProfile:
 def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[str]) -> None:
     for key, value in cfg.items():
         if key == "min_rate":
-            v = parse_rate(value, f"{path}.min_rate", errors)
+            v = _quantity(value, parse_rate, f"{path}.min_rate", errors, positive=False)
             if v is not None:
                 contract.min_rate_bps = v
         elif key == "max_e2e_delay":
-            contract.max_e2e_delay_ns = None if value is None else parse_duration(value, f"{path}.max_e2e_delay", errors)
+            contract.max_e2e_delay_ns = None if value is None else _quantity(
+                value, parse_duration, f"{path}.max_e2e_delay", errors, positive=False)
         elif key == "max_loss":
             if value is None:
                 contract.max_loss = None
@@ -419,7 +426,8 @@ def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[st
             else:
                 errors.append(f"{path}.max_loss: must be a probability in [0, 1] or null")
         elif key == "max_energy_per_msg":
-            contract.max_energy_per_msg_nj = None if value is None else parse_energy(value, f"{path}.max_energy_per_msg", errors)
+            contract.max_energy_per_msg_nj = None if value is None else _quantity(
+                value, parse_energy, f"{path}.max_energy_per_msg", errors, positive=False)
         else:
             errors.append(f"{path}.{key}: unknown contract field")
 
@@ -468,16 +476,15 @@ def _parse_links(raw: Any, nodes: list[Node], errors: list[str]) -> list[Link]:
         kinds = {node_kind[a], node_kind[b]}
         if NodeKind.DEVICE in kinds and kinds != {NodeKind.DEVICE, NodeKind.EDGE}:
             errors.append(f"{path}: devices attach only to edge nodes")
-        rate = parse_rate(item.get("rate"), f"{path}.rate", errors)
-        prop = parse_duration(item.get("prop_delay", 0), f"{path}.prop_delay", errors)
+        rate = _quantity(item.get("rate"), parse_rate, f"{path}.rate", errors)
+        prop = _quantity(item.get("prop_delay", 0), parse_duration, f"{path}.prop_delay", errors,
+                         positive=False)
         loss = item.get("loss", 0.0)
         if not _is_num(loss) or not 0 <= loss <= 1:
             errors.append(f"{path}.loss: must be a probability in [0, 1]")
             loss = 0.0
         cap = _int(item.get("queue_cap", DEFAULT_QUEUE_CAP), f"{path}.queue_cap", errors, 1,
                    "an integer >= 1") or DEFAULT_QUEUE_CAP
-        rate = _signed(rate, f"{path}.rate", errors, positive=True)
-        prop = _signed(prop, f"{path}.prop_delay", errors, positive=False)
         if rate is None or prop is None:
             continue
         links.append(Link(lid, a, b, rate, prop, float(loss), cap))
@@ -550,9 +557,10 @@ def _parse_twins(raw: Any, errors: list[str]) -> list[TwinSpec]:
         ):
             errors.append(f"{path}.children: must be 'auto' or a list of twin ids")
             spec.children = []
-        for key in _TWIN_TIMING:
+        for key in _TWIN_TIMING:  # a period is > 0 and a phase >= 0
             if key in item:
-                setattr(spec, key, parse_duration(item[key], f"{path}.{key}", errors))
+                setattr(spec, key, _quantity(item[key], parse_duration, f"twins.{tid}.{key}", errors,
+                                             positive=key.endswith("period")))
         policy = item.get("policy", {}) or {}
         if not isinstance(policy, dict):
             errors.append(f"{path}.policy: must be a mapping of metric -> reducer")
@@ -560,7 +568,7 @@ def _parse_twins(raw: Any, errors: list[str]) -> list[TwinSpec]:
             for metric, reducer in policy.items():
                 try:
                     parse_reducer(str(reducer))
-                except Exception as exc:
+                except TwinSyncError as exc:
                     errors.append(f"{path}.policy.{metric}: {exc}")
                     continue
                 spec.policy[str(metric)] = str(reducer)
@@ -605,11 +613,10 @@ def _parse_workloads(
 
         spec: Any = None
         if kind == "telemedicine_stream":
-            bitrate = parse_rate(item.get("bitrate"), f"{path}.bitrate", errors)
+            bitrate = _quantity(item.get("bitrate"), parse_rate, f"{path}.bitrate", errors)
             src = _node_id(item.get("src"), node_by_id, f"{path}.src", errors)
             dst = _node_id(item.get("dst"), node_by_id, f"{path}.dst", errors)
             fsize = _int(item.get("frame_size"), f"{path}.frame_size", errors, 1, _BYTE_COUNT)
-            bitrate = _signed(bitrate, f"{path}.bitrate", errors, positive=True)
             if None not in (src, dst, fsize, bitrate):
                 spec = TelemedicineStreamSpec(wid, src, dst, bitrate, fsize)
 
@@ -714,10 +721,9 @@ def _parse_ambulance(item: dict, wid: str, node_by_id: dict, twin_by_id: dict, f
 def _parse_fleet(item: dict, wid: str, nodes: list[Node], links: list[Link],
                  twins: list[TwinSpec], node_by_id: dict, path: str,
                  errors: list[str]) -> Optional[WearableFleetSpec]:
-    period = parse_duration(item.get("period"), f"{path}.period", errors)
+    period = _quantity(item.get("period"), parse_duration, f"{path}.period", errors)
     edges = _edge_list(item.get("edges"), node_by_id, f"{path}.edges", errors)
     n = _int(item.get("n_devices"), f"{path}.n_devices", errors, 1, "an integer >= 1")
-    period = _signed(period, f"{path}.period", errors, positive=True)
     stagger = _bool(item.get("stagger", True), f"{path}.stagger", errors)
     poisson = _bool(item.get("poisson", False), f"{path}.poisson", errors)
     if poisson and period is not None and period >= HORIZON_LIMIT:  # a float mean gap
@@ -770,13 +776,10 @@ def _parse_fleet(item: dict, wid: str, nodes: list[Node], links: list[Link],
 def _parse_beacon(item: dict, wid: str, node_by_id: dict, twin_by_id: dict, fed: set[str],
                   path: str, errors: list[str]) -> Optional[ImplantBeaconSpec]:
     bound = _check_device_twin(item, node_by_id, twin_by_id, fed, path, errors, want_mobile=False)
-    period = parse_duration(item.get("period"), f"{path}.period", errors)
-    energy = parse_energy(item.get("energy_per_tx"), f"{path}.energy_per_tx", errors)
-    battery = parse_energy(item.get("battery"), f"{path}.battery", errors)
-    period = _signed(period, f"{path}.period", errors, positive=True)
+    period = _quantity(item.get("period"), parse_duration, f"{path}.period", errors)
+    energy = _quantity(item.get("energy_per_tx"), parse_energy, f"{path}.energy_per_tx", errors)
+    battery = _quantity(item.get("battery"), parse_energy, f"{path}.battery", errors, positive=False)
     payload = _int(item.get("payload"), f"{path}.payload", errors, 1, _BYTE_COUNT)
-    energy = _signed(energy, f"{path}.energy_per_tx", errors, positive=True)
-    battery = _signed(battery, f"{path}.battery", errors, positive=False)
     if bound is None or None in (period, payload, energy, battery):
         return None
     device, twin_id = bound
@@ -951,17 +954,12 @@ def _resolve_twins(twins: list[TwinSpec], errors: list[str]) -> None:
     """
     # Deriving from a document with errors would mostly echo them (a fleet
     # that failed to expand leaves its edge twin without children).
-    consistent = not errors
+    if errors:
+        return
     twin_by_id = {t.id: t for t in twins}
     individual, global_edge = TwinLevel.INDIVIDUAL, TwinLevel.GLOBAL_EDGE
     for level in TwinLevel:  # children before parents
         for t in (twin for twin in twins if twin.level is level):
-            # A given period must be positive and a given phase non-negative.
-            checked = [_signed(getattr(t, key), f"twins.{t.id}.{key}", errors,
-                               positive=key.endswith("period"))
-                       for key in _TWIN_TIMING if getattr(t, key) is not None]
-            if None in checked or not consistent:
-                continue
             if level is individual:
                 t.sync_period = t.sync_period or 0
                 t.sync_phase = t.sync_phase or 0

@@ -13,8 +13,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .engine import SEED_LIMIT, Engine, EventKind, RngStream, SEC, fork_keys, fork_rng, keyed_stream
-from .metrics import HORIZON_LIMIT, TrafficStats, fmt6, to_csv_bytes, to_json_bytes
+from .engine import Engine, EventKind, RngStream, SEC, fork_keys, fork_rng, keyed_stream
+from .metrics import TrafficStats, fmt6, to_csv_bytes, to_json_bytes
 from .network import (
     Frame,
     NetworkService,
@@ -24,7 +24,7 @@ from .network import (
     setup_latency_for,
     unloaded_path_delay,
 )
-from .scenario import HORIZON_ERROR, SEED_ERROR, Scenario, ScenarioError, TwinSpec
+from .scenario import Scenario, ScenarioError, TwinSpec, run_errors
 from .slices import (
     SLICE_ORDER,
     AdmissionDecision,
@@ -61,13 +61,10 @@ class Simulation:
                  t_end: Optional[int] = None) -> None:
         self.scenario = scenario
         self.master_seed = scenario.master_seed if seed is None else seed
-        if not 0 <= self.master_seed < SEED_LIMIT:
-            raise ScenarioError([SEED_ERROR])
         self.t_end = scenario.t_end if t_end is None else t_end
-        if self.t_end <= 0:
-            raise ScenarioError(["run.t_end: must be positive"])
-        if self.t_end >= HORIZON_LIMIT:
-            raise ScenarioError([HORIZON_ERROR])
+        errors = run_errors(self.master_seed, self.t_end)  # an override follows the file's rules
+        if errors:
+            raise ScenarioError(errors)
 
         self.engine = Engine()
         self._streams: dict[str, RngStream] = {}

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 
 
 class TwinSyncError(Exception):
-    """A malformed aggregation policy: an unknown reducer or a non-finite threshold."""
+    """A malformed aggregation policy: an unknown reducer, or a threshold that is not a finite number."""
 
 
 class TwinLevel(Enum):  # children before parents: loading resolves twin timing in this order
@@ -59,7 +59,11 @@ def parse_reducer(spec: str) -> Reducer:
     if spec == "min":
         return lambda vs: min(vs)
     if spec.startswith("count_over:"):
-        threshold = float(spec.split(":", 1)[1])
+        text = spec.split(":", 1)[1]
+        try:
+            threshold = float(text)
+        except ValueError:
+            raise TwinSyncError(f"count_over threshold must be a number, not {text!r}") from None
         if not math.isfinite(threshold):
             raise TwinSyncError(f"count_over threshold must be finite, not {threshold}")
         return lambda vs: float(sum(1 for v in vs if v > threshold))

@@ -107,8 +107,10 @@ def test_unreadable_path_is_one_error_line(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["run", "--seed", str(2**64)],
                                   ["sweep", "--seeds", "-1"],
-                                  ["sweep", "--seeds", "1,-1", "--until", "10ms"]],
-                         ids=["negative", "past_64_bits", "sweep", "sweep_after_a_good_seed"])
+                                  ["sweep", "--seeds", "1,-1", "--until", "10ms"],
+                                  ["sweep", "--seeds", "1,-1,-2"]],
+                         ids=["negative", "past_64_bits", "sweep", "sweep_after_a_good_seed",
+                              "sweep_two_bad_seeds"])
 def test_seed_outside_64_bits_exits_two(argv, clean_scn, capsys):
     # A seed of -1 once ran, masked to the streams of 2**64 - 1. A sweep once
     # ran and printed the seeds before a bad one, then stopped without a summary.

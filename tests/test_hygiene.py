@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 attribute it stores is read somewhere in the package, node kinds, twin
-levels and slice names are compared as enum members only, and only the
-loader builds node and link records."""
+levels and slice names are compared as enum members only, only the loader
+builds node and link records, and every function has a caller in the
+program."""
 
 import ast
 from pathlib import Path
@@ -164,3 +165,61 @@ def test_the_record_scan_sees_calls_by_name_and_attribute():
               "c = [Node(n.id, n.kind) for n in nodes]\nd = NodeKind('core')\ne = Link\n"
               "f = isinstance(x, Node)\ng = make_link(1)\nh = build()(Link)\n")
     assert record_builds(source) == ["Link", "Node", "Node"]
+
+
+ROOT = PACKAGE.parent.parent
+# Functions that nothing in the program names, each with its caller: NumPy
+# calls a bit generator's seed source through `generate_state`.
+CALLED_FROM_OUTSIDE = {"generate_state"}
+
+
+def unreferenced_functions(package: list[str], others: list[str]) -> list[str]:
+    """Functions and methods defined in `package` that no source names outside their own body.
+
+    A reference is an identifier, an attribute (`obj.name`) or a string
+    constant that spells the name: `perfbench/tracer.py` wraps methods by
+    name. Names are matched without their owner, and dunder methods are
+    called by Python itself. So a name-only scan can be fooled by an
+    attribute of another object: `self.gen.random()` in `RngStream.bernoulli`
+    is a call on NumPy's generator, yet it counts as a reference to
+    `RngStream.random`.
+    """
+    def names(tree: ast.AST) -> list[str]:
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.append(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                found.append(node.value)
+        return found
+
+    trees = [ast.parse(source) for source in package + others]
+    counts: dict[str, int] = {}
+    for tree in trees:
+        for name in names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    defs = [node for tree in trees[:len(package)] for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted(d.name for d in defs
+                  if not (d.name.startswith("__") and d.name.endswith("__"))
+                  and counts.get(d.name, 0) == names(d).count(d.name))
+
+
+def test_every_function_has_a_caller_in_the_program():
+    # Tests do not count as callers, perfbench's own tests included.
+    others = [p.read_text() for folder in ("scripts", "perfbench")
+              for p in sorted((ROOT / folder).rglob("*.py")) if "tests" not in p.parts]
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    # An entry of the allowlist that the scan no longer finds is stale.
+    assert unreferenced_functions(package, others) == sorted(CALLED_FROM_OUTSIDE)
+
+
+def test_the_function_scan_sees_calls_attributes_strings_and_own_bodies():
+    package = ("def used(): pass\ndef by_attr(): pass\ndef by_name(): pass\n"
+               "def recursive(n):\n    return recursive(n - 1)\ndef unused(): pass\n"
+               "class C:\n    def __init__(self): pass\n    def method(self): return self.method\n"
+               "    def wrapped(self): pass\n")
+    other = "used()\nx.by_attr\nsetattr(C, 'wrapped', f)\ny = [by_name]\n"
+    assert unreferenced_functions([package], [other]) == ["method", "recursive", "unused"]

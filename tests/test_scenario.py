@@ -528,6 +528,18 @@ class TestTwinTiming:
         assert errors_of(self.doc(policy=policy)) == [
             f"twins[0].policy.n: count_over threshold must be finite, not {threshold}"]
 
+    @pytest.mark.parametrize("threshold", ["abc", ""])
+    def test_count_over_threshold_must_be_a_number(self, threshold):
+        policy = {"hr": "mean", "n": f"count_over:{threshold}"}
+        assert errors_of(self.doc(policy=policy)) == [
+            f"twins[0].policy.n: count_over threshold must be a number, not {threshold!r}"]
+
+    @pytest.mark.parametrize("key", ["sync_period", "sync_phase", "aggregation_period",
+                                     "aggregation_phase"])
+    def test_a_malformed_timing_value_is_one_error_at_the_twin_id(self, key):
+        assert errors_of(self.doc(**{key: "soon"})) == [
+            f"twins.ward.{key}: cannot parse duration 'soon'"]
+
     def test_auto_children_resolve_at_load(self):
         doc = TestFleetExpansion().doc(n=3)
         doc["twins"] = [{"id": "ward", "level": "global_edge", "host": 1, "policy": {"hr": "mean"}},
@@ -644,6 +656,101 @@ LIST_SECTIONS = {
     "alerts-item": (twin_doc(alerts=[{"metric": "hr"}]),
                     ["twins[0].alerts[0]: must be a mapping with metric and threshold"]),
 }
+
+
+def every_quantity_doc():
+    """A document that sets every quantity with a sign rule, each to a valid value."""
+    hr = [{"name": "hr", "mean": 70, "sd": 1}]
+    return {
+        "name": "signs",
+        "run": {"t_end": "1s", "master_seed": 1},
+        "stack": {"setup_latency": "1ms"},
+        "contracts": {"FeMBB": {"min_rate": "1mbps", "max_e2e_delay": "50ms"},
+                      "ELPC": {"max_energy_per_msg": "100nj"}},
+        "nodes": [{"id": 0, "kind": "core"}, {"id": 1, "kind": "edge"}, {"id": 2, "kind": "edge"},
+                  {"id": 3, "kind": "device", "mobile": True}, {"id": 4, "kind": "device"},
+                  {"id": 5, "kind": "device"}],
+        "links": [{"id": i, "ends": ends, "rate": "100mbps", "prop_delay": "10us"}
+                  for i, ends in enumerate(([1, 0], [2, 0], [3, 1], [3, 2], [4, 1], [5, 1], [1, 2]))],
+        "twins": [{"id": "pt", "level": "individual", "host": 1, "entity": 3, "metrics": hr},
+                  {"id": "bt", "level": "individual", "host": 1, "entity": 4, "metrics": hr},
+                  {"id": "ward", "level": "global_edge", "host": 1, "policy": {"hr": "mean"},
+                   "sync_period": "20ms", "sync_phase": "1ms", "aggregation_period": "10ms",
+                   "aggregation_phase": "2ms"},
+                  {"id": "hub", "level": "global_core", "host": 0, "policy": {"hr": "mean"}}],
+        "workloads": [
+            {"kind": "telemedicine_stream", "id": "cam", "src": 5, "dst": 0, "bitrate": "1mbps",
+             "frame_size": 1000, "start": "1ms", "duration": "100ms"},
+            {"kind": "surgery_loop", "id": "op", "src": 5, "dst": 0, "cmd_rate": 100,
+             "cmd_size": 64, "rtt_budget": "5ms"},
+            {"kind": "ambulance_run", "id": "amb", "device": 3, "twin": "pt",
+             "edge_sequence": [1, 2], "speed_kmh": 36, "cell_span": "1km", "handover_gap": "1ms"},
+            {"kind": "wearable_fleet", "id": "fleet", "edges": [1], "n_devices": 2,
+             "period": "10ms", "payload": 40, "metrics": hr,
+             "link": {"rate": "10mbps", "prop_delay": "2us"}},
+            {"kind": "implant_beacon", "id": "imp", "device": 4, "twin": "bt", "period": "10ms",
+             "payload": 40, "energy_per_tx": "10nj", "battery": "1j"},
+        ],
+        "faults": [{"target": "link:0", "t_fail": "100ms", "t_recover": "200ms"}],
+    }
+
+
+# Each quantity with a sign rule: where it sits in every_quantity_doc, the path
+# its errors carry, and whether it must be > 0 (True) or >= 0 (False).
+SIGN_RULES = [
+    (("run", "t_end"), "run.t_end", True),
+    (("stack", "setup_latency"), "stack.setup_latency", False),
+    (("contracts", "FeMBB", "min_rate"), "contracts.FeMBB.min_rate", False),
+    (("contracts", "FeMBB", "max_e2e_delay"), "contracts.FeMBB.max_e2e_delay", False),
+    (("contracts", "ELPC", "max_energy_per_msg"), "contracts.ELPC.max_energy_per_msg", False),
+    # The last link: a link that fails to load leaves the ids before it dense.
+    (("links", 6, "rate"), "links[6].rate", True),
+    (("links", 6, "prop_delay"), "links[6].prop_delay", False),
+    *[(("twins", 2, key), f"twins.ward.{key}", key.endswith("period"))
+      for key in ("sync_period", "sync_phase", "aggregation_period", "aggregation_phase")],
+    (("workloads", 0, "start"), "workloads[0].start", False),
+    (("workloads", 0, "duration"), "workloads[0].duration", True),
+    (("workloads", 0, "bitrate"), "workloads[0].bitrate", True),
+    (("workloads", 1, "rtt_budget"), "workloads[1].rtt_budget", True),
+    (("workloads", 2, "cell_span"), "workloads[2].cell_span", True),
+    (("workloads", 2, "handover_gap"), "workloads[2].handover_gap", False),
+    (("workloads", 3, "period"), "workloads[3].period", True),
+    (("workloads", 3, "link", "rate"), "workloads[3].link.rate", True),
+    (("workloads", 3, "link", "prop_delay"), "workloads[3].link.prop_delay", False),
+    (("workloads", 4, "period"), "workloads[4].period", True),
+    (("workloads", 4, "energy_per_tx"), "workloads[4].energy_per_tx", True),
+    (("workloads", 4, "battery"), "workloads[4].battery", False),
+    (("faults", 0, "t_fail"), "faults[0].t_fail", False),
+]
+
+
+def with_value(where, value):
+    doc = every_quantity_doc()
+    *parents, key = where
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    return doc
+
+
+class TestSignRules:
+    def test_the_document_loads(self):
+        scenario_from_dict(every_quantity_doc())
+
+    @pytest.mark.parametrize("where, value, error", [
+        pytest.param(where, value, f"{path}: must be positive" if positive else f"{path}: must be >= 0",
+                     id=f"{path}={value}")
+        for where, path, positive in SIGN_RULES for value in ((0, -1) if positive else (-1,))])
+    def test_a_value_outside_the_rule_is_one_error_at_its_path(self, where, value, error):
+        # A negative setup latency, rate bound, delay bound or energy bound once
+        # loaded; a delay bound of -1 refused every flow of its slice.
+        assert errors_of(with_value(where, value)) == [error]
+
+    @pytest.mark.parametrize("where", [pytest.param(where, id=path)
+                                       for where, path, positive in SIGN_RULES if not positive])
+    def test_zero_loads_where_the_rule_is_not_negative(self, where):
+        scenario_from_dict(with_value(where, 0))
 
 
 class TestSections:

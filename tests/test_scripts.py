@@ -39,6 +39,15 @@ def test_run_all_summarizes_each_scenario(scenario_dir, tmp_path):
     assert done.stdout.startswith("surgery.scn: ok exit=0 events=22001 ")
 
 
+def test_run_all_checks_the_seed_override_before_the_first_run(scenario_dir, tmp_path):
+    # A seed of -1 once ended in a ScenarioError traceback.
+    shutil.copy(scenario_dir / "surgery.scn", tmp_path)
+    done = run_script("run_all.py", "--dir", tmp_path, "--seed", -1)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == ["error: run.master_seed: must be an integer in [0, 2**64)"]
+
+
 def test_gc_phases_counts_full_collections_per_phase():
     done = run_script("gc_phases.py", "--workload", "sweep", "--seeds", 1)
     assert done.returncode == 0, done.stderr

@@ -178,6 +178,20 @@ class TestRunDiscipline:
         assert info.value.errors == ["run.t_end: must be below 2**63 ns"]
         assert Simulation(build(hierarchy_doc()), t_end=2**63 - 1).t_end == 2**63 - 1
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64])
+    def test_seed_override_follows_the_file_rule(self, seed):
+        # A float or boolean seed once ran: only the range was checked.
+        with pytest.raises(ScenarioError) as info:
+            Simulation(build(hierarchy_doc()), seed=seed)
+        assert info.value.errors == ["run.master_seed: must be an integer in [0, 2**64)"]
+
+    @pytest.mark.parametrize("t_end", [1.5, True])
+    def test_horizon_override_must_be_an_integer(self, t_end):
+        # Each once ran, and the report carried the horizon as given.
+        with pytest.raises(ScenarioError) as info:
+            Simulation(build(hierarchy_doc()), t_end=t_end)
+        assert info.value.errors == ["run.t_end: must be an integer number of ns"]
+
     def test_frames_in_flight_at_the_horizon_are_not_lost(self, scenario_dir):
         # Cut at 5 s, one command of 1,001 is still on the wire; under the
         # default ERLLC loss bound (1e-5) it must not read as a loss.

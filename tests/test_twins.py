@@ -119,6 +119,13 @@ class TestReducers:
         with pytest.raises(TwinSyncError, match="must be finite"):
             parse_reducer(f"count_over:{threshold}")
 
+    @pytest.mark.parametrize("threshold", ["abc", ""])
+    def test_count_over_threshold_must_be_a_number(self, threshold):
+        # It once escaped as the bare ValueError of float().
+        with pytest.raises(TwinSyncError) as info:
+            parse_reducer(f"count_over:{threshold}")
+        assert str(info.value) == f"count_over threshold must be a number, not {threshold!r}"
+
     def test_unknown_reducer_raises(self):
         with pytest.raises(TwinSyncError, match="unknown reducer"):
             parse_reducer("median")
