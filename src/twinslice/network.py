@@ -54,29 +54,27 @@ class Link:
 
 
 class Channel:
-    """One direction of a link: queue, transmitter state, and endpoints.
+    """One direction of a link, toward `dst`: queue and transmitter state.
 
     The transmitter serves `frame` until `free_at`. The frame's departure
     sorts at `(free_at, dep_seq)`, a place reserved from the engine's counter
     when its serialization began, and its arrival at the place right after.
     A FRAME_DEPARTURE is pushed at that place, and `departs` set, only when it
-    has work to do: a loss draw, a queued frame to serve next, or a frame that
-    `cut` marks because its link or sending node failed mid-service. The
-    first of the frame's departure and arrival events releases it.
+    has work to do: a loss draw, a queued frame to serve next, or a cut frame
+    (`hops` None) whose link or sending node failed mid-service. The first of
+    the frame's departure and arrival events releases it.
     """
 
-    __slots__ = ("link", "src", "dst", "queue", "frame", "free_at", "dep_seq", "departs", "cut")
+    __slots__ = ("link", "dst", "queue", "frame", "free_at", "dep_seq", "departs")
 
-    def __init__(self, link: Link, src: int, dst: int) -> None:
+    def __init__(self, link: Link, dst: int) -> None:
         self.link = link
-        self.src = src
         self.dst = dst
         self.queue: Optional[LinkQueue] = None  # built when the first frame waits
         self.frame: Optional[Frame] = None
         self.free_at = -1
         self.dep_seq = -1
         self.departs = False
-        self.cut = False
 
 
 TRANSPORT_BYTES = {"quic": 27, "udp": 8}
@@ -115,8 +113,9 @@ class Frame:
     total_bytes: int
     created_at: int
     hops: Optional[list[Channel]] = None  # None until injected, and once cut in service
-    idx: int = 0
+    idx: int = 0  # `hops[idx]` is the channel it waits on, is served by or crosses
     epoch: int = 0  # the Topology.epoch that `hops` was routed in
+    failures: int = 0  # its link's Topology.failures when its service began
     content: Any = None  # a (callee, arg) pair the simulator fires on delivery
 
 
@@ -146,13 +145,13 @@ class Topology:
         self.failures = [0] * len(links)
         self.attached: list[Optional[int]] = [None] * len(nodes)
         self.epoch = 0
-        # Each node's outgoing channels as (peer id, link id, slot), sorted: the
-        # routing tie-break order. A link's slots are 2 * id out of its a end and
-        # 2 * id + 1 out of its b end. Int-only tuples, which CPython's collector untracks.
-        self._adj: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
+        # Each node's outgoing channels as (peer id, slot), sorted. A link's slots, 2 * id
+        # out of its a end and 2 * id + 1 out of its b end, rise with its id: the routing
+        # tie-break order. Int-only tuples, which CPython's collector untracks.
+        self._adj: list[list[tuple[int, int]]] = [[] for _ in nodes]
         for link in links:
-            self._adj[link.a].append((link.b, link.id, 2 * link.id))
-            self._adj[link.b].append((link.a, link.id, 2 * link.id + 1))
+            self._adj[link.a].append((link.b, 2 * link.id))
+            self._adj[link.b].append((link.a, 2 * link.id + 1))
         for out in self._adj:
             out.sort()
         # Each slot's Channel once a route has taken it; None is idle and empty.
@@ -161,21 +160,21 @@ class Topology:
         # Static devices start attached to their only edge.
         for node in nodes:
             if node.kind is _DEVICE:
-                edges = {peer for peer, _lid, _slot in self._adj[node.id]}
+                edges = {peer for peer, _slot in self._adj[node.id]}
                 if len(edges) == 1:
                     self.attached[node.id] = edges.pop()
 
-    def _channel(self, slot: int, src: int, dst: int) -> Channel:
+    def _channel(self, slot: int, dst: int) -> Channel:
         chan = self._channels[slot]
         if chan is None:
-            chan = self._channels[slot] = Channel(self.links[slot >> 1], src, dst)
+            chan = self._channels[slot] = Channel(self.links[slot >> 1], dst)
         return chan
 
     def built(self, src: int) -> list[Channel]:
         """The channels out of node `src` that a route has taken; a channel
         never built is idle and empty."""
         chans = self._channels
-        return [chans[slot] for _peer, _lid, slot in self._adj[src] if chans[slot] is not None]
+        return [chans[slot] for _peer, slot in self._adj[src] if chans[slot] is not None]
 
     def bump_epoch(self) -> None:
         """Call after every write to what `_usable` reads (`link_up`, `node_up`,
@@ -219,11 +218,11 @@ class Topology:
         # One-hop fast path: a direct usable link is always a shortest route,
         # and the first match in the sorted adjacency is the same channel the
         # BFS tie-break would select. Keeps admission O(1) per device flow.
-        for peer, _lid, slot in self._adj[src]:
+        for peer, slot in self._adj[src]:
             if peer > dst:
                 break
             if peer == dst and self._usable(self.links[slot >> 1]):
-                hops = [self._channel(slot, src, peer)]
+                hops = [self._channel(slot, peer)]
                 self._route_cache[(src, dst)] = (self.epoch, hops)
                 return hops
         # BFS from dst so the distance field guides a greedy walk from src.
@@ -233,7 +232,7 @@ class Topology:
             nxt: list[int] = []
             for cur in frontier:
                 d = dist[cur]
-                for peer, _lid, slot in self._adj[cur]:
+                for peer, slot in self._adj[cur]:
                     if peer not in dist and self._usable(self.links[slot >> 1]):
                         dist[peer] = d + 1
                         nxt.append(peer)
@@ -244,12 +243,12 @@ class Topology:
         cur = src
         while cur != dst:
             want = dist[cur] - 1
-            for peer, _lid, slot in self._adj[cur]:  # already (peer, link id) sorted
+            for peer, slot in self._adj[cur]:  # already (peer, link id) sorted
                 if dist.get(peer, -2) == want and self._usable(self.links[slot >> 1]):
                     break
             else:  # pragma: no cover - guarded by dist reachability
                 raise Unreachable(f"no path {src} -> {dst}")
-            hops.append(self._channel(slot, cur, peer))
+            hops.append(self._channel(slot, peer))
             cur = peer
         self._route_cache[(src, dst)] = (self.epoch, hops)
         return hops
@@ -321,6 +320,7 @@ class NetworkService:
         if now > free_at or (now == free_at and self.engine.seq_now >= chan.dep_seq):
             # Idle transmitter (not `_serving`): the one place where a frame starts.
             done = now - (-frame.total_bytes * 8 * SEC // link.rate_bps)  # now + tx_ticks(...)
+            frame.failures = self.topology.failures[link.id]
             chan.frame = frame
             chan.free_at = done
             chan.departs = False
@@ -329,8 +329,7 @@ class NetworkService:
                 self._depart(chan)  # loss is drawn at the departure instant
                 return
             chan.dep_seq = self.engine.reserve_then_schedule(
-                done + link.prop_delay_ns, _FRAME_ARRIVAL,
-                (chan, frame, self.topology.failures[link.id]))
+                done + link.prop_delay_ns, _FRAME_ARRIVAL, frame)
             if chan.queue is not None and chan.queue.occupancy:
                 self._depart(chan)  # the departure serves the queue
             return
@@ -353,34 +352,31 @@ class NetworkService:
         chan.frame = None
         chan.free_at = chan.dep_seq = -1
         link = chan.link
-        if chan.cut:
-            # The link or the transmitting node failed mid-serialization.
-            chan.cut = False
-            frame.hops = None  # so that an arrival already scheduled is ignored
+        if frame.hops is None:
+            # Cut: the link or the transmitting node failed mid-serialization.
             self.on_drop(frame, "fault", now)
         elif link.loss_prob > 0.0:
             if self.stream(f"loss:{frame.flow.id}").bernoulli(link.loss_prob):
                 self.on_drop(frame, "loss", now)
             else:
-                self.engine.schedule_at(now + link.prop_delay_ns, seq + 1, _FRAME_ARRIVAL,
-                                        (chan, frame, self.topology.failures[link.id]))
+                self.engine.schedule_at(now + link.prop_delay_ns, seq + 1, _FRAME_ARRIVAL, frame)
         if chan.queue is not None and self.topology.link_up[link.id]:
             nxt = chan.queue.pop()
             if nxt is not None:
                 self._enqueue(chan, nxt, now)  # released above, so it starts at once
 
-    def _on_arrival(self, flight: tuple[Channel, Frame, int], now: int) -> None:
-        chan, frame, failures = flight
+    def _on_arrival(self, frame: Frame, now: int) -> None:
+        hops = frame.hops
+        if hops is None:
+            return  # cut in service, and dropped at its departure instant
+        chan = hops[frame.idx]
         if chan.frame is frame:
             # Served without a departure event: release it, as `_on_departure` does.
             chan.frame = None
             chan.free_at = chan.dep_seq = -1
-        hops = frame.hops
-        if hops is None:
-            return  # cut in service, and dropped at its departure instant
         topology = self.topology
-        if topology.failures[chan.link.id] != failures:
-            # The carrying link failed while the frame was in flight.
+        if topology.failures[chan.link.id] != frame.failures:
+            # The carrying link failed in flight (a failure in service cut the frame).
             self.on_drop(frame, "fault", now)
             return
         here = chan.dst
@@ -409,17 +405,18 @@ class NetworkService:
 
     # --- fault application -------------------------------------------------
 
-    def fail_link(self, link: Link, now: int) -> int:
+    def fail_link(self, link: Link, now: int) -> None:
         """Take a link down; queued frames drop, the in-service and in-flight
         frames drop at their departure/arrival instants, even if the link
-        recovers first. Returns drop count."""
+        recovers first."""
         topology = self.topology
         topology.link_up[link.id] = False
         topology.failures[link.id] += 1
         topology.bump_epoch()
         slot = 2 * link.id  # its channel out of its a end, then out of its b end
-        return sum(self._cut(chan, now) for chan in topology._channels[slot:slot + 2]
-                   if chan is not None)
+        for chan in topology._channels[slot:slot + 2]:
+            if chan is not None:
+                self._cut(chan, now)
 
     def recover_link(self, link: Link, now: int) -> None:
         self.topology.link_up[link.id] = True
@@ -434,16 +431,15 @@ class NetworkService:
         for chan in self.topology.built(node.id):
             self._cut(chan, now)
 
-    def _cut(self, chan: Channel, now: int) -> int:
-        """Mark the frame in service to drop at its departure; drop the queue now.
-        Returns how many queued frames dropped."""
+    def _cut(self, chan: Channel, now: int) -> None:
+        """Cut the frame in service, to drop at its departure; drop the queue now.
+        A cut frame has no `hops` from this instant, so its arrival is ignored."""
         if self._serving(chan, now):
-            chan.cut = True
+            chan.frame.hops = None
             self._depart(chan)
-        frames = chan.queue.drain() if chan.queue is not None else []
-        for frame in frames:
-            self.on_drop(frame, "fault", now)
-        return len(frames)
+        if chan.queue is not None:
+            for frame in chan.queue.drain():
+                self.on_drop(frame, "fault", now)
 
     def recover_node(self, node: Node, now: int) -> None:
         self.topology.node_up[node.id] = True

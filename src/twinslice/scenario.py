@@ -353,7 +353,7 @@ def scenario_from_dict(data: dict, digest: str = "", fallback_name: str = "scena
             errors.append(f"contracts.{key}: unknown slice (expected one of {sorted(c.value for c in SliceClass)})")
             continue
         path = f"contracts.{key}"
-        _apply_contract(contracts[cls], _mapping(cfg, path, errors), path, errors)
+        _apply_contract(contracts[cls], cls, _mapping(cfg, path, errors), path, errors)
 
     # --- twins --------------------------------------------------------------
     twins = _parse_twins(data.get("twins", []), errors)
@@ -409,15 +409,23 @@ def _parse_stack(cfg: dict, errors: list[str]) -> StackProfile:
     return StackProfile(setup_latency_ns=setup_ns, **fields)
 
 
-def _apply_contract(contract: QosContract, cfg: dict, path: str, errors: list[str]) -> None:
+# Bounds that `check_sla` judges for one slice only, and that slice.
+_ONE_SLICE_BOUNDS = {"min_rate": SliceClass.FEMBB, "max_energy_per_msg": SliceClass.ELPC}
+
+
+def _apply_contract(contract: QosContract, cls: SliceClass, cfg: dict, path: str,
+                    errors: list[str]) -> None:
     for key, value in cfg.items():
-        if key == "min_rate":
+        judged = _ONE_SLICE_BOUNDS.get(key)
+        if judged is not None and cls is not judged:
+            errors.append(f"{path}.{key}: only the {judged.value} verdict reads this bound")
+        elif key == "min_rate":
             v = _quantity(value, parse_rate, f"{path}.min_rate", errors, positive=False)
             if v is not None:
                 contract.min_rate_bps = v
         elif key == "max_e2e_delay":
             contract.max_e2e_delay_ns = None if value is None else _quantity(
-                value, parse_duration, f"{path}.max_e2e_delay", errors, positive=False)
+                value, parse_duration, f"{path}.max_e2e_delay", errors)
         elif key == "max_loss":
             if value is None:
                 contract.max_loss = None
@@ -751,7 +759,7 @@ def _parse_fleet(item: dict, wid: str, nodes: list[Node], links: list[Link],
 
     spec = WearableFleetSpec(
         id=wid, edges=edges, period_ns=period, payload_bytes=payload, stagger=stagger,
-        poisson=poisson, twin_prefix=prefix, vitals=vitals, alerts=alerts,
+        poisson=poisson, vitals=vitals, alerts=alerts,
     )
     # Expansion: one device node, one access link, and one individual twin per
     # member, appended after the explicit ids so those stay dense and stable.
@@ -762,7 +770,7 @@ def _parse_fleet(item: dict, wid: str, nodes: list[Node], links: list[Link],
         edge = spec.edges[i % len(spec.edges)]
         nodes.append(Node(nid, device))
         links.append(Link(lid, nid, edge, link_rate, link_prop, 0.0, link_cap))
-        twin_id = f"{spec.twin_prefix}_{i}"
+        twin_id = f"{prefix}_{i}"
         twins.append(TwinSpec(
             id=twin_id, level=individual, host=edge, entity=nid,
             sync_period=period, vitals=vitals, alerts=alerts,

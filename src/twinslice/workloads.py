@@ -106,7 +106,6 @@ class WearableFleetSpec(WorkloadSpec):
     payload_bytes: int
     stagger: bool = True
     poisson: bool = False
-    twin_prefix: str = "wearable"
     vitals: list[VitalSpec] = field(default_factory=list)
     alerts: list[tuple[str, float]] = field(default_factory=list)
     # filled during expansion: (device_node, twin_id) per fleet member
@@ -130,6 +129,7 @@ class Source:
     fire(arg, now): arg is the emission index of a single-flow source and
     the member index of a fleet. `fire` and every other callee a source
     schedules are bound once in `__init__`, so an event costs one tuple;
+    `period`, the spec's emission period, is read there once too, and
     `build` computes `_span`, the length of its emission window, once.
     """
 
@@ -138,6 +138,7 @@ class Source:
     def __init__(self, sim: Any, spec: WorkloadSpec, fire: Callable[[int, int], None]) -> None:
         self.sim = sim
         self.spec = spec
+        self.period: int = spec.period_ns
         self.flows: list[Flow] = []
         self._fire = fire
 
@@ -176,7 +177,6 @@ class StreamGen(Source):
 
     def __init__(self, sim: Any, spec: TelemedicineStreamSpec) -> None:
         super().__init__(sim, spec, self.emit)
-        self.period = spec.period_ns
         self.flow = self._flow(spec.id, SliceClass.FEMBB, spec.src, spec.dst, spec.bitrate_bps,
                                spec.frame_bytes)
 
@@ -195,7 +195,6 @@ class SurgeryGen(Source):
 
     def __init__(self, sim: Any, spec: SurgeryLoopSpec) -> None:
         super().__init__(sim, spec, self.emit)
-        self.period = spec.period_ns
         demand = spec.cmd_rate * spec.cmd_bytes * 8
         self.flow = self._flow(spec.id, SliceClass.ERLLC, spec.src, spec.dst, demand, spec.cmd_bytes)
         self.ack_flow = self._flow(f"{spec.id}.ack", SliceClass.ERLLC, spec.dst, spec.src, demand,
@@ -248,7 +247,6 @@ class AmbulanceGen(Source):
     def __init__(self, sim: Any, spec: AmbulanceRunSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
         self.twin = sim.twins[spec.twin_id]
-        self.tele_period = spec.period_ns
         demand = spec.telemetry_rate * spec.payload_bytes * 8
         self.flow = self._flow(spec.id, SliceClass.LDHMC, spec.device, self.twin.host, demand,
                                spec.payload_bytes)
@@ -279,7 +277,7 @@ class AmbulanceGen(Source):
     def sync_emit(self, k: int, now: int) -> None:
         vitals = self.sim.sample_vitals(self.twin, self.flow, now)
         self.sim.send(self.flow, self.spec.payload_bytes, now, vitals, inject=self._inject)
-        self._again(k + 1, (k + 1) * self.tele_period)
+        self._again(k + 1, (k + 1) * self.period)
 
     def inject(self, frame: Frame, now: int) -> None:
         """Hand a frame to the network, or park it on the vehicle while detached."""
@@ -305,7 +303,7 @@ class AmbulanceGen(Source):
             # retry at the same instant would never let the clock reach a recovery.
             self.deferred += 1
             nxt = min(k + 1, len(self.spec.edge_sequence) - 1)
-            retry = self.spec.handover_gap_ns or self.tele_period
+            retry = self.spec.handover_gap_ns or self.period
             self.sim.engine.schedule(now + retry, _HANDOVER, (self._handover, (nxt, True)))
             return
         self.sim.topology.set_attachment(self.spec.device, target)
@@ -344,7 +342,7 @@ class WearableFleetGen(Source):
 
     def __init__(self, sim: Any, spec: WearableFleetSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
-        demand = periodic_demand(spec.payload_bytes, spec.period_ns)
+        demand = periodic_demand(spec.payload_bytes, self.period)
         for i, (device, twin_id) in enumerate(spec.members):
             self._flow(f"{spec.id}.{i}", _UMMTC, device, sim.twins[twin_id].host, demand,
                        spec.payload_bytes)
@@ -362,8 +360,7 @@ class WearableFleetGen(Source):
                 flow.id for flow in self.flows if flow.admitted])
 
     def schedule_start(self) -> None:
-        n = len(self.flows)
-        period = self.spec.period_ns
+        n, period = len(self.flows), self.period
         for i, flow in enumerate(self.flows):
             if not flow.admitted:
                 continue
@@ -394,10 +391,10 @@ class WearableFleetGen(Source):
         vitals = self.sim.sample_vitals(twin, flow, now)
         self.sim.send(flow, self.spec.payload_bytes, now, vitals)
         if self.spec.poisson:
-            gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
+            gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.period)
             self._again(i, now - self.spec.start + gap)
         else:
-            self._queue(i, now - self.spec.start + self.spec.period_ns)
+            self._queue(i, now - self.spec.start + self.period)
 
     def report(self) -> dict:
         return {
@@ -416,7 +413,7 @@ class BeaconGen(Source):
     def __init__(self, sim: Any, spec: ImplantBeaconSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
         self.twin = sim.twins[spec.twin_id]
-        demand = periodic_demand(spec.payload_bytes, spec.period_ns)
+        demand = periodic_demand(spec.payload_bytes, self.period)
         self.flow = self._flow(spec.id, SliceClass.ELPC, spec.device, self.twin.host, demand,
                                spec.payload_bytes)
         self.halted = False
@@ -429,7 +426,7 @@ class BeaconGen(Source):
         vitals = self.sim.sample_vitals(self.twin, self.flow, now)
         self.sim.send(self.flow, self.spec.payload_bytes, now, vitals,
                       energy_nj=self.spec.energy_per_tx_nj)
-        self._again(k + 1, (k + 1) * self.spec.period_ns)
+        self._again(k + 1, (k + 1) * self.period)
 
     def report(self) -> dict:
         return {

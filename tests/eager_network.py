@@ -11,7 +11,8 @@ in the same-instant order when its serialization begins; this oracle, by
 default, places it when the frame departs. `reserve_arrival=True` switches
 the oracle to the package's rule, and then nothing else separates the two.
 Swap it in for `twinslice.sim.NetworkService` to run a whole scenario on it.
-`channel` finds a channel by its link and the end it leaves from.
+`channel` finds a channel by its link and the end it leaves from, and
+`source` names the end a channel leaves from.
 """
 
 from unittest import mock
@@ -25,10 +26,15 @@ from twinslice.slices import LinkQueue
 
 def channel(topology, link_id, src):
     """The channel of link `link_id` out of node `src`, built if no route took it yet."""
-    for peer, lid, slot in topology._adj[src]:
-        if lid == link_id:
-            return topology._channel(slot, src, peer)
+    for peer, slot in topology._adj[src]:
+        if slot >> 1 == link_id:
+            return topology._channel(slot, peer)
     raise ValueError(f"node {src} is not an end of link {link_id}")
+
+
+def source(chan):
+    """The node `chan` leaves from: the end of its link that is not `dst`."""
+    return chan.link.a + chan.link.b - chan.dst
 
 
 class EagerNetworkService:
@@ -136,17 +142,15 @@ class EagerNetworkService:
     def _fail_channel(self, chan, now):
         if chan in self.busy:
             self.cut.add(chan)
-        dropped = self._queue(chan).drain()
-        for frame in dropped:
+        for frame in self._queue(chan).drain():
             self.on_drop(frame, "fault", now)
-        return len(dropped)
 
     def fail_link(self, link, now):
         self.topology.link_up[link.id] = False
         self.topology.failures[link.id] += 1
         self.topology.bump_epoch()
-        return sum(self._fail_channel(channel(self.topology, link.id, src), now)
-                   for src in (link.a, link.b))
+        for src in (link.a, link.b):
+            self._fail_channel(channel(self.topology, link.id, src), now)
 
     def recover_link(self, link, now):
         self.topology.link_up[link.id] = True
@@ -155,8 +159,8 @@ class EagerNetworkService:
     def fail_node(self, node, now):
         self.topology.node_up[node.id] = False
         self.topology.bump_epoch()
-        for _peer, lid, _slot in self.topology._adj[node.id]:
-            self._fail_channel(channel(self.topology, lid, node.id), now)
+        for _peer, slot in self.topology._adj[node.id]:
+            self._fail_channel(channel(self.topology, slot >> 1, node.id), now)
 
     def recover_node(self, node, now):
         self.topology.node_up[node.id] = True

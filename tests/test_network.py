@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_network import EagerNetworkService, channel, outcome, run_with
+from eager_network import EagerNetworkService, channel, outcome, run_with, source
 from twinslice.engine import Engine, EventKind, MS, SEC, US, fork_rng
 from twinslice.network import (
     Channel,
@@ -193,12 +193,12 @@ class TestRouting:
     def test_two_hop_device_to_core(self):
         topo = star()
         hops = topo.route(3, 0)
-        assert [(h.src, h.dst) for h in hops] == [(3, 1), (1, 0)]
+        assert [(source(h), h.dst) for h in hops] == [(3, 1), (1, 0)]
 
     def test_full_path_device_to_device(self):
         topo = star()
         hops = topo.route(3, 4)
-        assert [(h.src, h.dst) for h in hops] == [(3, 1), (1, 0), (0, 2), (2, 4)]
+        assert [(source(h), h.dst) for h in hops] == [(3, 1), (1, 0), (0, 2), (2, 4)]
 
     def test_tie_breaks_to_lowest_node_then_link(self):
         # 0 -- {1,2} -- 3 diamond: equal cost via 1 or 2 -> choose node 1.
@@ -209,7 +209,7 @@ class TestRouting:
         ]
         topo = Topology(nodes, links)
         hops = topo.route(0, 3)
-        assert [(h.src, h.dst) for h in hops] == [(0, 1), (1, 3)]
+        assert [(source(h), h.dst) for h in hops] == [(0, 1), (1, 3)]
         # Parallel links between one pair -> lowest link id, from either end.
         nodes2 = mknodes("core", "edge")
         links2 = [Link(0, 1, 0, 1, 0), Link(1, 0, 1, 1, 0)]
@@ -239,7 +239,7 @@ class TestRouting:
         topo.node_up[1] = False
         topo.bump_epoch()
         hops = topo.route(0, 3)
-        assert [(h.src, h.dst) for h in hops] == [(0, 2), (2, 3)]
+        assert [(source(h), h.dst) for h in hops] == [(0, 2), (2, 3)]
 
     def test_cache_invalidated_by_epoch(self):
         topo = star()
@@ -248,7 +248,7 @@ class TestRouting:
         topo.bump_epoch()
         again = topo.route(3, 0)
         assert again is not first
-        assert [(h.src, h.dst) for h in again] == [(3, 1), (1, 0)]
+        assert [(source(h), h.dst) for h in again] == [(3, 1), (1, 0)]
 
     def test_down_endpoint_raises(self):
         topo = star()
@@ -276,10 +276,10 @@ class TestRouting:
 
         for link in topo.links:
             there, back = channel(topo, link.id, link.a), channel(topo, link.id, link.b)
-            assert (there.src, there.dst) == (back.dst, back.src) == (link.a, link.b)
+            assert (source(there), there.dst) == (back.dst, source(back)) == (link.a, link.b)
             for chan in (there, back):
-                want = (topo.link_up[link.id] and may_send(chan.src, chan.dst)
-                        and may_send(chan.dst, chan.src))
+                want = (topo.link_up[link.id] and may_send(source(chan), chan.dst)
+                        and may_send(chan.dst, source(chan)))
                 assert topo._usable(chan.link) == want
 
 
@@ -382,6 +382,20 @@ class TestTransport:
         chan = channel(h.net.topology, 0, 1)
         assert chan.frame is None
         assert not h.net._serving(chan, h.engine.now)
+
+    def test_an_arrival_carries_its_frame_and_a_cut_clears_its_hops(self):
+        # One marker per fact: the frame crossing a hop is the arrival's whole
+        # payload, and a cut frame has no hops from the instant of the cut.
+        topo = star()
+        h = Harness(topo)
+        f = frame(3, 1, total=1000)
+        h.net.inject(f, 0)
+        chan = f.hops[0]
+        assert [payload for *_, payload in h.engine._heap] == [f]  # its arrival at 90 us
+        h.net.fail_link(topo.links[2], 1)
+        assert f.hops is None and chan.frame is f and not h.dropped  # dropped at its departure
+        h.engine.run_until(10**9)
+        assert self.outcomes(h) == ([], [("fault", 80_000)]) and chan.frame is None
 
     def outcomes(self, h):
         return ([at for _f, at in h.delivered], [(c, t) for _f, c, t in h.dropped])
@@ -577,10 +591,18 @@ class TestIdleChannels:
             tracemalloc.stop()
         assert traced / (2 * len(topo.links)) < 1024  # bytes per channel
 
+    def test_a_channel_and_an_adjacency_entry_store_no_derived_fact(self):
+        # A channel's source is the end of its link that is not `dst`, and a
+        # slot names its link (`slot >> 1`).
+        assert Channel.__slots__ == ("link", "dst", "queue", "frame", "free_at", "dep_seq",
+                                     "departs")
+        assert {len(entry) for out in star()._adj for entry in out} == {2}
+
     def test_failing_idle_link_drops_nothing(self):
         topo = star()
         h = Harness(topo)
-        assert h.net.fail_link(topo.links[2], 0) == 0
+        h.net.fail_link(topo.links[2], 0)
+        assert not h.dropped
         h.net.recover_link(topo.links[2], 10)
         h.net.inject(frame(3, 1), 20)
         h.engine.run_until(10**9)
@@ -633,7 +655,7 @@ class TestLazyChannels:
         # 200 uplinks and two edge-to-core channels of the 2 * 203 there are.
         built = self.built(topo)
         edge_of = {n.id: topo.attached[n.id] for n in topo.nodes if n.kind is NodeKind.DEVICE}
-        assert sorted((c.src, c.dst) for c in built) == sorted(
+        assert sorted((source(c), c.dst) for c in built) == sorted(
             [(1, 0), (2, 0)] + list(edge_of.items()))
         assert len(topo._channels) == 2 * 203
         # Every admitted route holds the one built channel of each of its hops.
@@ -662,12 +684,18 @@ class TestLazyChannels:
         before, pending, now = list(topo._channels), engine.pending(), engine.now
         spare, edge = topo.links[2], topo.nodes[3]
         assert len(self.built(topo)) == 22 and before[4] is before[5] is None  # the spare's slots
+
+        def fault_drops():
+            return sum(flow.stats.dropped_fault for flow in sim.flows.values())
+
+        dropped = fault_drops()
         if fault == "link":
-            assert net.fail_link(spare, now) == 0
+            net.fail_link(spare, now)
             net.recover_link(spare, now + 10)
         else:
             net.fail_node(edge, now)
             net.recover_node(edge, now + 10)
+        assert fault_drops() == dropped
         assert topo._channels == before and engine.pending() == pending
         # After recovery the spare link carries frames as an untouched one does.
         probe, delivered = frame(3, 0, total=1000), []
@@ -675,7 +703,7 @@ class TestLazyChannels:
         net.inject(probe, now + 20)
         engine.run_until(now + 10 * MS)
         assert delivered == [20 + tx_ticks(1000, 10**10) + 50 * US]
-        assert [(c.src, c.dst) for c in topo._channels[4:6] if c is not None] == [(3, 0)]
+        assert [(source(c), c.dst) for c in topo._channels[4:6] if c is not None] == [(3, 0)]
 
     def test_a_channel_out_of_a_node_that_is_not_an_end_is_refused(self):
         topo = star()
@@ -684,7 +712,7 @@ class TestLazyChannels:
         with pytest.raises(ValueError, match="node 3 is not an end of link 7"):
             channel(topo, 7, 3)
         assert self.built(topo) == []
-        assert (channel(topo, 2, 3).src, channel(topo, 2, 1).src) == (3, 1)
+        assert (source(channel(topo, 2, 3)), source(channel(topo, 2, 1))) == (3, 1)
 
 
 class TestConservation:

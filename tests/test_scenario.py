@@ -4,6 +4,7 @@ import hashlib
 import math
 
 import pytest
+import yaml
 
 from twinslice.engine import MS
 from twinslice.network import NodeKind
@@ -200,6 +201,23 @@ class TestContracts:
     def test_null_clears_a_dimension(self):
         doc = base_doc(contracts={"FeMBB": {"max_e2e_delay": None}})
         assert scenario_from_dict(doc).contracts[SliceClass.FEMBB].max_e2e_delay_ns is None
+
+    def test_a_zero_delay_bound_is_one_error_at_its_path(self, scenario_dir):
+        # A 0 ns bound once loaded and refused every flow of its slice as
+        # `delay`, so the slice read no-data and the run exited 0.
+        doc = yaml.safe_load((scenario_dir / "surgery.scn").read_text())
+        doc["contracts"]["ERLLC"]["max_e2e_delay"] = 0
+        assert errors_of(doc) == ["contracts.ERLLC.max_e2e_delay: must be positive"]
+
+    @pytest.mark.parametrize("key, value, judged", [
+        ("min_rate", "1mbps", SliceClass.FEMBB), ("max_energy_per_msg", "100nj", SliceClass.ELPC)])
+    def test_a_bound_no_verdict_of_the_slice_reads_is_one_error(self, key, value, judged):
+        # `check_sla` judges this bound for one slice only (every_quantity_doc
+        # sets it there); on any other slice it once loaded and never counted.
+        for cls in SliceClass:
+            if cls is not judged:
+                assert errors_of(base_doc(contracts={cls.value: {key: value}})) == [
+                    f"contracts.{cls.value}.{key}: only the {judged.value} verdict reads this bound"]
 
     def test_unknown_slice_and_field(self):
         errs = errors_of(base_doc(contracts={"XRLLC": {}, "ERLLC": {"max_jitter": 1}}))
@@ -701,7 +719,7 @@ SIGN_RULES = [
     (("run", "t_end"), "run.t_end", True),
     (("stack", "setup_latency"), "stack.setup_latency", False),
     (("contracts", "FeMBB", "min_rate"), "contracts.FeMBB.min_rate", False),
-    (("contracts", "FeMBB", "max_e2e_delay"), "contracts.FeMBB.max_e2e_delay", False),
+    (("contracts", "FeMBB", "max_e2e_delay"), "contracts.FeMBB.max_e2e_delay", True),
     (("contracts", "ELPC", "max_energy_per_msg"), "contracts.ELPC.max_energy_per_msg", False),
     # The last link: a link that fails to load leaves the ids before it dense.
     (("links", 6, "rate"), "links[6].rate", True),

@@ -174,7 +174,9 @@ class TestGeneratedScenarios:
 
 def counted_run(service, scn, **kw):
     """Run `scn` on `service`, counting the departures and arrivals it handles,
-    the arrivals that find their frame cut (`hops is None`), and the rest."""
+    the arrivals that find their frame cut (`hops is None`), and the rest. The
+    package's arrival carries its frame, the eager oracle's (channel, frame,
+    failure count)."""
     counts = Counter()
     on_departure, on_arrival = service._on_departure, service._on_arrival
 
@@ -184,7 +186,8 @@ def counted_run(service, scn, **kw):
 
     def arrival(self, flight, now):
         counts["arrivals"] += 1
-        counts["cut"] += flight[1].hops is None
+        frame = flight[1] if isinstance(flight, tuple) else flight
+        counts["cut"] += frame.hops is None
         on_arrival(self, flight, now)
 
     with mock.patch.object(service, "_on_departure", departure), \
