@@ -18,6 +18,12 @@ A change that adds long-lived objects can move a full collection into a
 phase that a benchmark bound meters, while a direct timing shows nothing,
 so run this on the parent and on the change. Run it from the root of a
 checkout; it imports `src/` and `perfbench/` and changes neither.
+
+    python3 scripts/gc_phases.py --workload fleet --seeds 3 4 --expect 3/1/0/1
+
+`--expect S/R/P/A` gives the counts each seed must show in setup, run,
+report and after; the script names each seed and phase that differs, on
+stderr, and exits 1.
 """
 
 from __future__ import annotations
@@ -91,10 +97,20 @@ def one_seed(workload: str, seed: int) -> dict:
             "peak_rss_mb": record["peak_rss_mb"]}
 
 
+def expected_counts(text: str) -> dict[str, int]:
+    """`S/R/P/A` as the counts it expects per phase."""
+    cells = text.split("/")
+    if len(cells) != 4 or not all(c.isdigit() for c in cells):
+        raise argparse.ArgumentTypeError(f"want four counts as S/R/P/A, not {text!r}")
+    return dict(zip(("setup", "run", "report", "after"), map(int, cells)))
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", default="fleet", choices=("fleet", "contended", "sweep"))
     ap.add_argument("--seeds", type=int, nargs="+", default=[3, 4])
+    ap.add_argument("--expect", type=expected_counts, metavar="S/R/P/A",
+                    help="exit 1 unless each seed shows these setup/run/report/after counts")
     ap.add_argument("--one", type=int, help=argparse.SUPPRESS)  # the per-seed child process
     args = ap.parse_args(argv)
     if args.one is not None:
@@ -120,6 +136,11 @@ def main(argv: list[str] | None = None) -> int:
               + " " + " ".join(f"{row['ms'][c]:>9.1f}" for c in COLUMNS)
               + f" {row['young_ms']:>9.1f} {row['report_s']:>9.3f} {row['run_s']:>7.3f}"
               + f" {row['peak_rss_mb']:>12.1f}")
+        for phase, want in (args.expect or {}).items():
+            if row[phase] != want:
+                print(f"seed {seed}: {row[phase]} full collections in {phase}, expected {want}",
+                      file=sys.stderr)
+                status = 1
     return status
 
 

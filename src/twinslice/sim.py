@@ -194,7 +194,9 @@ class Simulation:
     def sample_vitals(self, twin: Twin, flow: Flow, now: int) -> tuple:
         """Delivery content for `twin`'s next vitals, which its one source sends next on `flow`."""
         version = flow.stats.sent + 1  # the source's emission count, this emission included
-        rng = self.stream(f"vitals:{twin.id}")
+        rng = twin.vitals_stream
+        if rng is None:
+            rng = twin.vitals_stream = self.stream(f"vitals:{twin.id}")
         deltas = [(spec.name, rng.normal(spec.mean, spec.sd), version, now) for spec in twin.vitals]
         return (self.deliver_sync, (twin, deltas))
 
@@ -215,7 +217,8 @@ class Simulation:
                     if self.topology.node_up[child.host]:
                         child_states.append(twin.child_cache.get(child_id, {}))
             twin.aggregate(child_states, now)
-            self._escalate(twin, twin.check_alerts(), now)
+            if twin.alert_rules:
+                self._escalate(twin, twin.check_alerts(), now)
         self.engine.schedule(now + twin.aggregation_period, _AGGREGATION_DUE, twin)
 
     def _twin_push(self, twin: Twin, now: int) -> None:
@@ -240,14 +243,17 @@ class Simulation:
         stats.delivered += 1
         stats.hist.add(now - frame.created_at)
         stats.payload_bits += frame.payload_bytes * 8
-        if frame.content is not None:
-            _call(frame.content, now)
+        content = frame.content
+        if content is not None:
+            callee, arg = content
+            callee(arg, now)
 
     def _deliver_sync(self, landed: tuple[Twin, list[Delta]], now: int) -> None:
-        """Vitals or a child's alerts reach a twin's own state; check its rules."""
+        """Vitals or a child's alerts reach a twin's own state; check its rules, if it has any."""
         twin, deltas = landed
         twin.apply_sync(deltas, now)
-        self._escalate(twin, twin.check_alerts(), now)
+        if twin.alert_rules:
+            self._escalate(twin, twin.check_alerts(), now)
 
     def _deliver_push(self, pushed: tuple[Twin, list[Delta]], now: int) -> None:
         """A child's summary lands in its parent's child cache, which no alert rule reads."""

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:
+    from .engine import RngStream
     from .scenario import TwinSpec
     from .slices import Flow
 
@@ -121,6 +122,7 @@ class Twin:
         self.alert_versions: dict[str, int] = {}  # per alerting metric
         self.push_flow: Optional[Flow] = None  # global edge twins: deltas to the core
         self.alert_flow: Optional[Flow] = None  # opened by the first escalation
+        self.vitals_stream: Optional[RngStream] = None  # `vitals:<id>`, held from its first draw
 
     def apply_sync(self, deltas: list[Delta], now: int, child: Optional[str] = None) -> None:
         """Apply newer-versioned deltas; stale ones are ignored.
@@ -134,12 +136,13 @@ class Twin:
         target = self.state if own else self.child_cache.setdefault(child, {})
         for metric, value, version, observed_at in deltas:
             cur = target.get(metric)
-            if cur is not None:
-                if version <= cur.version:
-                    continue
+            if cur is None:
+                target[metric] = MetricSample(value, version, observed_at)
+            elif version > cur.version:
                 if own:
                     self._note_age(metric, now - cur.observed_at)
-            target[metric] = MetricSample(value, version, observed_at)
+                # In place: no other slot holds this sample.
+                cur.value, cur.version, cur.observed_at = value, version, observed_at
 
     def _note_age(self, metric: str, age: int) -> None:
         if age > self.staleness_max.get(metric, -1):

@@ -14,10 +14,11 @@ from collections import deque
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Callable, Optional
 
-from .engine import EventKind, SEC
+from .engine import EventKind, RngStream, SEC
 from .metrics import DelayHistogram
 from .network import Frame
 from .slices import Flow, SliceClass, periodic_demand
+from .twins import Twin
 
 DEFAULT_HANDOVER_GAP = 10_000_000  # 10 ms
 # Read once: on CPython 3.11 a member read through its class costs about 112 ns.
@@ -343,9 +344,15 @@ class WearableFleetGen(Source):
     def __init__(self, sim: Any, spec: WearableFleetSpec) -> None:
         super().__init__(sim, spec, self.sync_emit)
         demand = periodic_demand(spec.payload_bytes, self.period)
+        # Member i's (flow, twin), looked up once: an emission reads only this table.
+        self._members: list[tuple[Flow, Twin]] = []
         for i, (device, twin_id) in enumerate(spec.members):
-            self._flow(f"{spec.id}.{i}", _UMMTC, device, sim.twins[twin_id].host, demand,
-                       spec.payload_bytes)
+            twin = sim.twins[twin_id]
+            flow = self._flow(f"{spec.id}.{i}", _UMMTC, device, twin.host, demand,
+                              spec.payload_bytes)
+            self._members.append((flow, twin))
+        # A Poisson member's `arrivals:` stream, held from its first draw on.
+        self._arrivals: list[Optional[RngStream]] = []
         self._due: deque[tuple[int, int, int]] = deque()
         self._fire_head = self.fire_head
 
@@ -361,11 +368,14 @@ class WearableFleetGen(Source):
 
     def schedule_start(self) -> None:
         n, period = len(self.flows), self.period
+        if self.spec.poisson:
+            self._arrivals = [None] * n
         for i, flow in enumerate(self.flows):
             if not flow.admitted:
                 continue
             if self.spec.poisson:
-                self._again(i, self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(period))
+                rng = self._arrivals[i] = self.sim.stream(f"arrivals:{flow.id}")
+                self._again(i, rng.exponential_ticks(period))
             else:
                 self._queue(i, (i * period) // n if self.spec.stagger else 0)
         self._push_head()
@@ -386,12 +396,11 @@ class WearableFleetGen(Source):
         self._push_head()
 
     def sync_emit(self, i: int, now: int) -> None:
-        flow = self.flows[i]
-        twin = self.sim.twins[self.spec.members[i][1]]
+        flow, twin = self._members[i]
         vitals = self.sim.sample_vitals(twin, flow, now)
         self.sim.send(flow, self.spec.payload_bytes, now, vitals)
         if self.spec.poisson:
-            gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.period)
+            gap = self._arrivals[i].exponential_ticks(self.period)
             self._again(i, now - self.spec.start + gap)
         else:
             self._queue(i, now - self.spec.start + self.period)

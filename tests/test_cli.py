@@ -46,6 +46,13 @@ workloads:
 LOSSY = CLEAN.replace("name: clean", "name: lossy").replace(
     "rate: 100mbps, prop_delay: 10us", "rate: 100mbps, prop_delay: 10us, loss: 0.5")
 
+# A Poisson fleet beside the beacon: its members hold their `arrivals:` and
+# `vitals:` streams once drawn.
+POISSON = CLEAN.replace("name: clean", "name: poisson") + """\
+  - {kind: wearable_fleet, id: fl, edges: [1], n_devices: 3, period: 50ms, payload: 100,
+     poisson: true, twin_prefix: dev, metrics: [{name: hr, mean: 70, sd: 2}]}
+"""
+
 BROKEN = """\
 name: broken
 run: {master_seed: -1}
@@ -417,17 +424,24 @@ class TestSweep:
         assert summary["verdicts"]["ELPC"] == {"met": 2}
 
     @pytest.mark.parametrize("name, until", [
-        ("clean", None), ("ambulance.scn", None), ("ambulance_single.scn", None),
-        ("ambulance_single.scn", "40500ms"), ("ambulance_single.scn", "20000040us")])
+        ("clean", None), ("poisson", None), ("ward.scn", None), ("ambulance.scn", None),
+        ("ambulance_single.scn", None), ("ambulance_single.scn", "40500ms"),
+        ("ambulance_single.scn", "20000040us")])
     def test_identical_seeds_reproduce_identical_reports(self, name, until, clean_scn,
-                                                         scenario_dir, capsys):
+                                                         scenario_dir, tmp_path, capsys):
         # The seeds of a sweep share the loaded records: a run that left state
         # in them or beside them (a node fault and handovers in ambulance.scn,
-        # a link fault in ambulance_single.scn) would show in the next seed's
-        # report, and against a run of a fresh load. Both faults recover before
-        # the scenario's horizon; cut at 40.5 s the run ends with its link down,
-        # and cut at 20.00004 s with a frame on the wire.
-        path = clean_scn if name == "clean" else scenario_dir / name
+        # a link fault in ambulance_single.scn, a held stream or member table
+        # on a twin, fleet or vital record in ward.scn and the Poisson fleet)
+        # would show in the next seed's report, and against a run of a fresh
+        # load. Both faults recover before the scenario's horizon; cut at 40.5 s
+        # the run ends with its link down, and cut at 20.00004 s with a frame
+        # on the wire.
+        if name == "poisson":
+            path = tmp_path / "poisson.scn"
+            path.write_text(POISSON)
+        else:
+            path = clean_scn if name == "clean" else scenario_dir / name
         t_end = None if until is None else parse_duration(until)
         fresh = run_scenario(load_scenario(path), seed=7, t_end=t_end)
         horizon = [] if until is None else ["--until", until]

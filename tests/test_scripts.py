@@ -63,3 +63,16 @@ def test_gc_phases_counts_full_collections_per_phase():
     assert all(float(m) >= 0 and (c != "0" or float(m) == 0) for c, m in zip(counts, ms))
     assert float(young) > 0  # a sweep of 12 runs makes young collections
     assert float(report_s) > 0 and float(run_s) > 0 and float(rss) > 0
+
+
+def test_gc_phases_exits_1_on_an_expectation_the_run_cannot_meet():
+    done = run_script("gc_phases.py", "--workload", "sweep", "--seeds", 1, "--expect", "0/0/9/0")
+    assert done.returncode == 1
+    report = done.stdout.splitlines()[2].split()[3]  # after the seed, setup and run counts
+    assert done.stderr.splitlines() == [f"seed 1: {report} full collections in report, expected 9"]
+
+
+def test_gc_phases_rejects_a_malformed_expectation():
+    done = run_script("gc_phases.py", "--expect", "3/1/0")
+    assert done.returncode == 2
+    assert "want four counts as S/R/P/A, not '3/1/0'" in done.stderr

@@ -2,6 +2,8 @@
 
 import copy
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -17,7 +19,7 @@ from twinslice.network import NodeKind
 from twinslice.scenario import ScenarioError, load_scenario, scenario_from_dict
 from twinslice.sim import Simulation, run_scenario
 from twinslice.slices import Flow, SliceClass
-from twinslice.twins import TwinLevel
+from twinslice.twins import Twin, TwinLevel
 
 
 def build(doc):
@@ -90,6 +92,34 @@ class TestAlertEscalation:
     def test_aggregated_value_reaches_core_state(self, result):
         # Singleton mean preserves the constant sample up both levels.
         assert result.report["twins"]["gc"]["state"]["heart_rate"]["value"] == 130.0
+
+
+class TestAlertPass:
+    """Only a twin with rules runs the alert check, once per landed delivery or aggregation."""
+
+    def test_a_twin_without_rules_never_checks(self):
+        doc = hierarchy_doc()
+        doc["nodes"].append({"id": 3, "kind": "device"})
+        doc["links"].append({"id": 2, "ends": [3, 1], "rate": "100mbps", "prop_delay": "10us"})
+        doc["twins"].append({"id": "quiet", "level": "individual", "host": 1, "entity": 3,
+                             "metrics": [{"name": "heart_rate", "mean": 130, "sd": 0}]})
+        doc["workloads"].append(dict(doc["workloads"][0], id="imp2", device=3, twin="quiet"))
+        with mock.patch.object(Twin, "check_alerts", autospec=True,
+                               side_effect=Twin.check_alerts) as check, \
+                mock.patch.object(Twin, "aggregate", autospec=True,
+                                  side_effect=Twin.aggregate) as aggregate, \
+                mock.patch.object(Simulation, "_deliver_sync", autospec=True,
+                                  side_effect=Simulation._deliver_sync) as deliver:
+            report = run_scenario(build(doc)).report
+        checked = Counter(call.args[0].id for call in check.call_args_list)
+        aggregated = Counter(call.args[0].id for call in aggregate.call_args_list)
+        landed = Counter(call.args[1][0].id for call in deliver.call_args_list)
+        # Vitals land on pt and quiet, pt's alert on ge, and ge's on gc.
+        assert landed == {"pt": 5, "quiet": 5, "ge": 1, "gc": 1}
+        assert aggregated["ge"] > 0 and aggregated["gc"] > 0
+        assert checked == {"pt": landed["pt"], "ge": landed["ge"] + aggregated["ge"]}
+        fired = {twin_id: row["alerts_fired"] for twin_id, row in report["twins"].items()}
+        assert fired == {"pt": 1, "quiet": 0, "ge": 1, "gc": 0}
 
 
 class TestAdmissionOutcomes:
@@ -332,6 +362,19 @@ class TestReportShape:
         # header + ERLLC (alerts) + umMTC (twin pushes) + ELPC (beacon)
         assert len(lines) == 4
         assert lines[0].startswith("slice,")
+
+
+BUNDLED = sorted(p.name for p in (Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_metric_sample_sits_in_two_slots(scenario_dir, name):
+    # A twin updates its samples in place, which is sound only while no two
+    # state or child-cache slots hold the same sample.
+    sim = run_scenario(load_scenario(scenario_dir / name), t_end=3 * SEC).sim
+    samples = [sample for twin in sim.twins.values()
+               for slots in (twin.state, *twin.child_cache.values()) for sample in slots.values()]
+    assert len({id(sample) for sample in samples}) == len(samples)
 
 
 TIMING = ("sync_period", "sync_phase", "aggregation_period", "aggregation_phase")

@@ -63,6 +63,25 @@ class TestApplySync:
         t.sample_ages(1000)
         assert t.staleness_max == {"hr": 600}
 
+    def test_a_newer_version_updates_the_stored_sample(self):
+        t = twin()
+        t.apply_sync([("hr", 70.0, 1, 100)], now=100)
+        first = t.state["hr"]
+        t.apply_sync([("hr", 75.0, 2, 200)], now=200)
+        assert t.state["hr"] is first and first == MetricSample(75.0, 2, 200)
+
+    def test_a_parent_caches_its_own_copy_of_a_child_sample(self):
+        # Samples are updated in place, so a parent's cache must not hold the
+        # child's own sample: the child's next update would rewrite it.
+        child, parent = twin(TwinLevel.INDIVIDUAL), twin(children=["t"])
+        child.apply_sync([("hr", 70.0, 1, 100)], now=100)
+        parent.apply_sync(child.pending_deltas(now=150), now=150, child=child.id)
+        cached = parent.child_cache["t"]["hr"]
+        assert cached is not child.state["hr"]
+        child.apply_sync([("hr", 90.0, 2, 200)], now=200)
+        assert cached == MetricSample(70.0, 1, 100)
+        assert parent.child_cache["t"]["hr"] is cached
+
 
 class TestStaleness:
     def test_tracks_max_per_metric(self):

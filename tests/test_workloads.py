@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import twinslice.sim
 from eager_fleet import run_with_eager_fleet, same_run
-from twinslice.engine import MS, Engine
+from twinslice.engine import MS, Engine, fork_rng
 from twinslice.scenario import ScenarioError, TwinSpec, scenario_from_dict
 from twinslice.sim import run_scenario
 from twinslice.slices import AdmissionDecision
@@ -363,19 +363,24 @@ class TestBeacon:
         assert res.report["slices"]["ELPC"]["verdict"] == "no-data"
 
 
-def test_each_twin_version_counts_its_source_emissions():
-    # A twin has one source, and its n-th sample carries version n on every
-    # vital, so on a clean fabric each twin ends at its source's emission count.
+def every_source_run(*fleets):
+    """An ambulance and an implant beacon with two vitals beside `fleets`, on a clean fabric."""
     beacon = {"kind": "implant_beacon", "id": "b", "device": 5, "twin": "imp",
               "period": "100ms", "payload": 50, "energy_per_tx": "100nj",
               "battery": "1mj", "duration": "1s"}
     imp = dict(BEACON_TWIN[0], entity=5, metrics=[{"name": "heart_rate", "mean": 60, "sd": 2},
                                                   {"name": "spo2", "mean": 97, "sd": 1}])
-    res = small_run([AMB_BASE, beacon, fleet_item(True)], t_end="3500ms",
-                    nodes=CORRIDOR["nodes"] + [{"id": 5, "kind": "device"}],
-                    links=CORRIDOR["links"] + [{"id": 6, "ends": [5, 1], "rate": "100mbps",
-                                                "prop_delay": "10us"}],
-                    twins=CORRIDOR["twins"] + [imp])
+    return small_run([AMB_BASE, beacon, *fleets], t_end="3500ms",
+                     nodes=CORRIDOR["nodes"] + [{"id": 5, "kind": "device"}],
+                     links=CORRIDOR["links"] + [{"id": 6, "ends": [5, 1], "rate": "100mbps",
+                                                 "prop_delay": "10us"}],
+                     twins=CORRIDOR["twins"] + [imp])
+
+
+def test_each_twin_version_counts_its_source_emissions():
+    # A twin has one source, and its n-th sample carries version n on every
+    # vital, so on a clean fabric each twin ends at its source's emission count.
+    res = every_source_run(fleet_item(True))
     assert all(row["delivered"] == row["sent"] for row in res.report["slices"].values())
 
     def versions(twin_id):
@@ -387,3 +392,27 @@ def test_each_twin_version_counts_its_source_emissions():
     sent = [res.sim.flows[f"fl.{i}"].stats.sent for i in range(4)]
     assert sent == [3, 3, 2, 2]
     assert [versions(f"dev_{i}") for i in range(4)] == [{n} for n in sent]
+
+
+def test_each_twin_draws_its_vitals_in_emission_order():
+    # Its n-th emission takes the next draws of the twin's own stream, one per
+    # vital in declared order, however the stream is held between emissions.
+    poisson = dict(fleet_item(True, n=3, period="200ms"), id="pf", twin_prefix="pdev",
+                   poisson=True)
+    with mock.patch.object(twinslice.sim.Simulation, "_deliver_sync", autospec=True,
+                           side_effect=twinslice.sim.Simulation._deliver_sync) as deliver:
+        res = every_source_run(fleet_item(True), poisson)
+    assert all(row["delivered"] == row["sent"] for row in res.report["slices"].values())
+    landed: dict[str, list] = {}
+    for call in deliver.call_args_list:
+        twin, deltas = call.args[1]
+        landed.setdefault(twin.id, []).append(deltas)
+    assert set(landed) == {"amb", "imp", *(f"dev_{i}" for i in range(4)),
+                           *(f"pdev_{i}" for i in range(3))}
+    for twin_id, frames in landed.items():
+        vitals = res.sim.twins[twin_id].vitals
+        rng = fork_rng(res.sim.master_seed, f"vitals:{twin_id}")
+        frames.sort(key=lambda deltas: deltas[0][2])  # by version: the emission count
+        assert [deltas[0][2] for deltas in frames] == list(range(1, len(frames) + 1))
+        assert [[value for _name, value, _version, _at in deltas] for deltas in frames] == [
+            [rng.normal(v.mean, v.sd) for v in vitals] for _ in frames], twin_id
