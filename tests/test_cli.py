@@ -76,6 +76,13 @@ def lossy_scn(tmp_path):
 
 
 @pytest.fixture
+def poisson_scn(tmp_path):
+    p = tmp_path / "poisson.scn"
+    p.write_text(POISSON)
+    return p
+
+
+@pytest.fixture
 def broken_scn(tmp_path):
     p = tmp_path / "broken.scn"
     p.write_text(BROKEN)
@@ -428,7 +435,7 @@ class TestSweep:
         ("ambulance_single.scn", None), ("ambulance_single.scn", "40500ms"),
         ("ambulance_single.scn", "20000040us")])
     def test_identical_seeds_reproduce_identical_reports(self, name, until, clean_scn,
-                                                         scenario_dir, tmp_path, capsys):
+                                                         poisson_scn, scenario_dir, capsys):
         # The seeds of a sweep share the loaded records: a run that left state
         # in them or beside them (a node fault and handovers in ambulance.scn,
         # a link fault in ambulance_single.scn, a held stream or member table
@@ -437,11 +444,7 @@ class TestSweep:
         # load. Both faults recover before the scenario's horizon; cut at 40.5 s
         # the run ends with its link down, and cut at 20.00004 s with a frame
         # on the wire.
-        if name == "poisson":
-            path = tmp_path / "poisson.scn"
-            path.write_text(POISSON)
-        else:
-            path = clean_scn if name == "clean" else scenario_dir / name
+        path = {"clean": clean_scn, "poisson": poisson_scn}.get(name, scenario_dir / name)
         t_end = None if until is None else parse_duration(until)
         fresh = run_scenario(load_scenario(path), seed=7, t_end=t_end)
         horizon = [] if until is None else ["--until", until]
