@@ -92,7 +92,7 @@ class StackProfile:
     alp: int = 8
     session: int = 4
     security: int = 29
-    transport_bytes: int = 27  # quic; the loader sets it from TRANSPORT_BYTES
+    transport_bytes: int = TRANSPORT_BYTES["quic"]
     network: int = 40
     phy: int = 28
     # None = derive per flow as 2 RTTs of the path (4x one-way propagation).
@@ -418,7 +418,7 @@ class NetworkService:
             if chan is not None:
                 self._cut(chan, now)
 
-    def recover_link(self, link: Link, now: int) -> None:
+    def recover_link(self, link: Link, _now: int) -> None:
         self.topology.link_up[link.id] = True
         self.topology.bump_epoch()
 
@@ -441,6 +441,6 @@ class NetworkService:
             for frame in chan.queue.drain():
                 self.on_drop(frame, "fault", now)
 
-    def recover_node(self, node: Node, now: int) -> None:
+    def recover_node(self, node: Node, _now: int) -> None:
         self.topology.node_up[node.id] = True
         self.topology.bump_epoch()

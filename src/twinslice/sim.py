@@ -142,9 +142,12 @@ class Simulation:
 
     def _build_twins(self, specs: list[TwinSpec]) -> dict[str, Twin]:
         twins = {spec.id: Twin(spec) for spec in specs}
-        for twin in twins.values():
-            for child_id in twin.children:
-                twins[child_id].parent = twin
+        for spec in specs:  # link the tree once: no event looks a twin up
+            if spec.children:
+                parent = twins[spec.id]
+                parent.children = tuple(twins[c] for c in spec.children)
+                for child in parent.children:
+                    child.parent = parent
         return twins
 
     # --- flow and frame services (used by generators) ------------------------
@@ -204,26 +207,22 @@ class Simulation:
 
     def _on_aggregation_due(self, twin: Twin, now: int) -> None:
         if self.topology.node_up[twin.host]:
-            child_states = []
             if twin.level is _GLOBAL_EDGE:
                 # Co-hosted children are read directly; the host being up
                 # implies every child twin on it is live.
-                child_states = [self.twins[c].state for c in twin.children]
+                child_states = [child.state for child in twin.children]
             else:
-                # The core aggregates its cached child summaries, skipping
-                # children whose host edge is currently dark.
-                for child_id in twin.children:
-                    child = self.twins[child_id]
-                    if self.topology.node_up[child.host]:
-                        child_states.append(twin.child_cache.get(child_id, {}))
-            twin.aggregate(child_states, now)
+                # The core aggregates its copies of its children's pushes,
+                # skipping children whose host edge is currently dark.
+                child_states = [child.pushed for child in twin.children if self.topology.node_up[child.host]]
+            twin.aggregate(child_states)
             if twin.alert_rules:
                 self._escalate(twin, twin.check_alerts(), now)
         self.engine.schedule(now + twin.aggregation_period, _AGGREGATION_DUE, twin)
 
     def _twin_push(self, twin: Twin, now: int) -> None:
         if self.topology.node_up[twin.host]:
-            deltas = twin.pending_deltas(now)
+            deltas = twin.pending_deltas()
             if deltas:
                 flow = twin.push_flow
                 assert flow is not None and twin.parent is not None
@@ -256,11 +255,11 @@ class Simulation:
             self._escalate(twin, twin.check_alerts(), now)
 
     def _deliver_push(self, pushed: tuple[Twin, list[Delta]], now: int) -> None:
-        """A child's summary lands in its parent's child cache, which no alert rule reads."""
+        """A child's summary lands in its parent's copy of it, which no alert rule reads."""
         child, deltas = pushed
-        child.parent.apply_sync(deltas, now, child.id)
+        child.parent.apply_sync(deltas, now, child)
 
-    def _on_drop(self, frame: Frame, cause: str, now: int) -> None:
+    def _on_drop(self, frame: Frame, cause: str, _now: int) -> None:
         frame.flow.stats.record_drop(cause)
 
     def _escalate(self, twin: Twin, fired: list[AlertRule], now: int) -> None:

@@ -89,29 +89,28 @@ class AlertRule:
 
 
 class Twin:
-    """One twin instance: its own state, cached child summaries, freshness and flows.
+    """One twin instance: its own state, its parent's copy of it, freshness and flows.
 
     Built from a loaded TwinSpec, whose children, periods and phases are
-    already resolved; the parent link is wired by whoever holds every twin.
+    already resolved; the tree is linked by whoever holds every twin.
     """
 
     def __init__(self, spec: TwinSpec) -> None:
         self.id = spec.id
         self.level = spec.level
         self.host = spec.host
-        self.entity = spec.entity
         self.sync_period = spec.sync_period
         self.sync_phase = spec.sync_phase
         self.aggregation_period = spec.aggregation_period
         self.aggregation_phase = spec.aggregation_phase
         # Tuples: a twin without children or rules shares the one empty tuple.
-        self.children: tuple[str, ...] = tuple(spec.children)
+        self.children: tuple[Twin, ...] = ()
         self.vitals = spec.vitals
         self.policy: dict[str, Reducer] = {m: parse_reducer(r) for m, r in sorted(spec.policy.items())}
         self.alert_rules = tuple(AlertRule(metric, threshold) for metric, threshold in spec.alerts)
         self.parent: Optional[Twin] = None
         self.state: dict[str, MetricSample] = {}
-        self.child_cache: dict[str, dict[str, MetricSample]] = {}
+        self.pushed: dict[str, MetricSample] = {}  # the parent's copy, apart from `state`
         self.last_pushed: dict[str, int] = {}
         self.alerts_fired = 0
         self.last_aggregation_children = -1  # -1 = never aggregated
@@ -124,16 +123,16 @@ class Twin:
         self.alert_flow: Optional[Flow] = None  # opened by the first escalation
         self.vitals_stream: Optional[RngStream] = None  # `vitals:<id>`, held from its first draw
 
-    def apply_sync(self, deltas: list[Delta], now: int, child: Optional[str] = None) -> None:
+    def apply_sync(self, deltas: list[Delta], now: int, child: Optional[Twin] = None) -> None:
         """Apply newer-versioned deltas; stale ones are ignored.
 
-        Deltas pushed by `child` land in its entry of child_cache.
+        Deltas pushed by `child` land in its `pushed` copy.
         Without a child (the bound entity's vitals, a child's alerts) the
         deltas land in the twin's own state, and the age of each own-state
         value they overwrite is noted in staleness_max.
         """
         own = child is None
-        target = self.state if own else self.child_cache.setdefault(child, {})
+        target = self.state if own else child.pushed
         for metric, value, version, observed_at in deltas:
             cur = target.get(metric)
             if cur is None:
@@ -153,17 +152,15 @@ class Twin:
         for metric, sample in self.state.items():
             self._note_age(metric, now - sample.observed_at)
 
-    def aggregate(self, child_states: list[dict[str, MetricSample]], now: int) -> bool:
+    def aggregate(self, child_states: list[dict[str, MetricSample]]) -> None:
         """Reduce visible child summaries into this twin's own state.
 
         Writes bump the metric version by one; observed_at becomes the min
         over contributing children, so staleness propagates pessimistically.
-        With no visible children the state is left untouched and the call
-        reports False (partial/dark aggregation).
+        With no visible children (partial/dark aggregation) the state is
+        left untouched.
         """
         self.last_aggregation_children = len(child_states)
-        if not child_states:
-            return False
         for metric, fn in self.policy.items():
             values: list[float] = []
             observed = None
@@ -179,9 +176,8 @@ class Twin:
             version = prev.version + 1 if prev is not None else 1
             assert observed is not None
             self.state[metric] = MetricSample(fn(values), version, observed)
-        return True
 
-    def pending_deltas(self, now: int) -> list[Delta]:
+    def pending_deltas(self) -> list[Delta]:
         """Own-state entries not yet pushed to the parent (version-gated)."""
         out: list[Delta] = []
         for metric in sorted(self.state):

@@ -84,10 +84,10 @@ class AmbulanceRunSpec(WorkloadSpec):
     device: int
     twin_id: str
     speed_kmh: float
-    edge_sequence: list[int] = field(default_factory=list)
-    telemetry_rate: int = 10  # frames per second
-    payload_bytes: int = 600
-    cell_span_m: float = 1000.0
+    edge_sequence: list[int]
+    telemetry_rate: int  # frames per second
+    payload_bytes: int
+    cell_span_m: float
     handover_gap_ns: int = DEFAULT_HANDOVER_GAP
 
     @property
@@ -105,8 +105,8 @@ class WearableFleetSpec(WorkloadSpec):
     edges: list[int]
     period_ns: int
     payload_bytes: int
-    stagger: bool = True
-    poisson: bool = False
+    stagger: bool
+    poisson: bool
     vitals: list[VitalSpec] = field(default_factory=list)
     alerts: list[tuple[str, float]] = field(default_factory=list)
     # filled during expansion: (device_node, twin_id) per fleet member

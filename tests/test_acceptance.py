@@ -188,9 +188,9 @@ def test_ac05_hierarchy_reduction_consistency(timed_run):
         for metric, fn in twin.policy.items():
             reducer_name = specs[twin.id].policy[metric]
             values = [
-                sim.twins[child].state[metric].value
+                child.state[metric].value
                 for child in twin.children
-                if metric in sim.twins[child].state
+                if metric in child.state
             ]
             assert values, (twin.id, metric)
             expected = fn(values)
@@ -216,11 +216,12 @@ def test_ac06_staleness_bound_is_tight(timed_run):
         for flow in sim.flows.values()
         if flow.slice_cls is SliceClass.UMMTC and not flow.id.startswith("twinsync.")
     }
+    entities = {spec.id: spec.entity for spec in sim.scenario.twins}
     overall = 0
     for twin in sim.twins.values():
         if twin.level is not TwinLevel.INDIVIDUAL:
             continue
-        flow = vitals_flows[twin.entity]
+        flow = vitals_flows[entities[twin.id]]
         hops = sim.topology.route(flow.src, flow.dst)
         wire_bytes = flow.frame_payload + sim.stack.overhead
         one_way = flow.setup_latency_ns + unloaded_path_delay(hops, wire_bytes)

@@ -1,8 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 attribute it stores is read somewhere in the package, node kinds, twin
 levels and slice names are compared as enum members only, only the loader
-builds node and link records, and every function has a caller in the
-program."""
+builds node and link records, every function has a caller in the program,
+and every parameter is read."""
 
 import ast
 from pathlib import Path
@@ -223,3 +223,38 @@ def test_the_function_scan_sees_calls_attributes_strings_and_own_bodies():
                "    def wrapped(self): pass\n")
     other = "used()\nx.by_attr\nsetattr(C, 'wrapped', f)\ny = [by_name]\n"
     assert unreferenced_functions([package], [other]) == ["method", "recursive", "unused"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters, as `function.parameter`, that their function's body never reads.
+
+    A read is a load of the name anywhere in the body, nested functions and
+    lambdas included. `self`, `cls` and names that start with `_` are not
+    checked: the underscore marks a parameter that a fixed calling
+    convention passes, such as the `now` of an event callee, but this body
+    has no use for.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+                      if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{node.name}.{p}" for p in params
+                      if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_the_parameter_scan_sees_every_kind_of_parameter_and_nested_reads():
+    source = ("def f(a, /, b, *args, c, d=1, **kw):\n    return a + kw['x']\n"
+              "class C:\n    def m(self, now, _now, x):\n        x = 1\n"
+              "    @classmethod\n    def k(cls, y):\n        return lambda: y\n"
+              "def g(z):\n    def inner(w):\n        return z\n    return inner\n")
+    assert unread_parameters(source) == ["f.b", "f.args", "f.c", "f.d", "m.now", "m.x", "inner.w"]

@@ -370,11 +370,59 @@ BUNDLED = sorted(p.name for p in (Path(__file__).resolve().parent.parent / "scen
 @pytest.mark.parametrize("name", BUNDLED)
 def test_no_metric_sample_sits_in_two_slots(scenario_dir, name):
     # A twin updates its samples in place, which is sound only while no two
-    # state or child-cache slots hold the same sample.
+    # slots, a twin's state and its parent's copy of it, hold the same sample.
     sim = run_scenario(load_scenario(scenario_dir / name), t_end=3 * SEC).sim
     samples = [sample for twin in sim.twins.values()
-               for slots in (twin.state, *twin.child_cache.values()) for sample in slots.values()]
+               for slots in (twin.state, twin.pushed) for sample in slots.values()]
     assert len({id(sample) for sample in samples}) == len(samples)
+
+
+class CountingTwins(dict):
+    """A twin table that counts its lookups, inside and outside `Engine.run_until`."""
+
+    def __init__(self, twins):
+        super().__init__(twins)
+        self.phase = "outside"
+        self.lookups = Counter()
+
+    def __getitem__(self, key):
+        self.lookups[self.phase] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups[self.phase] += 1
+        return super().get(key, default)
+
+
+def test_no_event_looks_a_twin_up(scenario_dir):
+    # Each aggregation once looked its children up by id: 100 lookups in the
+    # first second of ward.scn, 80 by edge twins and 20 by the core.
+    sim = Simulation(load_scenario(scenario_dir / "ward.scn"), t_end=1 * SEC)
+    sim.twins = twins = CountingTwins(sim.twins)
+    run_until = sim.engine.run_until
+
+    def counted(t_end):
+        twins.phase = "inside"
+        try:
+            return run_until(t_end)
+        finally:
+            twins.phase = "outside"
+
+    sim.engine.run_until = counted
+    sim.run()
+    assert twins.lookups["outside"] > 0  # the table is in place: scheduling reads it
+    assert twins.lookups["inside"] == 0
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_twin_tree_is_linked_as_loaded(scenario_dir, name):
+    scn = load_scenario(scenario_dir / name)
+    twins = Simulation(scn).twins
+    for spec in scn.twins:
+        twin = twins[spec.id]
+        assert [child.id for child in twin.children] == spec.children
+        assert all(twins[child_id] is child and child.parent is twin
+                   for child_id, child in zip(spec.children, twin.children))
 
 
 TIMING = ("sync_period", "sync_phase", "aggregation_period", "aggregation_phase")

@@ -42,19 +42,19 @@ class TestApplySync:
         assert t.state["hr"] == MetricSample(80.0, 5, 500)
 
     def test_child_messages_land_in_cache_not_state(self):
-        t = twin()
-        t.apply_sync([("hr", 64.0, 1, 10)], now=10, child="kid")
+        t, kid = twin(), twin(TwinLevel.INDIVIDUAL)
+        t.apply_sync([("hr", 64.0, 1, 10)], now=10, child=kid)
         assert "hr" not in t.state
-        assert t.child_cache["kid"]["hr"] == MetricSample(64.0, 1, 10)
+        assert kid.pushed["hr"] == MetricSample(64.0, 1, 10)
 
     def test_ages_reported_only_for_own_state_overwrites(self):
-        t = twin(children=["kid"])
+        t, kid = twin(), twin(TwinLevel.INDIVIDUAL)
         t.apply_sync([("hr", 70.0, 1, 0)], now=0)
         assert t.staleness_max == {}  # a first write overwrites nothing
         t.apply_sync([("hr", 71.0, 2, 950)], now=1000)
         assert t.staleness_max == {"hr": 1000}  # age of the overwritten sample
-        t.apply_sync([("hr", 60.0, 9, 0)], now=2000, child="kid")
-        t.apply_sync([("hr", 61.0, 10, 0)], now=3000, child="kid")
+        t.apply_sync([("hr", 60.0, 9, 0)], now=2000, child=kid)
+        t.apply_sync([("hr", 61.0, 10, 0)], now=3000, child=kid)
         assert t.staleness_max == {"hr": 1000}  # cache overwrites never age-report
 
     def test_staleness_arithmetic(self):
@@ -71,16 +71,16 @@ class TestApplySync:
         assert t.state["hr"] is first and first == MetricSample(75.0, 2, 200)
 
     def test_a_parent_caches_its_own_copy_of_a_child_sample(self):
-        # Samples are updated in place, so a parent's cache must not hold the
+        # Samples are updated in place, so a parent's copy must not hold the
         # child's own sample: the child's next update would rewrite it.
-        child, parent = twin(TwinLevel.INDIVIDUAL), twin(children=["t"])
+        child, parent = twin(TwinLevel.INDIVIDUAL), twin()
         child.apply_sync([("hr", 70.0, 1, 100)], now=100)
-        parent.apply_sync(child.pending_deltas(now=150), now=150, child=child.id)
-        cached = parent.child_cache["t"]["hr"]
+        parent.apply_sync(child.pending_deltas(), now=150, child=child)
+        cached = child.pushed["hr"]
         assert cached is not child.state["hr"]
         child.apply_sync([("hr", 90.0, 2, 200)], now=200)
         assert cached == MetricSample(70.0, 1, 100)
-        assert parent.child_cache["t"]["hr"] is cached
+        assert child.pushed["hr"] is cached
 
 
 class TestStaleness:
@@ -105,7 +105,7 @@ class TestStaleness:
 class TestBuild:
     def test_parses_reducers_and_alert_rules_from_the_spec(self):
         t = twin(TwinLevel.INDIVIDUAL, {"hr": "max"}, entity=3, alerts=[("hr", 120.0)])
-        assert (t.level, t.host, t.entity, t.parent) == (TwinLevel.INDIVIDUAL, 1, 3, None)
+        assert (t.level, t.host, t.parent) == (TwinLevel.INDIVIDUAL, 1, None)
         assert t.policy["hr"]([3.0, -1.0, 2.0]) == 3.0  # the max reducer
         assert t.alert_rules == (AlertRule("hr", 120.0),)
         assert t.children == ()
@@ -163,39 +163,41 @@ class TestAggregate:
 
     def test_reduces_and_bumps_version(self):
         t = twin(policy_spec={"hr": "mean"})
-        assert t.aggregate([self.child_state(70.0, 50), self.child_state(80.0, 60)], now=100)
+        t.aggregate([self.child_state(70.0, 50), self.child_state(80.0, 60)])
+        assert t.last_aggregation_children == 2
         assert t.state["hr"].value == 75.0
         assert t.state["hr"].version == 1
-        assert t.aggregate([self.child_state(90.0, 70)], now=200)
+        t.aggregate([self.child_state(90.0, 70)])
+        assert t.last_aggregation_children == 1
         assert t.state["hr"].version == 2
 
     def test_observed_at_is_min_over_contributors(self):
         t = twin(policy_spec={"hr": "mean"})
-        t.aggregate([self.child_state(70.0, 500), self.child_state(80.0, 300)], now=600)
+        t.aggregate([self.child_state(70.0, 500), self.child_state(80.0, 300)])
         assert t.state["hr"].observed_at == 300
 
     def test_singleton_identity(self):
         for spec in ("mean", "sum", "max", "min"):
             t = twin(policy_spec={"hr": spec})
-            t.aggregate([self.child_state(72.5, 10)], now=20)
+            t.aggregate([self.child_state(72.5, 10)])
             assert t.state["hr"].value == 72.5
 
-    def test_empty_children_reports_false_and_keeps_state(self):
+    def test_empty_children_keep_state(self):
         t = twin(policy_spec={"hr": "mean"})
         t.state["hr"] = MetricSample(70.0, 3, 10)
-        assert not t.aggregate([], now=100)
+        t.aggregate([])
         assert t.state["hr"] == MetricSample(70.0, 3, 10)
         assert t.last_aggregation_children == 0
 
     def test_metric_missing_in_all_children_is_skipped(self):
         t = twin(policy_spec={"hr": "mean", "spo2": "min"})
-        t.aggregate([self.child_state(70.0, 10)], now=20)
+        t.aggregate([self.child_state(70.0, 10)])
         assert "spo2" not in t.state
 
     def test_records_child_count(self):
         t = twin(policy_spec={"hr": "mean"})
         assert t.last_aggregation_children == -1  # never ran
-        t.aggregate([self.child_state(70.0, 1)] * 3, now=5)
+        t.aggregate([self.child_state(70.0, 1)] * 3)
         assert t.last_aggregation_children == 3
 
 
@@ -204,11 +206,11 @@ class TestPendingDeltas:
         t = twin()
         t.state["b"] = MetricSample(1.0, 2, 10)
         t.state["a"] = MetricSample(2.0, 1, 20)
-        out = t.pending_deltas(now=100)
+        out = t.pending_deltas()
         assert out == [("a", 2.0, 1, 20), ("b", 1.0, 2, 10)]
-        assert t.pending_deltas(now=200) == []  # nothing new
+        assert t.pending_deltas() == []  # nothing new
         t.state["a"] = MetricSample(3.0, 2, 30)
-        assert t.pending_deltas(now=300) == [("a", 3.0, 2, 30)]
+        assert t.pending_deltas() == [("a", 3.0, 2, 30)]
 
 
 class TestAlerts:

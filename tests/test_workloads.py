@@ -75,23 +75,24 @@ class TestSpecArithmetic:
         assert gen.ack_flow.preadmitted  # acks ride the established session
 
     def test_ambulance_cell_time(self):
-        spec = AmbulanceRunSpec("a", 5, "t", speed_kmh=120.0, cell_span_m=1000.0)
+        spec = AmbulanceRunSpec("a", 5, "t", speed_kmh=120.0, edge_sequence=[], telemetry_rate=10,
+                                payload_bytes=600, cell_span_m=1000.0)
         assert spec.cell_time_ns == 30 * 10**9
         assert spec.handover_gap_ns == DEFAULT_HANDOVER_GAP == 10_000_000
 
     def test_fleet_demand_rounds_with_floor_of_one(self):
         sim = on_edge_1("t0")
-        spec = WearableFleetSpec("f", [1], period_ns=10**9, payload_bytes=120,
-                                 members=[(9, "t0")])
+        spec = WearableFleetSpec("f", [1], period_ns=10**9, payload_bytes=120, stagger=True,
+                                 poisson=False, members=[(9, "t0")])
         assert WearableFleetGen(sim, spec).flows[0].demand_bps == 960
-        tiny = WearableFleetSpec("f", [1], period_ns=100 * 10**9, payload_bytes=1,
-                                 members=[(9, "t0")])
+        tiny = WearableFleetSpec("f", [1], period_ns=100 * 10**9, payload_bytes=1, stagger=True,
+                                 poisson=False, members=[(9, "t0")])
         assert WearableFleetGen(sim, tiny).flows[0].demand_bps == 1
 
     def test_fleet_flow_ids_are_indexed(self):
         sim = on_edge_1("t0", "t1", "t2")
-        spec = WearableFleetSpec("fleet", [1], period_ns=10**9, payload_bytes=10,
-                                 members=[(7, "t0"), (8, "t1"), (9, "t2")])
+        spec = WearableFleetSpec("fleet", [1], period_ns=10**9, payload_bytes=10, stagger=True,
+                                 poisson=False, members=[(7, "t0"), (8, "t1"), (9, "t2")])
         assert [f.id for f in WearableFleetGen(sim, spec).flows] == [
             "fleet.0", "fleet.1", "fleet.2"]
 
