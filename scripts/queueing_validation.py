@@ -35,7 +35,7 @@ def bottleneck(seed: int, deliver, drop) -> tuple[Engine, NetworkService]:
     ]
     eng = Engine()
     net = NetworkService(eng, Topology(nodes, links),
-                         functools.cache(lambda label: fork_rng(seed, label)), deliver, drop)
+                         functools.partial(fork_rng, seed), deliver, drop)
     return eng, net
 
 

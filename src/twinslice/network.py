@@ -5,7 +5,8 @@ Links are full duplex: each declared link carries two independent channels
 built on first use: a channel when a route takes it, a queue when a frame waits.
 Transmission time is ceil(total_bytes * 8 / rate) in integer nanoseconds;
 propagation is added on top. Loss is Bernoulli per frame at the end of
-transmission, drawn from the "loss:<flow id>" stream of the frame's flow.
+transmission, drawn from the frame's flow's "loss:<flow id>" stream, which
+the flow holds from its first lossy departure on.
 """
 
 from __future__ import annotations
@@ -278,13 +279,13 @@ class NetworkService:
         self,
         engine: Engine,
         topology: Topology,
-        stream: Callable[[str], RngStream],
+        new_stream: Callable[[str], RngStream],
         on_deliver: Callable[[Frame, int], None],
         on_drop: Callable[[Frame, str, int], None],
     ) -> None:
         self.engine = engine
         self.topology = topology
-        self.stream = stream  # label -> the run's one stream of that label
+        self.new_stream = new_stream  # label -> a new stream of that label, on every call
         self.on_deliver = on_deliver
         self.on_drop = on_drop
         engine.on(_FRAME_DEPARTURE, self._on_departure)
@@ -356,7 +357,11 @@ class NetworkService:
             # Cut: the link or the transmitting node failed mid-serialization.
             self.on_drop(frame, "fault", now)
         elif link.loss_prob > 0.0:
-            if self.stream(f"loss:{frame.flow.id}").bernoulli(link.loss_prob):
+            flow = frame.flow
+            rng = flow.loss_stream
+            if rng is None:
+                rng = flow.loss_stream = self.new_stream(f"loss:{flow.id}")
+            if rng.bernoulli(link.loss_prob):
                 self.on_drop(frame, "loss", now)
             else:
                 self.engine.schedule_at(now + link.prop_delay_ns, seq + 1, _FRAME_ARRIVAL, frame)

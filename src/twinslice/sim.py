@@ -9,11 +9,9 @@ clock and every float is either an exact ratio or quantized.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-import numpy as np
-
-from .engine import Engine, EventKind, RngStream, SEC, fork_keys, fork_rng, keyed_stream
+from .engine import Engine, EventKind, RngStream, SEC, fork_rng
 from .metrics import TrafficStats, fmt6, to_csv_bytes, to_json_bytes
 from .network import (
     Frame,
@@ -67,14 +65,8 @@ class Simulation:
             raise ScenarioError(errors)
 
         self.engine = Engine()
-        self._streams: dict[str, RngStream] = {}
-        # Declared batches of labels, as (prefix, names), whose keys are not derived yet;
-        # and the derived keys of streams not built yet.
-        self._batches: list[tuple[str, Callable[[], Iterable[str]]]] = []
-        self._keys: dict[str, np.ndarray] = {}
-
         self.topology = Topology(scenario.nodes, scenario.links)
-        self.net = NetworkService(self.engine, self.topology, self.stream, self._on_deliver,
+        self.net = NetworkService(self.engine, self.topology, self.new_stream, self._on_deliver,
                                   self._on_drop)
         # Callees that events and frame contents carry, bound once so that
         # scheduling one allocates nothing but its (callee, arg) pair.
@@ -108,37 +100,9 @@ class Simulation:
 
     # --- construction -------------------------------------------------------
 
-    def stream(self, label: str) -> RngStream:
-        """The stream of `label`, built on its first draw."""
-        got = self._streams.get(label)
-        if got is None:
-            key = self._keys.pop(label, None)
-            if key is None and self._batches:
-                key = self._derive(label)
-            got = fork_rng(self.master_seed, label) if key is None else keyed_stream(key)
-            self._streams[label] = got
-        return got
-
-    def declare_streams(self, prefix: str, names: Callable[[], Iterable[str]]) -> None:
-        """Declare the streams `prefix + name` for each name that `names()` gives.
-
-        The first miss on one of them derives all their keys in one pass
-        (`fork_keys`), and `names` is called only then; each stream is still
-        built on its first draw. A batch that is never drawn from costs nothing.
-        """
-        self._batches.append((prefix, names))
-
-    def _derive(self, label: str) -> Optional[np.ndarray]:
-        """Derive the keys of the declared batch that holds `label`; its key, or None."""
-        for batch in self._batches:
-            prefix, names = batch
-            if label.startswith(prefix):
-                labels = [prefix + name for name in names()]
-                if label in labels:
-                    self._batches.remove(batch)
-                    self._keys.update(zip(labels, fork_keys(self.master_seed, labels)))
-                    return self._keys.pop(label)
-        return None
+    def new_stream(self, label: str) -> RngStream:
+        """A new stream of `label` at counter zero: its one holder calls this on its first draw."""
+        return fork_rng(self.master_seed, label)
 
     def _build_twins(self, specs: list[TwinSpec]) -> dict[str, Twin]:
         twins = {spec.id: Twin(spec) for spec in specs}
@@ -199,7 +163,7 @@ class Simulation:
         version = flow.stats.sent + 1  # the source's emission count, this emission included
         rng = twin.vitals_stream
         if rng is None:
-            rng = twin.vitals_stream = self.stream(f"vitals:{twin.id}")
+            rng = twin.vitals_stream = self.new_stream(f"vitals:{twin.id}")
         deltas = [(spec.name, rng.normal(spec.mean, spec.sd), version, now) for spec in twin.vitals]
         return (self.deliver_sync, (twin, deltas))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from .engine import MS, SEC
+from .engine import MS, SEC, RngStream
 from .metrics import TrafficStats
 
 if TYPE_CHECKING:
@@ -67,6 +67,7 @@ class Flow:
     setup_latency_ns: int = 0
     frame_payload: int = 0  # nominal payload bytes, used for the admission delay check
     stats: TrafficStats = field(default_factory=TrafficStats)  # its one ledger
+    loss_stream: Optional[RngStream] = None  # `loss:<id>`, built by its first lossy departure
 
 
 def periodic_demand(payload_bytes: int, period_ns: int) -> int:
@@ -132,9 +133,8 @@ class LinkQueue:
     resets when its queue empties (no credit hoarding while idle).
 
     Most channels never queue a frame (a frame reaching an idle transmitter
-    is served at once), so the per-class state is built by the first push
-    and dropped again by `drain`; until then `_prio`, `_queues` and
-    `_deficit` are None.
+    is served at once), so a channel builds its queue only for a frame that
+    is about to wait, and pushes that frame at once.
     """
 
     __slots__ = ("capacity", "occupancy", "_prio", "_queues", "_deficit", "_ptr", "_fresh")
@@ -142,9 +142,9 @@ class LinkQueue:
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.occupancy = 0
-        self._prio: Optional[deque] = None
-        self._queues: Optional[list[deque]] = None  # by slot
-        self._deficit: Optional[list[int]] = None  # by slot
+        self._prio = deque()
+        self._queues = [deque() for _ in range(_SLOTS)]  # by slot
+        self._deficit = [0] * _SLOTS  # by slot
         self._ptr = 0
         self._fresh = True
 
@@ -152,10 +152,6 @@ class LinkQueue:
         """Enqueue drop-tail; returns False when the queue is full."""
         if self.occupancy >= self.capacity:
             return False
-        if self._prio is None:
-            self._prio = deque()
-            self._queues = [deque() for _ in range(_SLOTS)]
-            self._deficit = [0] * _SLOTS
         cls = frame.flow.slice_cls
         if cls is _ERLLC:
             self._prio.append(frame)
@@ -207,12 +203,12 @@ class LinkQueue:
 
     def drain(self) -> list["Frame"]:
         """Remove and return every queued frame (used when a link fails)."""
-        if self._prio is None:
-            return []
         out = list(self._prio)
-        for q in self._queues:
+        self._prio.clear()
+        for i, q in enumerate(self._queues):
             out.extend(q)
-        self._prio = self._queues = self._deficit = None
+            q.clear()
+            self._deficit[i] = 0
         self.occupancy = 0
         self._ptr = 0
         self._fresh = True

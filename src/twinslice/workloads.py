@@ -14,7 +14,9 @@ from collections import deque
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Callable, Optional
 
-from .engine import EventKind, RngStream, SEC
+import numpy as np
+
+from .engine import EventKind, RngStream, SEC, fork_keys, keyed_stream
 from .metrics import DelayHistogram
 from .network import Frame
 from .slices import Flow, SliceClass, periodic_demand
@@ -337,6 +339,11 @@ class WearableFleetGen(Source):
     with the member index, so entries join in (fire_at, seq) order and each
     emission fires at the place its own heap event would take. Poisson gaps
     are not in that order, so a Poisson member keeps its own heap event.
+
+    Each `fork_keys` call here derives one stream key per member, row i for
+    member i, when the first stream of its label prefix is drawn. A stream is
+    built from its key on its first draw and has one holder: the member's
+    twin holds its `vitals:` stream, and the fleet its `arrivals:` stream.
     """
 
     kind = EventKind.SYNC_DUE
@@ -351,30 +358,25 @@ class WearableFleetGen(Source):
             flow = self._flow(f"{spec.id}.{i}", _UMMTC, device, twin.host, demand,
                               spec.payload_bytes)
             self._members.append((flow, twin))
-        # A Poisson member's `arrivals:` stream, held from its first draw on.
+        # A Poisson member's `arrivals:` stream, held from its first draw on; and the
+        # `vitals:` keys of the members' twins, derived at the fleet's first emission.
         self._arrivals: list[Optional[RngStream]] = []
+        self._vitals_keys: Optional[np.ndarray] = None
         self._due: deque[tuple[int, int, int]] = deque()
         self._fire_head = self.fire_head
 
-    def build(self) -> None:
-        """Admit the members, then declare their streams: one batch per label prefix."""
-        super().build()
-        self.sim.declare_streams("vitals:", lambda: [
-            twin_id for (_device, twin_id), flow in zip(self.spec.members, self.flows)
-            if flow.admitted])
-        if self.spec.poisson:
-            self.sim.declare_streams("arrivals:", lambda: [
-                flow.id for flow in self.flows if flow.admitted])
-
     def schedule_start(self) -> None:
         n, period = len(self.flows), self.period
+        keys = None
         if self.spec.poisson:
             self._arrivals = [None] * n
         for i, flow in enumerate(self.flows):
             if not flow.admitted:
                 continue
             if self.spec.poisson:
-                rng = self._arrivals[i] = self.sim.stream(f"arrivals:{flow.id}")
+                if keys is None:  # the first admitted member: a fleet without one derives none
+                    keys = fork_keys(self.sim.master_seed, [f"arrivals:{f.id}" for f in self.flows])
+                rng = self._arrivals[i] = keyed_stream(keys[i])
                 self._again(i, rng.exponential_ticks(period))
             else:
                 self._queue(i, (i * period) // n if self.spec.stagger else 0)
@@ -397,6 +399,11 @@ class WearableFleetGen(Source):
 
     def sync_emit(self, i: int, now: int) -> None:
         flow, twin = self._members[i]
+        if twin.vitals_stream is None:
+            if self._vitals_keys is None:
+                self._vitals_keys = fork_keys(self.sim.master_seed,
+                                              [f"vitals:{t.id}" for _f, t in self._members])
+            twin.vitals_stream = keyed_stream(self._vitals_keys[i])
         vitals = self.sim.sample_vitals(twin, flow, now)
         self.sim.send(flow, self.spec.payload_bytes, now, vitals)
         if self.spec.poisson:

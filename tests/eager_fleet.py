@@ -5,7 +5,9 @@ through `Source._again`, periodic or Poisson. The package's
 `WearableFleetGen` keeps a periodic fleet's members in a FIFO at places
 reserved from the engine and puts only its head on the heap, so the two
 must agree on every report byte, `run.events_processed` included. Swap it in
-for `WearableFleetGen` with `run_with_eager_fleet`.
+for `WearableFleetGen` with `run_with_eager_fleet`. It forks each member's
+streams by label, where the package derives a fleet's keys in one batch; a
+Philox stream is identified by its key alone, so both draw the same values.
 """
 
 from unittest import mock
@@ -30,12 +32,14 @@ class EagerFleetGen(Source):
 
     def schedule_start(self):
         n = len(self.flows)
+        self.arrivals = {}  # member -> its `arrivals:` stream, held from its first draw on
         for i, flow in enumerate(self.flows):
             if not flow.admitted:
                 continue
             phase = (i * self.spec.period_ns) // n if self.spec.stagger else 0
             if self.spec.poisson:
-                phase = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
+                self.arrivals[i] = self.sim.new_stream(f"arrivals:{flow.id}")
+                phase = self.arrivals[i].exponential_ticks(self.spec.period_ns)
             self._again(i, phase)
 
     def sync_emit(self, i, now):
@@ -44,7 +48,7 @@ class EagerFleetGen(Source):
         vitals = self.sim.sample_vitals(twin, flow, now)
         self.sim.send(flow, self.spec.payload_bytes, now, vitals)
         if self.spec.poisson:
-            gap = self.sim.stream(f"arrivals:{flow.id}").exponential_ticks(self.spec.period_ns)
+            gap = self.arrivals[i].exponential_ticks(self.spec.period_ns)
         else:
             gap = self.spec.period_ns
         self._again(i, now - self.spec.start + gap)

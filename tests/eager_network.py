@@ -41,10 +41,10 @@ class EagerNetworkService:
     """Queueing, serialization, propagation, loss and fault drops, one
     departure event and one arrival event per hop."""
 
-    def __init__(self, engine, topology, stream, on_deliver, on_drop, reserve_arrival=False):
+    def __init__(self, engine, topology, new_stream, on_deliver, on_drop, reserve_arrival=False):
         self.engine = engine
         self.topology = topology
-        self.stream = stream
+        self.new_stream = new_stream
         self.on_deliver = on_deliver
         self.on_drop = on_drop
         self.reserve_arrival = reserve_arrival
@@ -101,7 +101,7 @@ class EagerNetworkService:
         if chan in self.cut:
             self.cut.discard(chan)
             self.on_drop(frame, "fault", now)
-        elif link.loss_prob > 0.0 and self.stream(f"loss:{frame.flow.id}").bernoulli(link.loss_prob):
+        elif link.loss_prob > 0.0 and self._loss_stream(frame.flow).bernoulli(link.loss_prob):
             self.on_drop(frame, "loss", now)
         elif self.reserve_arrival:
             self.engine.schedule_at(now + link.prop_delay_ns, self.arrival_seq[chan],
@@ -113,6 +113,12 @@ class EagerNetworkService:
             nxt = self._queue(chan).pop()
             if nxt is not None:
                 self._begin(chan, nxt, now)
+
+    def _loss_stream(self, flow):
+        """The flow's `loss:` stream, which it holds from its first lossy departure on."""
+        if flow.loss_stream is None:
+            flow.loss_stream = self.new_stream(f"loss:{flow.id}")
+        return flow.loss_stream
 
     def _on_arrival(self, flight, now):
         chan, frame, failures = flight

@@ -1,6 +1,8 @@
 """Event loop ordering, clock discipline, and seeded stream independence."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,17 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import twinslice.sim
+import twinslice.workloads
 from twinslice.engine import (
     Engine,
     EventKind,
     RngStream,
+    SEC,
     SchedulePast,
     fork_keys,
     fork_rng,
     keyed_stream,
 )
-from twinslice.scenario import scenario_from_dict
+from twinslice.scenario import load_scenario, scenario_from_dict
 from twinslice.sim import run_scenario
 
 
@@ -401,11 +404,11 @@ def counting_fork_keys():
         calls.append(list(labels))
         return fork_keys(seed, labels)
 
-    return calls, mock.patch.object(twinslice.sim, "fork_keys", fork_keys_counted)
+    return calls, mock.patch.object(twinslice.workloads, "fork_keys", fork_keys_counted)
 
 
 class TestFleetBatches:
-    """A fleet declares its members' labels, and the first draw from one derives the batch."""
+    """A fleet derives its members' keys of one label prefix in one batch, at its first draw."""
 
     @pytest.mark.parametrize("poisson", [False, True])
     def test_each_batch_is_derived_once_on_its_first_draw(self, poisson):
@@ -424,7 +427,7 @@ class TestFleetBatches:
         assert calls == ([arrivals, vitals] if poisson else [vitals])
         assert before_run == calls[:-1]
 
-    def test_after_a_run_a_member_label_gives_the_stream_it_drew_from(self):
+    def test_after_a_run_each_twin_holds_the_stream_it_drew_from(self):
         drawn = {}
         normal = RngStream.normal
 
@@ -434,7 +437,7 @@ class TestFleetBatches:
 
         with mock.patch.object(RngStream, "normal", noting):
             sim = run_scenario(scenario_from_dict(fleet_doc("100mbps"))).sim
-        streams = [sim.stream(f"vitals:{twin}") for twin in ("imp", "dev_0", "dev_1", "dev_2", "dev_3")]
+        streams = [sim.twins[twin].vitals_stream for twin in ("imp", "dev_0", "dev_1", "dev_2", "dev_3")]
         assert sorted(map(id, streams)) == sorted(drawn)
         assert all(drawn[id(stream)] is stream for stream in streams)
 
@@ -446,3 +449,50 @@ class TestFleetBatches:
         assert result.report["workloads"]["fl"]["devices_admitted"] == 0
         assert result.report["workloads"]["bc"]["transmissions"] > 0  # `vitals:imp` was drawn
         assert calls == []
+
+
+def built_keys(run):
+    """Call `run()`; the Philox key of every stream built meanwhile, in build order."""
+    keys = []
+    init = RngStream.__init__
+
+    def noting(stream, gen):
+        keys.append(tuple(gen.bit_generator.state["state"]["key"].tolist()))
+        init(stream, gen)
+
+    with mock.patch.object(RngStream, "__init__", noting):
+        result = run()
+    return keys, result
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH_INPUTS = ROOT / "perfbench" / "inputs.py"
+BUNDLED = sorted(p.name for p in (ROOT / "scenarios").glob("*.scn"))
+
+
+class TestOneStreamPerLabel:
+    """A run builds each labelled stream once, and its one holder keeps it:
+    a second build would replay the first one's draws. A stream's key
+    names its label and seed, so no key may repeat within a run."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_scenarios(self, scenario_dir, name):
+        # The surgery scenarios draw nothing; wearables.scn builds 10,000 streams.
+        keys, _ = built_keys(lambda: run_scenario(load_scenario(scenario_dir / name), t_end=2 * SEC))
+        assert len(set(keys)) == len(keys)
+
+    def test_the_contended_benchmark_input_draws_each_flows_loss_from_one_stream(self, tmp_path):
+        # No bundled scenario has a lossy link: this one has a lossy backbone.
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        path = tmp_path / "contended.scn"
+        path.write_bytes(inputs.contended_bytes(1))
+        keys, result = built_keys(lambda: run_scenario(load_scenario(path), t_end=3 * SEC))
+        assert sum(row["dropped_loss"] for row in result.report["slices"].values()) > 0
+        assert len(set(keys)) == len(keys)
+
+    def test_a_poisson_fleet(self):
+        keys, _ = built_keys(lambda: run_scenario(scenario_from_dict(fleet_doc("100mbps", True))))
+        assert len(keys) == 9  # `vitals:imp`, and each member's `vitals:` and `arrivals:`
+        assert len(set(keys)) == len(keys)

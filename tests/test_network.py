@@ -66,7 +66,7 @@ class Harness:
         self.delivered = []
         self.dropped = []
         self.net = service(
-            self.engine, topo, functools.cache(lambda label: fork_rng(seed, label)),
+            self.engine, topo, functools.partial(fork_rng, seed),
             lambda f, now: self.delivered.append((f, now)),
             lambda f, cause, now: self.dropped.append((f, cause, now)),
         )
@@ -724,8 +724,9 @@ class TestConservation:
         links = [Link(0, 1, 0, 10**9, 1000), Link(1, 2, 1, 10**8, 1000, loss_prob=loss, queue_cap=cap)]
         topo = Topology(nodes, links)
         h = Harness(topo, seed=7)
+        flow = Flow(id="f", slice_cls=SliceClass.UMMTC, src=2, dst=0, demand_bps=0)
         for i in range(n):
-            h.net.inject(frame(2, 0, total=500), 0)
+            h.net.inject(Frame(flow, 100, 500, 0), 0)
         h.engine.run_until(10**12)
         assert len(h.delivered) + len(h.dropped) == n
         assert h.engine.pending() == 0
@@ -802,12 +803,14 @@ class TestFrameRelease:
     def test_no_channel_keeps_a_delivered_frame(self):
         # Frames cross the core both ways, queue on the access links, and
         # meet a lossy backbone link; every one of them is settled.
+        # One flow each way, as in a run: a flow holds one loss stream for all its frames.
         topo = star()
         topo.links[1].loss_prob = 0.3
         h = Harness(topo)
+        flows = [Flow(id=f"f{src}", slice_cls=SliceClass.UMMTC, src=src, dst=dst, demand_bps=0)
+                 for src, dst in ((4, 3), (3, 4))]
         for i in range(40):
-            src, dst = (3, 4) if i % 2 else (4, 3)
-            h.engine.schedule(i * US, EventKind.TRAFFIC_ARRIVAL, frame(src, dst, total=1000))
+            h.engine.schedule(i * US, EventKind.TRAFFIC_ARRIVAL, Frame(flows[i % 2], 100, 1000, 0))
         h.engine.run_until(10**9)
         assert h.delivered and h.dropped
         assert len(h.delivered) + len(h.dropped) == 40

@@ -326,7 +326,7 @@ class TestLinkQueue:
 
 class EagerLinkQueue:
     """The scheduler as first written: per-class state built up front and keyed
-    by SliceClass. Kept as the oracle for LinkQueue's lazy, slot-indexed state."""
+    by SliceClass. Kept as the oracle for LinkQueue's slot-indexed state."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -420,8 +420,7 @@ class TestLinkQueueAgainstEagerOracle:
                 assert got.pop() is want.pop()
                 assert got.occupancy == want.occupancy
                 assert (got._ptr, got._fresh) == (want._ptr, want._fresh)
-                if got._deficit is not None:
-                    assert got._deficit == [want._deficit[cls] for cls in WDRR_ORDER]
+                assert got._deficit == [want._deficit[cls] for cls in WDRR_ORDER]
             if drain == 0:
                 out, expected = got.drain(), want.drain()
                 assert len(out) == len(expected)
