@@ -12,7 +12,10 @@ returns each container's text as one string. Its bytes are exactly those of
 `json.dumps(report, indent=2) + "\n"`: indent 2, ASCII-escaped strings and
 keys, `repr` digits for numbers. `json.dumps` with an indent always takes
 the stdlib's pure-Python generator chain, which is slower and peaks at
-several times the output size.
+several times the output size. A value that writes its own text, through a
+`json_text(indent)` method, is rendered by that method: the report's twins
+section is written so, row by row from the run's twins, with no dict built
+per twin; every other section goes through the flat pass.
 """
 
 from __future__ import annotations
@@ -150,6 +153,14 @@ def to_json_bytes(report: dict) -> bytes:
 
 # float.__repr__ of the values json writes as bare words.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def float_text(value: float) -> str:
+    """The JSON text of a float: its `repr` digits, or NaN and Infinity as json writes them."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
 # json renders a subclass of one of its types as that type.
 _BASES = ((str, str.__str__), (int, int.__int__), (float, float.__float__),
           (dict, dict), ((list, tuple), list))
@@ -160,7 +171,8 @@ def _render(value: object, indent: str) -> str:
 
     Dict keys go through the C escaper, which raises TypeError for any key
     that is not a str (json itself would turn int, float, bool and None keys
-    into strings; a report never has them).
+    into strings; a report never has them). A value of no JSON kind that has
+    a `json_text` method is written by that method.
     """
     kind = type(value)
     if kind is str:
@@ -168,8 +180,7 @@ def _render(value: object, indent: str) -> str:
     if kind is int:
         return int.__repr__(value)
     if kind is float:
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
+        return float_text(value)
     if kind is dict:
         if not value:
             return "{}"
@@ -189,6 +200,9 @@ def _render(value: object, indent: str) -> str:
         return "true"
     if value is False:
         return "false"
+    json_text = getattr(value, "json_text", None)
+    if json_text is not None:
+        return json_text(indent)
     for base, cast in _BASES:
         if isinstance(value, base):
             return _render(cast(value), indent)

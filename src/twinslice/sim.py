@@ -9,10 +9,13 @@ clock and every float is either an exact ratio or quantized.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterator, Mapping
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .engine import Engine, EventKind, RngStream, SEC, fork_rng
-from .metrics import TrafficStats, fmt6, to_csv_bytes, to_json_bytes
+from .metrics import TrafficStats, float_text, fmt6, to_csv_bytes, to_json_bytes
 from .network import (
     Frame,
     NetworkService,
@@ -306,6 +309,63 @@ class Simulation:
         return flow
 
 
+class TwinRows(Mapping):
+    """The report's twins section: a read-only view of the run's twins in id order.
+
+    `json_text` writes each twin's row straight from the twin, so the report
+    builds no dict per twin. A row's fields are stated there alone: a row
+    read by id is the parse of the text written for that twin.
+    """
+
+    def __init__(self, twins: dict[str, Twin]) -> None:
+        self._twins = twins
+        self._ids = sorted(twins)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, twin_id: str) -> dict:
+        return json.loads(_twin_section([self._twins[twin_id]], ""))[twin_id]
+
+    def json_text(self, indent: str) -> str:
+        """The section's JSON text, as `metrics.to_json_bytes` renders a dict at `indent`."""
+        return _twin_section([self._twins[twin_id] for twin_id in self._ids], indent)
+
+
+def _twin_section(twins: list[Twin], indent: str) -> str:
+    """The JSON text of a twins section holding `twins`, one f-string per row."""
+    if not twins:
+        return "{}"
+    row = "\n" + indent + "  "  # each level's line break and indent
+    field = row + "  "
+    metric = field + "  "
+    entry = metric + "  "
+    esc = encode_basestring_ascii
+    rows = []
+    sep = "{"  # each row opens with its separator: the text is one join of the rows
+    for twin in twins:
+        state = ",".join([
+            f'{metric}{esc(name)}: {{{entry}"value": {float_text(fmt6(sample.value))},'
+            f'{entry}"version": {sample.version},{entry}"observed_at_ns": {sample.observed_at}'
+            f'{metric}}}'
+            for name, sample in sorted(twin.state.items())])
+        ages = ",".join([f"{metric}{esc(name)}: {age}"
+                         for name, age in sorted(twin.staleness_max.items())])
+        rows.append(
+            f'{sep}{row}{esc(twin.id)}: {{{field}"level": {esc(twin.level.value)},'
+            f'{field}"host": {twin.host},'
+            f'{field}"state": {"{" + state + field + "}" if state else "{}"},'
+            f'{field}"staleness_max_ns": {"{" + ages + field + "}" if ages else "{}"},'
+            f'{field}"alerts_fired": {twin.alerts_fired},'
+            f'{field}"last_aggregation_children": {twin.last_aggregation_children}{row}}}')
+        sep = ","
+    rows.append("\n" + indent + "}")
+    return "".join(rows)
+
+
 class RunResult:
     """Outcome of one run: report dict, serializers, and exit status."""
 
@@ -349,26 +409,6 @@ class RunResult:
         slices = {cls.value: self._slice_row(cls, totals[cls]) for cls in SLICE_ORDER}
 
         rejected = [{"flow": d.flow_id, "reason": d.reason} for d in sim.refused]
-        twins = {}
-        for twin_id in sorted(sim.twins):
-            twin = sim.twins[twin_id]
-            state = {
-                metric: {
-                    "value": fmt6(sample.value),
-                    "version": sample.version,
-                    "observed_at_ns": sample.observed_at,
-                }
-                for metric, sample in sorted(twin.state.items())
-            }
-            twins[twin_id] = {
-                "level": twin.level.value,
-                "host": twin.host,
-                "state": state,
-                "staleness_max_ns": dict(sorted(twin.staleness_max.items())),
-                "alerts_fired": twin.alerts_fired,
-                "last_aggregation_children": twin.last_aggregation_children,
-            }
-
         workloads = {}
         for gen in sim.generators:
             workloads[gen.spec.id] = gen.report()
@@ -391,7 +431,7 @@ class RunResult:
                 "admitted": sum(1 for flow in sim.flows.values() if flow.admitted),
                 "rejected": rejected,
             },
-            "twins": twins,
+            "twins": TwinRows(sim.twins),
             "staleness": {"global_max_ns": max(
                 (age for twin in sim.twins.values() for age in twin.staleness_max.values()),
                 default=0)},

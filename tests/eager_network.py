@@ -15,6 +15,7 @@ Swap it in for `twinslice.sim.NetworkService` to run a whole scenario on it.
 `source` names the end a channel leaves from.
 """
 
+import json
 from unittest import mock
 
 import twinslice.sim
@@ -186,8 +187,8 @@ LEDGER = ("sent", "delivered", "dropped_loss", "dropped_queue", "dropped_fault",
 def outcome(result):
     """All that a run shows but its event count: the report's bytes without
     `run.events_processed`, and every flow's ledger with its delay histogram."""
-    report = dict(result.report)
-    report["run"] = {k: v for k, v in report["run"].items() if k != "events_processed"}
+    report = json.loads(result.json_bytes())
+    del report["run"]["events_processed"]
     ledgers = {}
     for flow_id, flow in result.sim.flows.items():
         stats, hist = flow.stats, flow.stats.hist

@@ -1,13 +1,15 @@
 """Simulation orchestration: wiring, admission outcomes, alert escalation."""
 
 import copy
+import json
+import math
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twinslice.network
@@ -15,11 +17,12 @@ import twinslice.sim
 import twinslice.slices
 import twinslice.workloads
 from twinslice.engine import SEC, EventKind
+from twinslice.metrics import _render, fmt6, to_json_bytes
 from twinslice.network import NodeKind
-from twinslice.scenario import ScenarioError, load_scenario, scenario_from_dict
-from twinslice.sim import Simulation, run_scenario
+from twinslice.scenario import ScenarioError, TwinSpec, load_scenario, scenario_from_dict
+from twinslice.sim import Simulation, TwinRows, run_scenario
 from twinslice.slices import Flow, SliceClass
-from twinslice.twins import Twin, TwinLevel
+from twinslice.twins import MetricSample, Twin, TwinLevel
 
 
 def build(doc):
@@ -362,6 +365,77 @@ class TestReportShape:
         # header + ERLLC (alerts) + umMTC (twin pushes) + ELPC (beacon)
         assert len(lines) == 4
         assert lines[0].startswith("slice,")
+
+
+def reference_section(twins):
+    """The twins section as dicts, as the report once built it: the row writer's oracle."""
+    return {
+        twin.id: {
+            "level": twin.level.value,
+            "host": twin.host,
+            "state": {
+                metric: {
+                    "value": fmt6(sample.value),
+                    "version": sample.version,
+                    "observed_at_ns": sample.observed_at,
+                }
+                for metric, sample in sorted(twin.state.items())
+            },
+            "staleness_max_ns": dict(sorted(twin.staleness_max.items())),
+            "alerts_fired": twin.alerts_fired,
+            "last_aggregation_children": twin.last_aggregation_children,
+        }
+        for twin in sorted(twins, key=lambda twin: twin.id)
+    }
+
+
+def row_twin(twin_id, level, host, state, staleness, alerts_fired, children):
+    """A twin whose report row holds the given values; `state` maps a metric to
+    (value, version, observed_at)."""
+    twin = Twin(TwinSpec(twin_id, level, host))
+    twin.state = {metric: MetricSample(*sample) for metric, sample in state.items()}
+    twin.staleness_max = dict(staleness)
+    twin.alerts_fired = alerts_fired
+    twin.last_aggregation_children = children
+    return twin
+
+
+# Ids and metric names that json escapes: quotes, backslash, control
+# characters, non-ASCII and a lone surrogate.
+ESCAPED = ['say "hi"', "back\\slash", "\x00\t\x1f", "caf\u00e9", "\u2028", "\ud800"]
+NAMES = st.one_of(st.sampled_from(ESCAPED), st.text(max_size=6))
+TWIN_ROWS = st.tuples(
+    NAMES, st.sampled_from(TwinLevel), st.integers(0, 2**31),
+    st.dictionaries(NAMES, st.tuples(st.floats(), st.integers(1, 2**40), st.integers(0, 2**62)),
+                    max_size=3),
+    st.dictionaries(NAMES, st.integers(0, 2**62), max_size=3),
+    st.integers(0, 1000), st.integers(-1, 5000))
+
+
+class TestTwinRows:
+    @given(st.lists(TWIN_ROWS, max_size=4, unique_by=lambda row: row[0]))
+    @example([])
+    @example([("w_1", TwinLevel.INDIVIDUAL, 1, {}, {}, 0, -1)])
+    @example([('d"\\\x00\u00e9\ud800', TwinLevel.GLOBAL_EDGE, 2,
+               {"h\u00e9\n\"r": (1e20, 3, 5), "b": (1e-7, 1, 0), "a": (math.nan, 2, 1)},
+               {"\x1f": 7, "a": 0}, 2, 0),
+              ("city", TwinLevel.GLOBAL_CORE, 0, {"hr": (-math.inf, 1, 2)}, {}, 0, 2)])
+    @settings(max_examples=150, deadline=None)
+    def test_the_writer_equals_the_generic_renderer(self, rows):
+        twins = [row_twin(*row) for row in rows]
+        section = TwinRows({twin.id: twin for twin in twins})
+        reference = reference_section(twins)
+        for indent in ("", "  "):
+            assert section.json_text(indent) == _render(reference, indent)
+        assert to_json_bytes({"twins": section}) == to_json_bytes({"twins": reference})
+
+    def test_a_row_read_by_id_is_the_row_that_ships(self, result):
+        rows = result.report["twins"]
+        assert isinstance(rows, TwinRows)
+        assert list(rows) == sorted(result.sim.twins) == ["gc", "ge", "pt"]
+        assert dict(rows.items()) == json.loads(result.json_bytes())["twins"]
+        with pytest.raises(KeyError):
+            rows["absent"]
 
 
 BUNDLED = sorted(p.name for p in (Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))

@@ -1,5 +1,6 @@
 """Workload generator arithmetic plus end-to-end emission behavior."""
 
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,7 +12,7 @@ import twinslice.sim
 from eager_fleet import run_with_eager_fleet, same_run
 from twinslice.engine import MS, Engine, fork_rng
 from twinslice.scenario import ScenarioError, TwinSpec, scenario_from_dict
-from twinslice.sim import run_scenario
+from twinslice.sim import RunResult, run_scenario
 from twinslice.slices import AdmissionDecision
 from twinslice.twins import Twin, TwinLevel
 from twinslice.workloads import (
@@ -230,6 +231,22 @@ class TestWearableFleet:
         emitted = a.report["workloads"]["fl"]["frames_emitted"]
         assert emitted == b.report["workloads"]["fl"]["frames_emitted"]
         assert emitted > 0
+
+    def test_report_memory_is_at_most_three_times_the_output(self):
+        # Four dicts built per twin and then rendered peaked at 4.6x the
+        # output on this fleet; rows written straight from the twins peak at 2.2x.
+        item = dict(fleet_item(True, n=2000, period="1s"), duration="2s")
+        sim = small_run([item], t_end="1100ms").sim
+        assert all(twin.state and twin.staleness_max for twin in sim.twins.values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            size = len(RunResult(sim).json_bytes())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert size > 700_000
+        assert peak <= 3 * size
 
 
 def pending_after_scheduling(workloads):
