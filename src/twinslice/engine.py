@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import heapq
+from array import array
 from enum import IntEnum
 from typing import Any, Callable, Sequence
 
@@ -123,36 +124,81 @@ class Engine:
 SEED_LIMIT = 2**64
 
 
+# A stream's draw kinds: each names the Generator method that draws its variates.
+_NORMAL = "standard_normal"
+_EXPONENTIAL = "standard_exponential"
+_UNIFORM = "random"
+_INTEGERS = "integers"
+# A stream draws its first BLOCK variates one by one, then BLOCK at a time.
+BLOCK = 32
+
+
 class RngStream:
-    """An independently seeded random stream.
+    """An independently seeded random stream of one draw kind.
 
     Streams are forked from (master_seed, label) via a counter-based
     generator, so adding a new consumer with its own label never perturbs
     draws made from existing labels.
+
+    Each draw takes one standard variate and scales it in Python:
+    `mu + sigma * z`, `mean * e` and `u < p` are exactly what NumPy's scalar
+    `normal`, `exponential` and `random` give for the same variate. The
+    first BLOCK variates are drawn one NumPy call each; from then on one
+    call draws a block of BLOCK, held as raw doubles until read. So a
+    short-lived stream holds no block, and no stream draws more than twice
+    what it serves. The first draw fixes the stream's kind (normal,
+    exponential or uniform; `integers` draws unblocked), and a draw of
+    another kind raises ValueError: a block is never read as another kind,
+    and no draw reads `gen` behind a block. Only this class draws from `gen`.
     """
 
-    __slots__ = ("gen",)
+    __slots__ = ("gen", "_kind", "_block", "_singles")
 
     def __init__(self, gen: np.random.Generator) -> None:
         self.gen = gen
+        self._kind: str | None = None
+        self._block: array | tuple = ()  # the unread variates, the next one last
+        self._singles = 0  # variates drawn one by one, up to BLOCK
+
+    def _lock(self, kind: str) -> None:
+        """Fix the stream's kind on its first draw; a draw of another kind raises."""
+        if self._kind is not None:
+            raise ValueError(f"a stream of {self._kind} draws cannot draw {kind}")
+        self._kind = kind
+
+    def _take(self, kind: str) -> float:
+        """The stream's next standard variate of `kind`."""
+        block = self._block
+        if block and self._kind == kind:
+            return block.pop()
+        if self._kind != kind:
+            self._lock(kind)
+        draw = getattr(self.gen, kind)
+        if self._singles < BLOCK:
+            self._singles += 1
+            return draw()
+        block = self._block = array("d", draw(BLOCK)[::-1].tobytes())
+        return block.pop()
 
     def random(self) -> float:
-        return self.gen.random()
+        return self._take(_UNIFORM)
 
     def bernoulli(self, p: float) -> bool:
-        return self.gen.random() < p
+        return self._take(_UNIFORM) < p
 
     def exponential(self, mean: float) -> float:
-        return self.gen.exponential(mean)
+        return mean * self._take(_EXPONENTIAL)
 
     def exponential_ticks(self, mean_ticks: float) -> int:
         # Rounded to the tick grid; draws stay strictly positive.
-        return max(1, int(round(self.gen.exponential(mean_ticks))))
+        return max(1, round(mean_ticks * self._take(_EXPONENTIAL)))
 
     def normal(self, mu: float, sigma: float) -> float:
-        return self.gen.normal(mu, sigma)
+        return mu + sigma * self._take(_NORMAL)
 
     def integers(self, low: int, high: int) -> int:
+        if self._kind != _INTEGERS:
+            self._lock(_INTEGERS)
         return int(self.gen.integers(low, high))
 
 

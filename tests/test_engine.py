@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import platform
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import twinslice.workloads
 from twinslice.engine import (
+    BLOCK,
     Engine,
     EventKind,
     RngStream,
@@ -273,6 +275,80 @@ class TestRngStreams:
         assert all(s.bernoulli(1.0) for _ in range(100))
 
 
+# Each draw method: its kind, a strategy for one draw's parameters, sample
+# parameters, the draw through a stream, and the same draw as one scalar call
+# on a fresh Generator.
+DRAWS = {
+    "normal": ("normal", st.tuples(st.floats(-1e3, 1e3), st.floats(0, 1e2)), (75, 4),
+               lambda s, a: s.normal(*a), lambda g, a: g.normal(*a)),
+    "exponential_ticks": ("exponential", st.tuples(st.floats(1e-3, 1e9)), (1e6,),
+                          lambda s, a: s.exponential_ticks(*a),
+                          lambda g, a: max(1, int(round(g.exponential(*a))))),
+    "exponential": ("exponential", st.tuples(st.floats(1e-3, 1e9)), (2.5,),
+                    lambda s, a: s.exponential(*a), lambda g, a: g.exponential(*a)),
+    "bernoulli": ("uniform", st.tuples(st.floats(0, 1)), (0.5,),
+                  lambda s, a: s.bernoulli(*a), lambda g, a: g.random() < a[0]),
+    "random": ("uniform", st.just(()), (), lambda s, a: s.random(), lambda g, a: g.random()),
+    "integers": ("integers", st.tuples(st.integers(-2**40, 2**40), st.integers(1, 2**40))
+                 .map(lambda a: (a[0], a[0] + a[1])), (0, 10),
+                 lambda s, a: s.integers(*a), lambda g, a: int(g.integers(*a))),
+}
+
+
+def exact(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+@st.composite
+def draw_runs(draw):
+    """A seed, a label, a draw method, and per-draw parameters for up to three blocks."""
+    method, n = draw(st.sampled_from(sorted(DRAWS))), draw(st.integers(1, 3 * BLOCK))
+    args = draw(st.lists(DRAWS[method][1], min_size=n, max_size=n))
+    return draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from(LABELS) | st.text(max_size=8)), method, args
+
+
+def platform_note():
+    return f"on {platform.machine()} under NumPy {np.__version__}"
+
+
+class TestBlockDraws:
+    """A stream serves its draws from blocks; they must be NumPy's scalar draws, bit for bit."""
+
+    @given(draw_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_draw_what_scalar_calls_draw(self, run):
+        seed, label, method, args = run
+        *_, through_stream, scalar = DRAWS[method]
+        stream, gen = fork_rng(seed, label), fork_rng(seed, label).gen
+        got = [exact(through_stream(stream, a)) for a in args]
+        want = [exact(scalar(gen, a)) for a in args]
+        # A NumPy build that fuses the scalar `loc + scale * z` into one FMA fails here.
+        assert got == want, f"{method} draws of ({seed}, {label!r}) leave NumPy's scalar draws {platform_note()}"
+
+    @pytest.mark.parametrize("first", sorted(DRAWS))
+    @pytest.mark.parametrize("drawn", [1, BLOCK + 1])
+    def test_a_second_kind_raises(self, first, drawn):
+        # After `drawn` draws of the first method, the last one scalar or read from a block.
+        kind, _params, sample, through_stream, _scalar = DRAWS[first]
+        stream = fork_rng(3, "one kind")
+        for _ in range(drawn):
+            through_stream(stream, sample)
+        for other_kind, _params, other_sample, other_draw, _scalar in DRAWS.values():
+            if other_kind != kind:
+                with pytest.raises(ValueError, match="cannot draw"):
+                    other_draw(stream, other_sample)
+
+    def test_one_kind_is_drawn_by_each_of_its_methods(self):
+        # `random` and `bernoulli` read one uniform stream, as `exponential` and `exponential_ticks` read one exponential.
+        stream, gen = fork_rng(4, "uniform"), fork_rng(4, "uniform").gen
+        got = [stream.random() if i % 3 else stream.bernoulli(0.5) for i in range(3 * BLOCK)]
+        assert got == [gen.random() if i % 3 else gen.random() < 0.5 for i in range(3 * BLOCK)]
+        stream, gen = fork_rng(4, "exponential"), fork_rng(4, "exponential").gen
+        got = [exact(stream.exponential(2.5)) if i % 2 else stream.exponential_ticks(1e6) for i in range(3 * BLOCK)]
+        assert got == [exact(gen.exponential(2.5)) if i % 2 else max(1, int(round(gen.exponential(1e6))))
+                       for i in range(3 * BLOCK)]
+
+
 def reference_generator(seed, label):
     """The stream's definition: Philox keyed by SeedSequence([seed, *label words])."""
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=16).digest()
@@ -331,6 +407,15 @@ CANARIES = [
     (2**32 + 7, "vitals:canary", lambda s: s.normal(75, 4).hex(),
      ["0x1.25382317a79dap+6", "0x1.2c055c1eedb9dp+6", "0x1.245b56ec65be5p+6"]),
 ]
+# Rows past the scalar draws: seed, label, draw, index of the first result, results.
+# Draws 30-34 cross into the first block, draws 62-66 into the second.
+BLOCK_CANARIES = [
+    (7, "vitals:canary", lambda s: s.normal(75, 4).hex(), 30,
+     ["0x1.3b58b36c22265p+6", "0x1.4256b715e1ac3p+6", "0x1.31296356728aap+6",
+      "0x1.3590b8ee07e5cp+6", "0x1.0e1284249c6a4p+6"]),
+    (7, "arrivals:canary", lambda s: s.exponential_ticks(1_000_000), 62,
+     [2045012, 849073, 628609, 1066184, 485944]),
+]
 
 
 class TestStreamCanaries:
@@ -343,8 +428,19 @@ class TestStreamCanaries:
         stream = build(seed, label)
         got = [draw(stream) for _ in want]
         assert got == want, (
-            f"the first draws of ({seed}, {label!r}) moved under NumPy {np.__version__}; "
-            "the golden digests were pinned under NumPy 2.4.6 (see README, Determinism)")
+            f"the first draws of ({seed}, {label!r}) moved {platform_note()}; "
+            "the golden digests were pinned on x86_64 under NumPy 2.4.6 (see README, Determinism)")
+
+    @pytest.mark.parametrize("build", [fork_rng, batched], ids=["forked", "batched"])
+    @pytest.mark.parametrize("seed, label, draw, first, want", BLOCK_CANARIES,
+                             ids=[f"{seed}-{label}-{first}" for seed, label, _d, first, _w in BLOCK_CANARIES])
+    def test_draws_read_from_blocks(self, build, seed, label, draw, first, want):
+        # Pinned as NumPy's scalar draws: an array fill that drew other variates fails here.
+        stream = build(seed, label)
+        got = [draw(stream) for _ in range(first + len(want))][first:]
+        assert got == want, (
+            f"draws {first} on of ({seed}, {label!r}), read from a block, moved {platform_note()}; "
+            "they were pinned as scalar draws on x86_64 under NumPy 2.4.6 (see README, Determinism)")
 
 
 def reference_key(seed, label):

@@ -1,8 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 attribute it stores is read somewhere in the package, node kinds, twin
 levels and slice names are compared as enum members only, only the loader
-builds node and link records, every function has a caller in the program,
-and every parameter is read."""
+builds node and link records, only a stream draws from its generator, every
+function has a caller in the program, and every parameter is read."""
 
 import ast
 from pathlib import Path
@@ -167,6 +167,42 @@ def test_the_record_scan_sees_calls_by_name_and_attribute():
     assert record_builds(source) == ["Link", "Node", "Node"]
 
 
+def generator_reads(source: str) -> list[str]:
+    """Reads of an attribute named `gen` outside the class RngStream, as `function.gen`.
+
+    A stream serves its draws from a block of variates drawn ahead, so a
+    draw made on its `gen` by anything else would take values the block
+    has yet to serve, and shift every draw after it.
+    """
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.ClassDef) and node.name == "RngStream":
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "gen":
+            found.append(f"{owner}.gen")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_a_stream_draws_from_its_generator(path):
+    assert generator_reads(path.read_text()) == []
+
+
+def test_the_generator_scan_sees_reads_outside_the_stream_class():
+    source = ("class RngStream:\n    def normal(self):\n        return self.gen.normal()\n"
+              "def sample(twin):\n    return twin.vitals_stream.gen.normal(0, 1)\n"
+              "class Other:\n    def f(self, s):\n        g = s.gen\n        return g.random()\n"
+              "gen = make()\nx = gen.random()\nkeyed = RngStream(gen)\n")
+    assert generator_reads(source) == ["sample.gen", "f.gen"]
+
+
 ROOT = PACKAGE.parent.parent
 # Functions that nothing in the program names, each with its caller: NumPy
 # calls a bit generator's seed source through `generate_state`.
@@ -180,9 +216,9 @@ def unreferenced_functions(package: list[str], others: list[str]) -> list[str]:
     constant that spells the name: `perfbench/tracer.py` wraps methods by
     name. Names are matched without their owner, and dunder methods are
     called by Python itself. So a name-only scan can be fooled by an
-    attribute of another object: `self.gen.random()` in `RngStream.bernoulli`
-    is a call on NumPy's generator, yet it counts as a reference to
-    `RngStream.random`.
+    attribute of another object: `engine._UNIFORM = "random"`, the name by
+    which `RngStream._take` looks up NumPy's `Generator.random`, counts as a
+    reference to `RngStream.random`.
     """
     def names(tree: ast.AST) -> list[str]:
         found = []
