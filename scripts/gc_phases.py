@@ -19,7 +19,7 @@ phase that a benchmark bound meters, while a direct timing shows nothing,
 so run this on the parent and on the change. Run it from the root of a
 checkout; it imports `src/` and `perfbench/` and changes neither.
 
-    python3 scripts/gc_phases.py --workload fleet --seeds 3 4 --expect 3/1/0/0
+    python3 scripts/gc_phases.py --workload fleet --seeds 3 4 --expect 3/0/0/1
 
 `--expect S/R/P/A` gives the counts each seed must show in setup, run,
 report and after; the script names each seed and phase that differs, on

@@ -77,8 +77,6 @@ class Simulation:
         self.deliver_sync = self._deliver_sync
         self.deliver_push = self._deliver_push
         self._push_due = self._twin_push
-        self.stack = scenario.stack
-        self.contracts = scenario.contracts
 
         self.core_host = next(n.id for n in scenario.nodes if n.kind is NodeKind.CORE)
 
@@ -129,12 +127,13 @@ class Simulation:
             decision = AdmissionDecision(flow.id, False, "unreachable")
             self.refused.append(decision)
             return decision
-        flow.setup_latency_ns = setup_latency_for(self.stack, hops)
-        total = flow.frame_payload + self.stack.overhead
+        stack = self.scenario.stack
+        flow.setup_latency_ns = setup_latency_for(stack, hops)
+        total = flow.frame_payload + stack.overhead
         unloaded = unloaded_path_delay(hops, total)
         decision = admit(
             flow, [h.link for h in hops], unloaded,
-            self.contracts[flow.slice_cls], self.admitted_demand,
+            self.scenario.contracts[flow.slice_cls], self.admitted_demand,
             self.scenario.utilization_cap,
         )
         if not decision.accepted:
@@ -150,7 +149,7 @@ class Simulation:
         source passes its own `inject`, which parks frames while detached.
         """
         assert flow.admitted, f"flow {flow.id} emitted without admission"
-        frame = Frame(flow, payload_bytes, payload_bytes + self.stack.overhead, now,
+        frame = Frame(flow, payload_bytes, payload_bytes + self.scenario.stack.overhead, now,
                       content=content)
         flow.stats.sent += 1
         flow.stats.energy_nj += energy_nj
@@ -166,29 +165,30 @@ class Simulation:
         version = flow.stats.sent + 1  # the source's emission count, this emission included
         rng = twin.vitals_stream
         if rng is None:
-            rng = twin.vitals_stream = self.new_stream(f"vitals:{twin.id}")
-        deltas = [(spec.name, rng.normal(spec.mean, spec.sd), version, now) for spec in twin.vitals]
+            rng = twin.vitals_stream = self.new_stream(f"vitals:{twin.spec.id}")
+        deltas = [(spec.name, rng.normal(spec.mean, spec.sd), version, now) for spec in twin.spec.vitals]
         return (self.deliver_sync, (twin, deltas))
 
     # --- event handlers ------------------------------------------------------
 
     def _on_aggregation_due(self, twin: Twin, now: int) -> None:
-        if self.topology.node_up[twin.host]:
-            if twin.level is _GLOBAL_EDGE:
+        spec = twin.spec
+        if self.topology.node_up[spec.host]:
+            if spec.level is _GLOBAL_EDGE:
                 # Co-hosted children are read directly; the host being up
                 # implies every child twin on it is live.
                 child_states = [child.state for child in twin.children]
             else:
                 # The core aggregates its copies of its children's pushes,
                 # skipping children whose host edge is currently dark.
-                child_states = [child.pushed for child in twin.children if self.topology.node_up[child.host]]
+                child_states = [child.pushed for child in twin.children if self.topology.node_up[child.spec.host]]
             twin.aggregate(child_states)
             if twin.alert_rules:
                 self._escalate(twin, twin.check_alerts(), now)
-        self.engine.schedule(now + twin.aggregation_period, _AGGREGATION_DUE, twin)
+        self.engine.schedule(now + spec.aggregation_period, _AGGREGATION_DUE, twin)
 
     def _twin_push(self, twin: Twin, now: int) -> None:
-        if self.topology.node_up[twin.host]:
+        if self.topology.node_up[twin.spec.host]:
             deltas = twin.pending_deltas()
             if deltas:
                 flow = twin.push_flow
@@ -196,7 +196,7 @@ class Simulation:
                 if flow.admitted:
                     self.send(flow, SYNC_HEADER_BYTES + DELTA_BYTES * len(deltas), now,
                               (self.deliver_push, (twin, deltas)))
-        self.engine.schedule(now + twin.sync_period, _SYNC_DUE, (self._push_due, twin))
+        self.engine.schedule(now + twin.spec.sync_period, _SYNC_DUE, (self._push_due, twin))
 
     def _on_flush(self, _payload, now: int) -> None:
         for twin in self.twins.values():
@@ -245,15 +245,15 @@ class Simulation:
             value = sample.value if sample is not None else rule.threshold
             observed = sample.observed_at if sample is not None else now
             version = twin.alert_versions[rule.metric] = twin.alert_versions.get(rule.metric, 0) + 1
-            deltas.append((f"alert:{twin.id}:{rule.metric}", value, version, observed))
+            deltas.append((f"alert:{twin.spec.id}:{rule.metric}", value, version, observed))
         flow = twin.alert_flow or self._open_alert_flow(twin, twin.parent)
         if flow.admitted:
             self.send(flow, ALERT_PAYLOAD_BYTES, now, (self.deliver_sync, (twin.parent, deltas)))
 
     def _open_alert_flow(self, twin: Twin, parent: Twin) -> Flow:
         flow = twin.alert_flow = Flow(
-            id=f"alerts.{twin.id}", slice_cls=_ERLLC,
-            src=twin.host, dst=parent.host, demand_bps=1_000, preadmitted=True,
+            id=f"alerts.{twin.spec.id}", slice_cls=_ERLLC,
+            src=twin.spec.host, dst=parent.spec.host, demand_bps=1_000, preadmitted=True,
             frame_payload=ALERT_PAYLOAD_BYTES,
         )
         self.admit_flow(flow)
@@ -271,17 +271,17 @@ class Simulation:
         for gen in self.generators:
             gen.build()
         for twin in self.twins.values():
-            if twin.level is _GLOBAL_EDGE:
+            if twin.spec.level is _GLOBAL_EDGE:
                 twin.push_flow = self._make_push_flow(twin)
         for gen in self.generators:
             gen.schedule_start()
         for twin_id in sorted(self.twins):
             twin = self.twins[twin_id]
-            if twin.level is _INDIVIDUAL:
+            if twin.spec.level is _INDIVIDUAL:
                 continue
-            self.engine.schedule(twin.aggregation_phase, _AGGREGATION_DUE, twin)
-            if twin.level is _GLOBAL_EDGE:
-                self.engine.schedule(twin.sync_phase, _SYNC_DUE, (self._push_due, twin))
+            self.engine.schedule(twin.spec.aggregation_phase, _AGGREGATION_DUE, twin)
+            if twin.spec.level is _GLOBAL_EDGE:
+                self.engine.schedule(twin.spec.sync_phase, _SYNC_DUE, (self._push_due, twin))
         for fault in self.scenario.faults:
             if fault.target_kind == "link":
                 target = self.topology.links[fault.target_id]
@@ -299,10 +299,10 @@ class Simulation:
 
     def _make_push_flow(self, twin: Twin) -> Flow:
         est_payload = SYNC_HEADER_BYTES + DELTA_BYTES * len(twin.policy)
-        demand = periodic_demand(est_payload, twin.sync_period)
+        demand = periodic_demand(est_payload, twin.spec.sync_period)
         flow = Flow(
-            id=f"twinsync.{twin.id}", slice_cls=SliceClass.UMMTC,
-            src=twin.host, dst=self.core_host, demand_bps=demand,
+            id=f"twinsync.{twin.spec.id}", slice_cls=SliceClass.UMMTC,
+            src=twin.spec.host, dst=self.core_host, demand_bps=demand,
             frame_payload=est_payload,
         )
         self.admit_flow(flow)
@@ -355,8 +355,8 @@ def _twin_section(twins: list[Twin], indent: str) -> str:
         ages = ",".join([f"{metric}{esc(name)}: {age}"
                          for name, age in sorted(twin.staleness_max.items())])
         rows.append(
-            f'{sep}{row}{esc(twin.id)}: {{{field}"level": {esc(twin.level.value)},'
-            f'{field}"host": {twin.host},'
+            f'{sep}{row}{esc(twin.spec.id)}: {{{field}"level": {esc(twin.spec.level.value)},'
+            f'{field}"host": {twin.spec.host},'
             f'{field}"state": {"{" + state + field + "}" if state else "{}"},'
             f'{field}"staleness_max_ns": {"{" + ages + field + "}" if ages else "{}"},'
             f'{field}"alerts_fired": {twin.alerts_fired},'
@@ -379,7 +379,7 @@ class RunResult:
     def _slice_row(self, cls: SliceClass, stats: TrafficStats) -> dict:
         sim = self.sim
         throughput = stats.payload_bits * SEC / sim.t_end
-        verdict = check_sla(stats, sim.contracts[cls], cls, throughput)
+        verdict = check_sla(stats, sim.scenario.contracts[cls], cls, throughput)
         hist = stats.hist
         empty = hist.count == 0
         return {

@@ -89,36 +89,35 @@ class AlertRule:
 
 
 class Twin:
-    """One twin instance: its own state, its parent's copy of it, freshness and flows.
+    """One twin instance: its loaded spec, which no run writes, its run state and flows.
 
-    Built from a loaded TwinSpec, whose children, periods and phases are
-    already resolved; the tree is linked by whoever holds every twin.
+    Only a global edge twin holds `pushed` and `last_pushed`, and only a twin
+    with rules `alert_versions`; the tree is linked by whoever holds every twin.
     """
 
+    __slots__ = ("spec", "children", "policy", "alert_rules", "parent", "state", "pushed",
+                 "last_pushed", "alerts_fired", "last_aggregation_children", "staleness_max",
+                 "alert_versions", "push_flow", "alert_flow", "vitals_stream")
+
     def __init__(self, spec: TwinSpec) -> None:
-        self.id = spec.id
-        self.level = spec.level
-        self.host = spec.host
-        self.sync_period = spec.sync_period
-        self.sync_phase = spec.sync_phase
-        self.aggregation_period = spec.aggregation_period
-        self.aggregation_phase = spec.aggregation_phase
+        self.spec = spec
         # Tuples: a twin without children or rules shares the one empty tuple.
         self.children: tuple[Twin, ...] = ()
-        self.vitals = spec.vitals
         self.policy: dict[str, Reducer] = {m: parse_reducer(r) for m, r in sorted(spec.policy.items())}
         self.alert_rules = tuple(AlertRule(metric, threshold) for metric, threshold in spec.alerts)
         self.parent: Optional[Twin] = None
         self.state: dict[str, MetricSample] = {}
-        self.pushed: dict[str, MetricSample] = {}  # the parent's copy, apart from `state`
-        self.last_pushed: dict[str, int] = {}
+        if spec.level is TwinLevel.GLOBAL_EDGE:
+            self.pushed: dict[str, MetricSample] = {}  # the parent's copy, apart from `state`
+            self.last_pushed: dict[str, int] = {}
         self.alerts_fired = 0
         self.last_aggregation_children = -1  # -1 = never aggregated
         # Running max age per own-state metric. Age is sampled just before each
         # overwrite and once at run end, which captures the supremum of the
         # piecewise-linear age curve exactly.
         self.staleness_max: dict[str, int] = {}
-        self.alert_versions: dict[str, int] = {}  # per alerting metric
+        if self.alert_rules:
+            self.alert_versions: dict[str, int] = {}  # per alerting metric
         self.push_flow: Optional[Flow] = None  # global edge twins: deltas to the core
         self.alert_flow: Optional[Flow] = None  # opened by the first escalation
         self.vitals_stream: Optional[RngStream] = None  # `vitals:<id>`, held from its first draw

@@ -251,7 +251,7 @@ class AmbulanceGen(Source):
         super().__init__(sim, spec, self.sync_emit)
         self.twin = sim.twins[spec.twin_id]
         demand = spec.telemetry_rate * spec.payload_bytes * 8
-        self.flow = self._flow(spec.id, SliceClass.LDHMC, spec.device, self.twin.host, demand,
+        self.flow = self._flow(spec.id, SliceClass.LDHMC, spec.device, self.twin.spec.host, demand,
                                spec.payload_bytes)
         self._handover = self.on_handover
         self._inject = self.inject
@@ -355,7 +355,7 @@ class WearableFleetGen(Source):
         self._members: list[tuple[Flow, Twin]] = []
         for i, (device, twin_id) in enumerate(spec.members):
             twin = sim.twins[twin_id]
-            flow = self._flow(f"{spec.id}.{i}", _UMMTC, device, twin.host, demand,
+            flow = self._flow(f"{spec.id}.{i}", _UMMTC, device, twin.spec.host, demand,
                               spec.payload_bytes)
             self._members.append((flow, twin))
         # A Poisson member's `arrivals:` stream, held from its first draw on; and the
@@ -402,7 +402,7 @@ class WearableFleetGen(Source):
         if twin.vitals_stream is None:
             if self._vitals_keys is None:
                 self._vitals_keys = fork_keys(self.sim.master_seed,
-                                              [f"vitals:{t.id}" for _f, t in self._members])
+                                              [f"vitals:{t.spec.id}" for _f, t in self._members])
             twin.vitals_stream = keyed_stream(self._vitals_keys[i])
         vitals = self.sim.sample_vitals(twin, flow, now)
         self.sim.send(flow, self.spec.payload_bytes, now, vitals)
@@ -430,7 +430,7 @@ class BeaconGen(Source):
         super().__init__(sim, spec, self.sync_emit)
         self.twin = sim.twins[spec.twin_id]
         demand = periodic_demand(spec.payload_bytes, self.period)
-        self.flow = self._flow(spec.id, SliceClass.ELPC, spec.device, self.twin.host, demand,
+        self.flow = self._flow(spec.id, SliceClass.ELPC, spec.device, self.twin.spec.host, demand,
                                spec.payload_bytes)
         self.halted = False
 

@@ -27,7 +27,7 @@ class EagerFleetGen(Source):
         super().__init__(sim, spec, self.sync_emit)
         demand = max(1, round(spec.payload_bytes * 8 * SEC / spec.period_ns))
         for i, (device, twin_id) in enumerate(spec.members):
-            self._flow(f"{spec.id}.{i}", SliceClass.UMMTC, device, sim.twins[twin_id].host, demand,
+            self._flow(f"{spec.id}.{i}", SliceClass.UMMTC, device, sim.twins[twin_id].spec.host, demand,
                        spec.payload_bytes)
 
     def schedule_start(self):

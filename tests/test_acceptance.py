@@ -92,7 +92,7 @@ def test_ac02_unloaded_delay_is_exact(timed_run):
     sim = run.sim
     flow = sim.flows["surgery"]
     hops = sim.topology.route(flow.src, flow.dst)
-    wire_bytes = flow.frame_payload + sim.stack.overhead
+    wire_bytes = flow.frame_payload + sim.scenario.stack.overhead
     expected = flow.setup_latency_ns + unloaded_path_delay(hops, wire_bytes)
     assert expected == 400_640  # 4 x (160ns tx + 20us prop) + 320us setup
 
@@ -158,7 +158,7 @@ def test_ac04_low_latency_contract_verdicts(timed_run):
     assert row["p99_ns"] <= 1_000_000
     assert clean.exit_code == 0
     # the loss dimension is judged against the scenario override
-    assert clean.sim.contracts[SliceClass.ERLLC].max_loss == 1e-3
+    assert clean.sim.scenario.contracts[SliceClass.ERLLC].max_loss == 1e-3
 
     degraded = timed_run(DEGRADED).result
     row = degraded.report["slices"]["ERLLC"]
@@ -179,26 +179,25 @@ def test_ac05_hierarchy_reduction_consistency(timed_run):
     1e-12 relative for the float accumulations (mean/sum).
     """
     sim = timed_run(WARD, seed=42).result.sim
-    specs = {spec.id: spec for spec in sim.scenario.twins}
     checked = 0
     for twin in sim.twins.values():
-        if twin.level is TwinLevel.INDIVIDUAL:
+        if twin.spec.level is TwinLevel.INDIVIDUAL:
             continue
         assert twin.last_aggregation_children == len(twin.children) > 0
         for metric, fn in twin.policy.items():
-            reducer_name = specs[twin.id].policy[metric]
+            reducer_name = twin.spec.policy[metric]
             values = [
                 child.state[metric].value
                 for child in twin.children
                 if metric in child.state
             ]
-            assert values, (twin.id, metric)
+            assert values, (twin.spec.id, metric)
             expected = fn(values)
             got = twin.state[metric].value
             if reducer_name in ("mean", "sum"):
-                assert abs(got - expected) <= 1e-12 * abs(expected), (twin.id, metric)
+                assert abs(got - expected) <= 1e-12 * abs(expected), (twin.spec.id, metric)
             else:
-                assert got == expected, (twin.id, metric)
+                assert got == expected, (twin.spec.id, metric)
             checked += 1
     assert checked == 6  # two ward twins and the hospital twin, two metrics each
 
@@ -216,22 +215,21 @@ def test_ac06_staleness_bound_is_tight(timed_run):
         for flow in sim.flows.values()
         if flow.slice_cls is SliceClass.UMMTC and not flow.id.startswith("twinsync.")
     }
-    entities = {spec.id: spec.entity for spec in sim.scenario.twins}
     overall = 0
     for twin in sim.twins.values():
-        if twin.level is not TwinLevel.INDIVIDUAL:
+        if twin.spec.level is not TwinLevel.INDIVIDUAL:
             continue
-        flow = vitals_flows[entities[twin.id]]
+        flow = vitals_flows[twin.spec.entity]
         hops = sim.topology.route(flow.src, flow.dst)
-        wire_bytes = flow.frame_payload + sim.stack.overhead
+        wire_bytes = flow.frame_payload + sim.scenario.stack.overhead
         one_way = flow.setup_latency_ns + unloaded_path_delay(hops, wire_bytes)
         ages = twin.staleness_max
-        assert ages, twin.id
+        assert ages, twin.spec.id
         worst = max(ages.values())
-        assert worst <= twin.sync_period + one_way
+        assert worst <= twin.spec.sync_period + one_way
         # every period a fresh sample lands exactly one_way after emission,
         # so the previous sample ages to exactly period + one_way
-        assert worst == twin.sync_period + one_way
+        assert worst == twin.spec.sync_period + one_way
         overall = max(overall, worst)
 
     assert overall == 100_076_880  # 100ms period + 40us setup + 26.88us tx + 10us prop

@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used in it, every
-attribute it stores is read somewhere in the package, node kinds, twin
-levels and slice names are compared as enum members only, only the loader
-builds node and link records, only a stream draws from its generator, every
-function has a caller in the program, and every parameter is read."""
+attribute it stores is read somewhere in the package, no attribute copies a
+same-named field of another object, node kinds, twin levels and slice names
+are compared as enum members only, only the loader builds node, link and
+twin records, only a stream draws from its generator, every function has a
+caller in the program, and every parameter is read."""
 
 import ast
 from pathlib import Path
@@ -102,6 +103,45 @@ def test_the_attribute_scan_sees_fields_self_stores_and_reads_across_modules():
     assert write_only_attributes([fields, methods]) == ["b", "d", "e"]
 
 
+def field_copies(source: str) -> list[str]:
+    """Stores of another object's field into a same-named attribute: `self.x = obj.x`.
+
+    Such a store is a second statement of a fact that `obj` already holds:
+    read it through `obj` instead. Plain and annotated stores count; a copy
+    of the object's own field (`self.x = self.x`) or of a nested one
+    (`self.x = a.b.x`) does not.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if not (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+                and value.value.id != "self"):
+            continue
+        found += [f"self.{t.attr} = {value.value.id}.{value.attr}" for t in targets
+                  if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                  and t.value.id == "self" and t.attr == value.attr]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_attribute_copies_a_field_of_another_object(path):
+    assert field_copies(path.read_text()) == []
+
+
+def test_the_copy_scan_sees_plain_and_annotated_same_named_stores():
+    source = ("class T:\n    def __init__(self, spec, s):\n        self.id = spec.id\n"
+              "        self.host: int = spec.host\n        self.a = self.b = s.a\n"
+              "        self.name = spec.id\n        self.spec = spec\n        self.level = spec.x.level\n"
+              "        self.c = self.c\n        other.d = spec.d\n        self.e: int\n")
+    assert field_copies(source) == ["self.id = spec.id", "self.host = spec.host", "self.a = s.a"]
+
+
 VOCABULARY = {m.value for enum in (NodeKind, TwinLevel, SliceClass) for m in enum}
 
 
@@ -134,15 +174,15 @@ def test_the_vocabulary_scan_sees_comparisons_and_membership():
     assert sorted(vocabulary_literals(source)) == ["ERLLC", "core", "device", "edge", "global_core"]
 
 
-RECORDS = {"Node", "Link"}
+RECORDS = {"Node", "Link", "TwinSpec"}
 
 
 def record_builds(source: str) -> list[str]:
-    """Calls that build a node or link record, by name or as a module attribute.
+    """Calls that build a node, link or twin record, by name or as a module attribute.
 
     The loader builds each record once, and every run of the scenario reads
-    those records and keeps its own state in `Topology`: a record built
-    anywhere else is a second copy of a loaded fact.
+    those records and keeps its own state in `Topology` and its `Twin`s: a
+    record built anywhere else is a second copy of a loaded fact.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -163,8 +203,9 @@ def test_only_the_loader_builds_records(path):
 def test_the_record_scan_sees_calls_by_name_and_attribute():
     source = ("a = Node(0, kind)\nb = network.Link(0, 1, 2, 3, 4)\n"
               "c = [Node(n.id, n.kind) for n in nodes]\nd = NodeKind('core')\ne = Link\n"
-              "f = isinstance(x, Node)\ng = make_link(1)\nh = build()(Link)\n")
-    assert record_builds(source) == ["Link", "Node", "Node"]
+              "f = isinstance(x, Node)\ng = make_link(1)\nh = build()(Link)\n"
+              "i = scenario.TwinSpec('t', level, 1)\nj = Twin(spec)\n")
+    assert record_builds(source) == ["Link", "Node", "Node", "TwinSpec"]
 
 
 def generator_reads(source: str) -> list[str]:

@@ -114,9 +114,9 @@ class TestAlertPass:
                 mock.patch.object(Simulation, "_deliver_sync", autospec=True,
                                   side_effect=Simulation._deliver_sync) as deliver:
             report = run_scenario(build(doc)).report
-        checked = Counter(call.args[0].id for call in check.call_args_list)
-        aggregated = Counter(call.args[0].id for call in aggregate.call_args_list)
-        landed = Counter(call.args[1][0].id for call in deliver.call_args_list)
+        checked = Counter(call.args[0].spec.id for call in check.call_args_list)
+        aggregated = Counter(call.args[0].spec.id for call in aggregate.call_args_list)
+        landed = Counter(call.args[1][0].spec.id for call in deliver.call_args_list)
         # Vitals land on pt and quiet, pt's alert on ge, and ge's on gc.
         assert landed == {"pt": 5, "quiet": 5, "ge": 1, "gc": 1}
         assert aggregated["ge"] > 0 and aggregated["gc"] > 0
@@ -370,9 +370,9 @@ class TestReportShape:
 def reference_section(twins):
     """The twins section as dicts, as the report once built it: the row writer's oracle."""
     return {
-        twin.id: {
-            "level": twin.level.value,
-            "host": twin.host,
+        twin.spec.id: {
+            "level": twin.spec.level.value,
+            "host": twin.spec.host,
             "state": {
                 metric: {
                     "value": fmt6(sample.value),
@@ -385,7 +385,7 @@ def reference_section(twins):
             "alerts_fired": twin.alerts_fired,
             "last_aggregation_children": twin.last_aggregation_children,
         }
-        for twin in sorted(twins, key=lambda twin: twin.id)
+        for twin in sorted(twins, key=lambda twin: twin.spec.id)
     }
 
 
@@ -423,7 +423,7 @@ class TestTwinRows:
     @settings(max_examples=150, deadline=None)
     def test_the_writer_equals_the_generic_renderer(self, rows):
         twins = [row_twin(*row) for row in rows]
-        section = TwinRows({twin.id: twin for twin in twins})
+        section = TwinRows({twin.spec.id: twin for twin in twins})
         reference = reference_section(twins)
         for indent in ("", "  "):
             assert section.json_text(indent) == _render(reference, indent)
@@ -445,10 +445,35 @@ BUNDLED = sorted(p.name for p in (Path(__file__).resolve().parent.parent / "scen
 def test_no_metric_sample_sits_in_two_slots(scenario_dir, name):
     # A twin updates its samples in place, which is sound only while no two
     # slots, a twin's state and its parent's copy of it, hold the same sample.
+    # Only a twin that pushes, a global edge twin, has the parent's copy.
     sim = run_scenario(load_scenario(scenario_dir / name), t_end=3 * SEC).sim
-    samples = [sample for twin in sim.twins.values()
-               for slots in (twin.state, twin.pushed) for sample in slots.values()]
+    edges = [twin for twin in sim.twins.values() if twin.spec.level is TwinLevel.GLOBAL_EDGE]
+    pushed = [sample for twin in edges for sample in twin.pushed.values()]
+    samples = [sample for twin in sim.twins.values() for sample in twin.state.values()] + pushed
+    assert bool(pushed) == bool(edges)  # where edge twins push, their samples are compared
     assert len({id(sample) for sample in samples}) == len(samples)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_run_writes_a_twin_spec(scenario_dir, name):
+    # A twin reads its loaded TwinSpec and keeps its run state in its own slots.
+    scn = load_scenario(scenario_dir / name)
+    before = copy.deepcopy(scn.twins)
+    run_scenario(scn, t_end=3 * SEC)
+    assert scn.twins == before
+
+
+def test_two_seeds_share_each_twin_spec_and_no_run_state(scenario_dir):
+    scn = load_scenario(scenario_dir / "ward.scn")
+    runs = [run_scenario(scn, seed=seed, t_end=3 * SEC).sim.twins for seed in (1, 2)]
+    for spec in scn.twins:
+        assert runs[0][spec.id].spec is runs[1][spec.id].spec is spec
+    containers = [slot for twins in runs for twin in twins.values()
+                  for slot in (twin.state, twin.staleness_max)]
+    containers += [twin.pushed for twins in runs for twin in twins.values()
+                   if twin.spec.level is TwinLevel.GLOBAL_EDGE]
+    assert len(containers) == 2 * (2 * len(scn.twins) + 2)  # ward.scn has two edge twins
+    assert len({id(slot) for slot in containers}) == len(containers)
 
 
 class CountingTwins(dict):
@@ -494,7 +519,7 @@ def test_the_twin_tree_is_linked_as_loaded(scenario_dir, name):
     twins = Simulation(scn).twins
     for spec in scn.twins:
         twin = twins[spec.id]
-        assert [child.id for child in twin.children] == spec.children
+        assert [child.spec.id for child in twin.children] == spec.children
         assert all(twins[child_id] is child and child.parent is twin
                    for child_id, child in zip(spec.children, twin.children))
 

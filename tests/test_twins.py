@@ -42,13 +42,13 @@ class TestApplySync:
         assert t.state["hr"] == MetricSample(80.0, 5, 500)
 
     def test_child_messages_land_in_cache_not_state(self):
-        t, kid = twin(), twin(TwinLevel.INDIVIDUAL)
+        t, kid = twin(TwinLevel.GLOBAL_CORE), twin()
         t.apply_sync([("hr", 64.0, 1, 10)], now=10, child=kid)
         assert "hr" not in t.state
         assert kid.pushed["hr"] == MetricSample(64.0, 1, 10)
 
     def test_ages_reported_only_for_own_state_overwrites(self):
-        t, kid = twin(), twin(TwinLevel.INDIVIDUAL)
+        t, kid = twin(TwinLevel.GLOBAL_CORE), twin()
         t.apply_sync([("hr", 70.0, 1, 0)], now=0)
         assert t.staleness_max == {}  # a first write overwrites nothing
         t.apply_sync([("hr", 71.0, 2, 950)], now=1000)
@@ -73,7 +73,7 @@ class TestApplySync:
     def test_a_parent_caches_its_own_copy_of_a_child_sample(self):
         # Samples are updated in place, so a parent's copy must not hold the
         # child's own sample: the child's next update would rewrite it.
-        child, parent = twin(TwinLevel.INDIVIDUAL), twin()
+        child, parent = twin(), twin(TwinLevel.GLOBAL_CORE)
         child.apply_sync([("hr", 70.0, 1, 100)], now=100)
         parent.apply_sync(child.pending_deltas(), now=150, child=child)
         cached = child.pushed["hr"]
@@ -105,11 +105,31 @@ class TestStaleness:
 class TestBuild:
     def test_parses_reducers_and_alert_rules_from_the_spec(self):
         t = twin(TwinLevel.INDIVIDUAL, {"hr": "max"}, entity=3, alerts=[("hr", 120.0)])
-        assert (t.level, t.host, t.parent) == (TwinLevel.INDIVIDUAL, 1, None)
+        assert (t.spec.level, t.spec.host, t.parent) == (TwinLevel.INDIVIDUAL, 1, None)
         assert t.policy["hr"]([3.0, -1.0, 2.0]) == 3.0  # the max reducer
         assert t.alert_rules == (AlertRule("hr", 120.0),)
         assert t.children == ()
         assert (t.push_flow, t.alert_flow) == (None, None)
+
+    def test_a_twin_holds_its_loaded_spec(self):
+        spec = TwinSpec("t", TwinLevel.GLOBAL_EDGE, host=1)
+        assert Twin(spec).spec is spec
+
+    def test_only_a_global_edge_twin_has_the_parents_copy(self):
+        individual, edge, core = (twin(level) for level in TwinLevel)
+        for t in (individual, core):
+            assert not hasattr(t, "pushed") and not hasattr(t, "last_pushed")
+        assert (edge.pushed, edge.last_pushed) == ({}, {})
+
+    def test_only_a_twin_with_rules_has_alert_versions(self):
+        for level in TwinLevel:
+            assert not hasattr(twin(level), "alert_versions")
+            assert twin(level, alerts=[("hr", 120.0)]).alert_versions == {}
+
+    def test_an_undeclared_attribute_cannot_be_set(self):
+        t = twin()
+        with pytest.raises(AttributeError):
+            t.level = TwinLevel.GLOBAL_CORE  # a loaded fact is read through `spec`
 
 
 class TestReducers:

@@ -424,11 +424,11 @@ def test_each_twin_draws_its_vitals_in_emission_order():
     landed: dict[str, list] = {}
     for call in deliver.call_args_list:
         twin, deltas = call.args[1]
-        landed.setdefault(twin.id, []).append(deltas)
+        landed.setdefault(twin.spec.id, []).append(deltas)
     assert set(landed) == {"amb", "imp", *(f"dev_{i}" for i in range(4)),
                            *(f"pdev_{i}" for i in range(3))}
     for twin_id, frames in landed.items():
-        vitals = res.sim.twins[twin_id].vitals
+        vitals = res.sim.twins[twin_id].spec.vitals
         rng = fork_rng(res.sim.master_seed, f"vitals:{twin_id}")
         frames.sort(key=lambda deltas: deltas[0][2])  # by version: the emission count
         assert [deltas[0][2] for deltas in frames] == list(range(1, len(frames) + 1))
